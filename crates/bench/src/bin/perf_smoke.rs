@@ -158,30 +158,6 @@ fn run_engine(label: &'static str, engine: EngineSel, insts: u64, reps: u32) -> 
     }
 }
 
-/// Fingerprint for cross-engine equality (mirrors tests/determinism.rs).
-fn fingerprint(r: &SystemReport) -> Vec<u64> {
-    let mut v = vec![
-        r.end_time.ps(),
-        r.mem_reads,
-        r.mem_writes,
-        r.writeback_requests,
-        r.refill_requests,
-        r.cache_read_hits,
-        r.cache_read_misses,
-        r.events_processed,
-    ];
-    for c in &r.cores {
-        v.push(c.insts);
-        v.push(c.cycles);
-    }
-    for ch in &r.channels {
-        v.push(ch.reads);
-        v.push(ch.writes);
-        v.push(ch.turnarounds);
-    }
-    v
-}
-
 /// Outcome of the cold-vs-warm-cached sweep measurement.
 struct SweepResult {
     /// Design/remap variants swept.
@@ -261,8 +237,8 @@ fn run_sweep(insts: u64, reps: u32) -> SweepResult {
     let warm_reports = warm_reports.expect("at least one warm rep");
     for (i, (c, w)) in cold_reports.iter().zip(&warm_reports).enumerate() {
         assert_eq!(
-            fingerprint(c),
-            fingerprint(w),
+            c.digest(),
+            w.digest(),
             "checkpoint-restored sweep variant {i} diverged from cold"
         );
     }
@@ -335,13 +311,13 @@ fn run_trace_smoke(insts: u64) -> TraceSmokeResult {
     let cold = spec.run_mix_cold(m.id);
     let cold_s = t0.elapsed().as_secs_f64();
     assert_eq!(
-        fingerprint(&first),
-        fingerprint(&cold),
+        first.digest(),
+        cold.digest(),
         "trace-driven cache-populating run diverged from cold"
     );
     assert_eq!(
-        fingerprint(&warm),
-        fingerprint(&cold),
+        warm.digest(),
+        cold.digest(),
         "trace-driven warm-cached run diverged from cold"
     );
     assert!(
@@ -625,8 +601,8 @@ fn run_main_mem_smoke(insts: u64) -> MainMemSmokeResult {
     let warm = System::capture_warm(cycle_cfg, &m.benches);
     let restored = System::from_warm(cycle_cfg, &m.benches, &warm).run();
     assert_eq!(
-        fingerprint(&cycle),
-        fingerprint(&restored),
+        cycle.digest(),
+        restored.digest(),
         "cycle-backend warm-restored run diverged from cold"
     );
 
@@ -710,8 +686,8 @@ fn run_designs_smoke(insts: u64) -> DesignsSmokeResult {
     let warm = System::capture_warm(ban_cfg, &m.benches);
     let restored = System::from_warm(ban_cfg, &m.benches, &warm).run();
     assert_eq!(
-        fingerprint(&ban),
-        fingerprint(&restored),
+        ban.digest(),
+        restored.digest(),
         "Banshee warm-restored run diverged from cold"
     );
     assert_eq!(
@@ -732,8 +708,8 @@ fn run_designs_smoke(insts: u64) -> DesignsSmokeResult {
     let warm = System::capture_warm(xp_cfg, &m.benches);
     let restored = System::from_warm(xp_cfg, &m.benches, &warm).run();
     assert_eq!(
-        fingerprint(&xp),
-        fingerprint(&restored),
+        xp.digest(),
+        restored.digest(),
         "XPoint-backend warm-restored run diverged from cold"
     );
 
@@ -1048,8 +1024,8 @@ fn main() {
     // bit for bit. Any divergence fails the build here.
     for r in [&calendar, &adaptive, &sharded2] {
         assert_eq!(
-            fingerprint(&r.report),
-            fingerprint(&heap.report),
+            r.report.digest(),
+            heap.report.digest(),
             "{} engine diverged from the heap oracle",
             r.label
         );

@@ -2,7 +2,7 @@
 
 use dca_mem_hier::MainMemStats;
 use dca_metrics::LatencyStat;
-use dca_sim_core::SimTime;
+use dca_sim_core::{digest64, ByteWriter, SimTime};
 
 use crate::controller::CtrlStats;
 use crate::timeline::Timeline;
@@ -132,5 +132,142 @@ impl SystemReport {
             .map(|c| c.read_row_hit_rate * c.reads as f64)
             .sum();
         hits / reads as f64
+    }
+
+    /// Digest of every statistic the report carries, the optional
+    /// timeline excepted (a diagnostic recording, not a result). Two runs
+    /// agree bit for bit exactly when their digests do, so this is the
+    /// one fingerprint equivalence and golden tests compare.
+    ///
+    /// Every report struct is destructured without `..`, so a field added
+    /// to any of them does not compile until the digest covers it. The
+    /// byte layout matches `perfbench`'s `report_digest`, so the values
+    /// are interchangeable.
+    pub fn digest(&self) -> u64 {
+        let SystemReport {
+            cores,
+            channels,
+            l2_miss_latency,
+            cache_read_hits,
+            cache_read_misses,
+            predictor_accuracy,
+            mem_reads,
+            mem_writes,
+            main_mem,
+            writeback_requests,
+            refill_requests,
+            cache_fills,
+            fill_bypasses,
+            end_time,
+            events_processed,
+            timeline: _,
+        } = self;
+        let mut w = ByteWriter::new();
+        w.put_u64(cores.len() as u64);
+        for core in cores {
+            let CoreReport {
+                bench,
+                insts,
+                cycles,
+                ipc,
+            } = core;
+            w.put_u64(bench.len() as u64);
+            w.put_bytes(bench.as_bytes());
+            w.put_u64(*insts);
+            w.put_u64(*cycles);
+            w.put_f64(*ipc);
+        }
+        w.put_u64(channels.len() as u64);
+        for ch in channels {
+            let ChannelReport {
+                reads,
+                writes,
+                turnarounds,
+                accesses_per_turnaround,
+                read_row_hit_rate,
+                read_row_conflicts,
+                ctrl,
+            } = ch;
+            w.put_u64(*reads);
+            w.put_u64(*writes);
+            w.put_u64(*turnarounds);
+            w.put_f64(*accesses_per_turnaround);
+            w.put_f64(*read_row_hit_rate);
+            w.put_u64(*read_row_conflicts);
+            let CtrlStats {
+                pr_served,
+                lr_served,
+                writes_served,
+                ofs_row_friendly,
+                ofs_rrpc_cold,
+                forced_drain_slots,
+                spilled,
+                sched_all_entries,
+                pr_wait_ps,
+                lr_wait_ps,
+                write_wait_ps,
+            } = ctrl;
+            for c in [
+                pr_served,
+                lr_served,
+                writes_served,
+                ofs_row_friendly,
+                ofs_rrpc_cold,
+                forced_drain_slots,
+                spilled,
+                sched_all_entries,
+            ] {
+                w.put_u64(c.get());
+            }
+            w.put_u64(*pr_wait_ps);
+            w.put_u64(*lr_wait_ps);
+            w.put_u64(*write_wait_ps);
+        }
+        // LatencyStat keeps its fields private; its public accessors are
+        // its whole observable state.
+        w.put_u64(l2_miss_latency.count());
+        w.put_f64(l2_miss_latency.mean_ns());
+        w.put_f64(l2_miss_latency.p99_ns());
+        w.put_u64(*cache_read_hits);
+        w.put_u64(*cache_read_misses);
+        w.put_f64(*predictor_accuracy);
+        w.put_u64(*mem_reads);
+        w.put_u64(*mem_writes);
+        let MainMemStats {
+            backend,
+            reads,
+            writes,
+            busy_ps,
+            row_hits,
+            row_conflicts,
+            turnarounds,
+            peak_queue,
+            queue_wait_ps,
+        } = main_mem;
+        w.put_u64(backend.len() as u64);
+        w.put_bytes(backend.as_bytes());
+        for v in [
+            reads,
+            writes,
+            busy_ps,
+            row_hits,
+            row_conflicts,
+            turnarounds,
+            peak_queue,
+            queue_wait_ps,
+        ] {
+            w.put_u64(*v);
+        }
+        for v in [
+            writeback_requests,
+            refill_requests,
+            cache_fills,
+            fill_bypasses,
+            events_processed,
+        ] {
+            w.put_u64(*v);
+        }
+        w.put_u64(end_time.ps());
+        digest64(&w.into_vec())
     }
 }

@@ -13,37 +13,14 @@ fn run(seed: u64, design: Design) -> SystemReport {
     System::new(cfg, &mix(5).benches).run()
 }
 
-fn fingerprint(r: &SystemReport) -> Vec<u64> {
-    let mut v = vec![
-        r.end_time.ps(),
-        r.mem_reads,
-        r.mem_writes,
-        r.writeback_requests,
-        r.refill_requests,
-        r.cache_read_hits,
-        r.cache_read_misses,
-    ];
-    for c in &r.cores {
-        v.push(c.insts);
-        v.push(c.cycles);
-    }
-    for ch in &r.channels {
-        v.push(ch.reads);
-        v.push(ch.writes);
-        v.push(ch.turnarounds);
-        v.push(ch.read_row_conflicts);
-    }
-    v
-}
-
 #[test]
 fn identical_seeds_identical_results() {
     for design in Design::ALL {
         let a = run(7, design);
         let b = run(7, design);
         assert_eq!(
-            fingerprint(&a),
-            fingerprint(&b),
+            a.digest(),
+            b.digest(),
             "{} non-deterministic",
             design.label()
         );
@@ -54,7 +31,7 @@ fn identical_seeds_identical_results() {
 fn different_seeds_differ() {
     let a = run(7, Design::Dca);
     let b = run(8, Design::Dca);
-    assert_ne!(fingerprint(&a), fingerprint(&b));
+    assert_ne!(a.digest(), b.digest());
 }
 
 #[test]

@@ -38,48 +38,14 @@ fn run(design: Design, org: OrgKind, engine: EngineSel, seed: u64) -> SystemRepo
     System::new(cfg, &mix(3).benches).run()
 }
 
-/// Every integer statistic the report carries (floats are derived from
-/// these; comparing the integers is the bit-level check).
-fn fingerprint(r: &SystemReport) -> Vec<u64> {
-    let mut v = vec![
-        r.end_time.ps(),
-        r.events_processed,
-        r.mem_reads,
-        r.mem_writes,
-        r.writeback_requests,
-        r.refill_requests,
-        r.cache_read_hits,
-        r.cache_read_misses,
-        r.l2_miss_latency.count(),
-    ];
-    for c in &r.cores {
-        v.push(c.insts);
-        v.push(c.cycles);
-    }
-    for ch in &r.channels {
-        v.push(ch.reads);
-        v.push(ch.writes);
-        v.push(ch.turnarounds);
-        v.push(ch.read_row_conflicts);
-        v.push(ch.ctrl.pr_served.get());
-        v.push(ch.ctrl.lr_served.get());
-        v.push(ch.ctrl.writes_served.get());
-        v.push(ch.ctrl.forced_drain_slots.get());
-        v.push(ch.ctrl.pr_wait_ps);
-        v.push(ch.ctrl.lr_wait_ps);
-        v.push(ch.ctrl.write_wait_ps);
-    }
-    v
-}
-
 #[test]
 fn same_engine_same_seed_identical() {
     for engine in ENGINES {
         let a = run(Design::Dca, OrgKind::DirectMapped, engine, 11);
         let b = run(Design::Dca, OrgKind::DirectMapped, engine, 11);
         assert_eq!(
-            fingerprint(&a),
-            fingerprint(&b),
+            a.digest(),
+            b.digest(),
             "{} engine is not reproducible",
             engine_label(engine)
         );
@@ -90,14 +56,14 @@ fn same_engine_same_seed_identical() {
 fn all_engines_agree_bit_for_bit_all_designs() {
     for design in Design::ALL {
         let oracle = run(design, OrgKind::DirectMapped, EngineSel::Heap, 11);
-        let oracle_fp = fingerprint(&oracle);
+        let oracle_fp = oracle.digest();
         for engine in ENGINES {
             if engine == EngineSel::Heap {
                 continue;
             }
             let r = run(design, OrgKind::DirectMapped, engine, 11);
             assert_eq!(
-                fingerprint(&r),
+                r.digest(),
                 oracle_fp,
                 "{} diverges from the heap oracle on {}",
                 engine_label(engine),
@@ -110,11 +76,11 @@ fn all_engines_agree_bit_for_bit_all_designs() {
 #[test]
 fn all_engines_agree_set_assoc_and_other_seed() {
     let oracle = run(Design::Dca, OrgKind::paper_set_assoc(), EngineSel::Heap, 99);
-    let oracle_fp = fingerprint(&oracle);
+    let oracle_fp = oracle.digest();
     for engine in ENGINES {
         let r = run(Design::Dca, OrgKind::paper_set_assoc(), engine, 99);
         assert_eq!(
-            fingerprint(&r),
+            r.digest(),
             oracle_fp,
             "{} diverges on the set-associative organisation",
             engine_label(engine)
@@ -129,7 +95,7 @@ fn calendar_slot_width_is_a_pure_perf_knob() {
     // the heap engine bit-for-bit — on the fixed, adaptive (initial
     // width), and sharded (per-shard width) engines alike.
     let reference = run(Design::Dca, OrgKind::DirectMapped, EngineSel::Heap, 23);
-    let reference_fp = fingerprint(&reference);
+    let reference_fp = reference.digest();
     for engine in [
         EngineSel::Calendar,
         EngineSel::CalendarAdaptive,
@@ -144,7 +110,7 @@ fn calendar_slot_width_is_a_pure_perf_knob() {
             cfg.event_slot_shift = shift;
             let r = System::new(cfg, &mix(3).benches).run();
             assert_eq!(
-                fingerprint(&r),
+                r.digest(),
                 reference_fp,
                 "slot shift {shift} changed results on {}",
                 engine_label(engine)

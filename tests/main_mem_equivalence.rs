@@ -7,7 +7,7 @@
 //! must run every design to completion, deterministically, under both
 //! event engines.
 
-use dca::{Design, System, SystemConfig, SystemReport};
+use dca::{Design, System, SystemConfig};
 use dca_cpu::mix;
 use dca_dram_cache::{OrgKind, ReplacementPolicy};
 use dca_mem_hier::MainMemConfig;
@@ -201,30 +201,6 @@ fn explicit_srrip_policy_is_bit_identical_to_the_seed_model() {
     }
 }
 
-fn fingerprint(r: &SystemReport) -> Vec<u64> {
-    let mut v = vec![
-        r.end_time.ps(),
-        r.events_processed,
-        r.mem_reads,
-        r.mem_writes,
-        r.cache_read_hits,
-        r.cache_read_misses,
-        r.writeback_requests,
-        r.refill_requests,
-        r.main_mem.row_hits,
-        r.main_mem.row_conflicts,
-        r.main_mem.turnarounds,
-        r.main_mem.peak_queue,
-        r.main_mem.queue_wait_ps,
-        r.main_mem.busy_ps,
-    ];
-    for c in &r.cores {
-        v.push(c.insts);
-        v.push(c.cycles);
-    }
-    v
-}
-
 #[test]
 fn cycle_backend_is_engine_independent() {
     // The cycle-level device's MemPump/MemArrive events must behave
@@ -242,8 +218,8 @@ fn cycle_backend_is_engine_independent() {
         cfg.engine = engine;
         let r = System::new(cfg, &mix(3).benches).run();
         assert_eq!(
-            fingerprint(&calendar),
-            fingerprint(&r),
+            calendar.digest(),
+            r.digest(),
             "cycle backend diverges under {:?}",
             engine
         );
