@@ -3,6 +3,9 @@
 use dca_dram::{MappingScheme, Organization, TimingParams};
 use dca_dram_cache::{OrgKind, ReplacementPolicy};
 use dca_mem_hier::MainMemConfig;
+use dca_sched::{MAX_BANKS, MAX_CAPACITY};
+
+use crate::controller::ADMIT_SLOTS;
 
 /// The controller designs raced against each other: the paper's three
 /// plus a Banshee-style bandwidth-efficient fourth.
@@ -263,7 +266,8 @@ impl SystemConfig {
 
     /// Check knob ranges that would otherwise surface only as a panic
     /// (or, for oversized slot shifts in release builds, a silently
-    /// wrapped shift amount) deep inside `System::assemble`.
+    /// wrapped shift amount) deep inside `System::assemble`, or as a run
+    /// that never finishes.
     pub fn validate(&self) -> Result<(), String> {
         let max = dca_sim_core::events::MAX_SLOT_SHIFT;
         if self.event_slot_shift > max {
@@ -279,6 +283,75 @@ impl SystemConfig {
                     "sharded engine thread count {threads} outside 1..=8"
                 ));
             }
+        }
+        // The controller queues' bank index holds at most MAX_CAPACITY
+        // entries over MAX_BANKS banks.
+        for (name, cap) in [
+            ("read_q_cap", self.read_q_cap),
+            ("write_q_cap", self.write_q_cap),
+        ] {
+            if !(ADMIT_SLOTS..=MAX_CAPACITY).contains(&cap) {
+                return Err(format!(
+                    "{name} {cap} outside {ADMIT_SLOTS}..={MAX_CAPACITY}: the admission \
+                     gate needs {ADMIT_SLOTS} free slots and the bank index holds \
+                     {MAX_CAPACITY}"
+                ));
+            }
+        }
+        let banks = self.dram_org.banks_per_channel() as usize;
+        if banks > MAX_BANKS {
+            return Err(format!(
+                "{banks} DRAM-cache banks per channel exceed the bank index's {MAX_BANKS}"
+            ));
+        }
+        if let MainMemConfig::Cycle { org, queue_cap, .. } = self.main_mem {
+            if queue_cap as usize > MAX_CAPACITY {
+                return Err(format!(
+                    "main-memory queue_cap {queue_cap} exceeds the bank index's {MAX_CAPACITY}"
+                ));
+            }
+            let banks = org.banks_per_channel() as usize;
+            if banks > MAX_BANKS {
+                return Err(format!(
+                    "{banks} main-memory banks per channel exceed the bank index's {MAX_BANKS}"
+                ));
+            }
+        }
+        if self.write_lo > self.write_hi {
+            return Err(format!(
+                "write_lo {} exceeds write_hi {}",
+                self.write_lo, self.write_hi
+            ));
+        }
+        if self.dca.read_q_lo > self.dca.read_q_hi {
+            return Err(format!(
+                "dca.read_q_lo {} exceeds dca.read_q_hi {}",
+                self.dca.read_q_lo, self.dca.read_q_hi
+            ));
+        }
+        // Once the admission gate closes, only issuing reopens it. Writes
+        // are then issued only above write_lo, and DCA's held-back LRs
+        // only once the read queue passes read_q_hi (Algorithm 1), so
+        // the gate's occupancy must exceed those marks, computed the way
+        // the controller computes occupancy.
+        let gate = |cap: usize| (cap - (ADMIT_SLOTS - 1)) as f64 / cap as f64;
+        if gate(self.write_q_cap) <= self.write_lo {
+            return Err(format!(
+                "write_q_cap {} closes admission at occupancy {:.3}, not above \
+                 write_lo {}: no write drain would reopen it",
+                self.write_q_cap,
+                gate(self.write_q_cap),
+                self.write_lo
+            ));
+        }
+        if self.design == Design::Dca && gate(self.read_q_cap) <= self.dca.read_q_hi {
+            return Err(format!(
+                "read_q_cap {} closes admission at occupancy {:.3}, not above \
+                 dca.read_q_hi {}: held-back low-priority reads would never be released",
+                self.read_q_cap,
+                gate(self.read_q_cap),
+                self.dca.read_q_hi
+            ));
         }
         Ok(())
     }
@@ -399,6 +472,115 @@ mod tests {
         assert!(cfg.validate().is_err());
         cfg.engine = EngineSel::Sharded { threads: 4 };
         assert!(cfg.validate().is_ok());
+    }
+
+    fn dm(design: Design) -> SystemConfig {
+        SystemConfig::paper(design, OrgKind::DirectMapped)
+    }
+
+    #[test]
+    fn validate_rejects_zero_capacity_queues() {
+        let mut cfg = dm(Design::Cd);
+        cfg.read_q_cap = 0;
+        assert!(cfg.validate().is_err());
+        let mut cfg = dm(Design::Cd);
+        cfg.write_q_cap = 0;
+        assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_read_queues_below_the_admission_size() {
+        for design in Design::ALL {
+            let mut cfg = dm(design);
+            cfg.read_q_cap = ADMIT_SLOTS - 1;
+            assert!(cfg.validate().is_err(), "{}", design.label());
+        }
+    }
+
+    #[test]
+    fn validate_rejects_dca_read_queues_that_close_below_schedule_all() {
+        // 11/13 = 0.846 ≤ 0.85: the gate shuts before ScheduleAll turns on.
+        let mut cfg = dm(Design::Dca);
+        cfg.read_q_cap = 13;
+        assert!(cfg.validate().is_err());
+        cfg.read_q_cap = 14;
+        assert!(cfg.validate().is_ok());
+        // CD never holds reads back, so the same size is fine there.
+        let mut cd = dm(Design::Cd);
+        cd.read_q_cap = 13;
+        assert!(cd.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_write_queues_that_close_at_or_below_write_lo() {
+        // 2/4 = 0.5 is not above write_lo 0.5; 3/5 = 0.6 is.
+        for design in Design::ALL {
+            let mut cfg = dm(design);
+            cfg.write_q_cap = 4;
+            assert!(cfg.validate().is_err(), "{}", design.label());
+            cfg.write_q_cap = 5;
+            assert!(cfg.validate().is_ok(), "{}", design.label());
+        }
+    }
+
+    #[test]
+    fn validate_rejects_queues_beyond_the_slot_index() {
+        let mut cfg = dm(Design::Rod);
+        cfg.write_q_cap = MAX_CAPACITY;
+        assert!(cfg.validate().is_ok());
+        cfg.write_q_cap = MAX_CAPACITY + 1;
+        assert!(cfg.validate().is_err());
+        let mut cfg = dm(Design::Cd);
+        cfg.read_q_cap = MAX_CAPACITY + 1;
+        assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_main_memory_queues_beyond_the_slot_index() {
+        let mut cfg = SystemConfig::paper_xpoint(Design::Dca, OrgKind::DirectMapped);
+        let MainMemConfig::Cycle {
+            timing,
+            org,
+            extra_latency,
+            ..
+        } = cfg.main_mem
+        else {
+            unreachable!("xpoint is cycle-level")
+        };
+        cfg.main_mem = MainMemConfig::Cycle {
+            timing,
+            org,
+            extra_latency,
+            queue_cap: MAX_CAPACITY as u32 + 1,
+        };
+        assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_more_banks_than_the_bank_index() {
+        let mut cfg = dm(Design::Cd);
+        cfg.dram_org.banks_per_rank = MAX_BANKS as u32 + 1;
+        assert!(cfg.validate().is_err());
+        let mut cfg = SystemConfig::paper_cycle_mem(Design::Cd, OrgKind::DirectMapped);
+        if let MainMemConfig::Cycle { ref mut org, .. } = cfg.main_mem {
+            org.ranks = 2;
+            org.banks_per_rank = MAX_BANKS as u32 / 2 + 1;
+        }
+        assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_inverted_write_thresholds() {
+        let mut cfg = dm(Design::Cd);
+        cfg.write_lo = 0.9;
+        assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_inverted_schedule_all_thresholds() {
+        let mut cfg = dm(Design::Cd);
+        cfg.dca.read_q_lo = 0.9;
+        assert!(cfg.validate().is_err());
     }
 
     #[test]

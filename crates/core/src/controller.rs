@@ -30,6 +30,13 @@ use std::collections::VecDeque;
 use crate::config::{Arbiter, Design, SystemConfig};
 use crate::rrpc::Rrpc;
 
+/// Free slots each bounded queue needs before the controller admits a
+/// new cache request (a whole request's worth of accesses). The gate
+/// therefore closes at `capacity - (ADMIT_SLOTS - 1)` queued entries, and
+/// only issuing from the queue reopens it — the bound
+/// [`SystemConfig::validate`] checks queue sizes against.
+pub const ADMIT_SLOTS: usize = 3;
+
 /// Controller statistics (per channel).
 #[derive(Clone, Debug, Default)]
 pub struct CtrlStats {
@@ -186,8 +193,8 @@ impl ChannelController {
     pub fn can_admit(&self) -> bool {
         self.spill_read.is_empty()
             && self.spill_write.is_empty()
-            && self.read_q.len() + 3 <= self.read_q.capacity()
-            && self.write_q.len() + 3 <= self.write_q.capacity()
+            && self.read_q.len() + ADMIT_SLOTS <= self.read_q.capacity()
+            && self.write_q.len() + ADMIT_SLOTS <= self.write_q.capacity()
     }
 
     /// Queue placement (the design-defining function, Fig 3 / Fig 6).
@@ -254,11 +261,11 @@ impl ChannelController {
 
     /// "Are demand reads pending?" for the drain policy: CD/ROD count any
     /// read-queue entry; DCA counts only PRs (LRs are held like writes).
-    /// O(1): the queue tracks its PR population incrementally.
+    /// O(1): the queue keeps its PR slot set incrementally.
     fn reads_pending(&self) -> bool {
         match self.design {
             Design::Cd | Design::Rod | Design::Banshee => !self.read_q.is_empty(),
-            Design::Dca => self.read_q.priority_count() > 0,
+            Design::Dca => self.read_q.priority() != 0,
         }
     }
 
@@ -276,16 +283,11 @@ impl ChannelController {
         }
     }
 
-    /// Arbitrate over bank-free write-queue entries — the shared
-    /// candidate set of all three drain modes (forced, sticky,
+    /// Arbitrate over the write-queue entries on banks in `free` — the
+    /// shared candidate set of all three drain modes (forced, sticky,
     /// opportunistic).
-    fn pick_write(&self, ch: &DramChannel, now: SimTime) -> Option<usize> {
-        self.pick(
-            self.write_q
-                .iter()
-                .filter(|(_, e)| ch.bank_free(e.access.bank, now)),
-            ch,
-        )
+    fn pick_write(&self, free: u64, ch: &DramChannel) -> Option<usize> {
+        self.pick(self.write_q.iter_in(self.write_q.in_banks(free)), ch)
     }
 
     /// Issue the entry at `pos` of the read or write queue.
@@ -333,6 +335,12 @@ impl ChannelController {
 
     /// One scheduling slot: choose and issue at most one access.
     ///
+    /// Every phase arbitrates over a candidate set built from bit masks:
+    /// the channel's free banks intersected with the queue's per-bank
+    /// index (and, for reads, its PR slot set), so entries on busy banks
+    /// are never visited and a slot whose candidate banks are all busy
+    /// touches no entry.
+    ///
     /// Returns `None` when nothing can issue right now (queues empty, all
     /// candidate banks busy, or policy holds everything back).
     pub fn schedule_one(
@@ -346,6 +354,7 @@ impl ChannelController {
 
         let reads_pending = self.reads_pending();
         let wq_occ = self.write_q.occupancy();
+        let free = ch.free_banks(now);
 
         // Sticky opportunistic drain: exits when demand reads arrive or
         // the queue reaches the low mark.
@@ -358,16 +367,14 @@ impl ChannelController {
         // reached — batching writes is what keeps turnarounds rare.
         if self.drain.update_forced(wq_occ) {
             self.stats.forced_drain_slots.inc();
-            if let Some(pos) = self.pick_write(ch, now) {
-                return Some(self.issue_at(pos, true, ch, rrpc, now));
-            }
-            return None;
+            let pos = self.pick_write(free, ch)?;
+            return Some(self.issue_at(pos, true, ch, rrpc, now));
         }
 
         // Sticky drain in progress: keep serving writes ahead of LR/OFS
         // work (demand reads already cleared the mode above).
         if self.opp_drain {
-            if let Some(pos) = self.pick_write(ch, now) {
+            if let Some(pos) = self.pick_write(free, ch) {
                 return Some(self.issue_at(pos, true, ch, rrpc, now));
             }
         }
@@ -385,14 +392,13 @@ impl ChannelController {
             }
             _ => true,
         };
-        let picked = self.pick(
-            self.read_q
-                .iter()
-                .filter(|(_, e)| ch.bank_free(e.access.bank, now))
-                .filter(|(_, e)| sched_all || e.class == ReadClass::Priority),
-            ch,
-        );
-        if let Some(pos) = picked {
+        let reads = self.read_q.in_banks(free);
+        let eligible = if sched_all {
+            reads
+        } else {
+            reads & self.read_q.priority()
+        };
+        if let Some(pos) = self.pick(self.read_q.iter_in(eligible), ch) {
             return Some(self.issue_at(pos, false, ch, rrpc, now));
         }
 
@@ -400,13 +406,12 @@ impl ChannelController {
         // Row-friendly LRs (hit or closed bank) are preferred over cold-
         // bank conflict admissions across the whole pool, so DCA's LR
         // stream keeps the row-buffer locality that CD's interleaving
-        // destroys (Figs 16–17).
-        if self.design == Design::Dca && !sched_all {
+        // destroys (Figs 16–17). No PR sits on a free bank here (phase 2
+        // would have issued it), so every read candidate left is an LR.
+        if self.design == Design::Dca && !sched_all && reads != 0 {
             let picked = self.pick(
-                self.read_q.iter().filter(|(_, e)| {
-                    e.class == ReadClass::LowPriority
-                        && ch.bank_free(e.access.bank, now)
-                        && ch.peek_outcome(e.access.bank, e.access.row) != RowOutcome::Conflict
+                self.read_q.iter_in(reads).filter(|(_, e)| {
+                    ch.peek_outcome(e.access.bank, e.access.row) != RowOutcome::Conflict
                 }),
                 ch,
             );
@@ -414,15 +419,11 @@ impl ChannelController {
                 self.stats.ofs_row_friendly.inc();
                 return Some(self.issue_at(pos, false, ch, rrpc, now));
             }
+            let bank_base = self.channel_index * self.banks_per_channel;
             let rrpc_ref: &Rrpc = rrpc;
             let picked = self.pick(
-                self.read_q.iter().filter(|(_, e)| {
-                    e.class == ReadClass::LowPriority
-                        && ch.bank_free(e.access.bank, now)
-                        && rrpc_ref.is_cold(
-                            self.channel_index * self.banks_per_channel + e.access.bank,
-                            self.flushing_factor,
-                        )
+                self.read_q.iter_in(reads).filter(|(_, e)| {
+                    rrpc_ref.is_cold(bank_base + e.access.bank, self.flushing_factor)
                 }),
                 ch,
             );
@@ -434,7 +435,7 @@ impl ChannelController {
 
         // Phase 4: opportunistic write drain when the read path is idle.
         if self.drain.opportunistic(wq_occ, reads_pending) {
-            if let Some(pos) = self.pick_write(ch, now) {
+            if let Some(pos) = self.pick_write(free, ch) {
                 self.opp_drain = true;
                 return Some(self.issue_at(pos, true, ch, rrpc, now));
             }

@@ -79,21 +79,39 @@ impl ChannelStats {
     }
 }
 
+/// Most banks a channel may have: [`DramChannel::free_banks`] reports
+/// them as one `u64` mask.
+pub const MAX_CHANNEL_BANKS: u32 = u64::BITS;
+
 /// A DRAM channel: banks + data bus + timing parameters.
 #[derive(Clone, Debug)]
 pub struct DramChannel {
     params: TimingParams,
     banks: Vec<Bank>,
+    /// Each bank's `busy_until`, mirrored densely so
+    /// [`DramChannel::free_banks`] scans one short array instead of
+    /// striding over the bank records.
+    busy_until: Vec<SimTime>,
     bus: DataBus,
     stats: ChannelStats,
 }
 
 impl DramChannel {
     /// A channel with `org.banks_per_channel()` idle banks.
+    ///
+    /// # Panics
+    /// Panics if the organisation has more than [`MAX_CHANNEL_BANKS`]
+    /// banks per channel.
     pub fn new(params: TimingParams, org: &Organization) -> Self {
+        let banks = org.banks_per_channel();
+        assert!(
+            banks <= MAX_CHANNEL_BANKS,
+            "{banks} banks per channel exceed the {MAX_CHANNEL_BANKS}-bank free mask"
+        );
         DramChannel {
             params,
-            banks: vec![Bank::new(); org.banks_per_channel() as usize],
+            banks: vec![Bank::new(); banks as usize],
+            busy_until: vec![SimTime::ZERO; banks as usize],
             bus: DataBus::new(),
             stats: ChannelStats::default(),
         }
@@ -109,14 +127,21 @@ impl DramChannel {
         &self.params
     }
 
-    /// Whether `bank` can accept a new access at `now`.
-    pub fn bank_free(&self, bank: u32, now: SimTime) -> bool {
-        self.banks[bank as usize].is_free(now)
+    /// Banks that can accept a new access at `now`, bit `b` for bank
+    /// `b`. Controllers intersect this with their queues' per-bank index
+    /// (`dca_sched::AccessQueue::in_banks`) to find issuable entries
+    /// without visiting the busy ones.
+    #[inline]
+    pub fn free_banks(&self, now: SimTime) -> u64 {
+        self.busy_until
+            .iter()
+            .enumerate()
+            .fold(0, |mask, (b, &until)| mask | ((until <= now) as u64) << b)
     }
 
     /// When `bank` finishes its in-flight access.
     pub fn bank_busy_until(&self, bank: u32) -> SimTime {
-        self.banks[bank as usize].busy_until()
+        self.busy_until[bank as usize]
     }
 
     /// Row-outcome an access to (`bank`, `row`) would see right now — the
@@ -189,6 +214,7 @@ impl DramChannel {
             activated,
             act_at,
         );
+        self.busy_until[access.bank as usize] = burst_end;
 
         match (access.kind, outcome) {
             (AccessKind::Read, RowOutcome::Hit) => self.stats.read_row_hits.inc(),
@@ -340,8 +366,10 @@ mod tests {
         let i = c.issue(DramAccess::read(0, 5), SimTime::ZERO);
         assert_eq!(c.peek_outcome(0, 5), RowOutcome::Hit);
         assert_eq!(c.peek_outcome(0, 6), RowOutcome::Conflict);
-        assert!(c.bank_free(0, i.burst_end));
-        assert!(!c.bank_free(0, SimTime::ZERO + Duration::from_ns(1)));
+        assert_eq!(c.bank_busy_until(0), i.burst_end);
+        assert_eq!(c.free_banks(i.burst_end) & 1, 1);
+        let busy = c.free_banks(SimTime::ZERO + Duration::from_ns(1));
+        assert_eq!(busy, 0xFFFE, "bank 0 busy, the other 15 free");
     }
 
     #[test]

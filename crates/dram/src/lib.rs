@@ -42,6 +42,6 @@ pub mod params;
 pub use access::{AccessKind, BurstLen, DramAccess};
 pub use bank::{Bank, RowOutcome};
 pub use bus::{BusMode, DataBus};
-pub use channel::{ChannelStats, DramChannel, IssueInfo};
+pub use channel::{ChannelStats, DramChannel, IssueInfo, MAX_CHANNEL_BANKS};
 pub use mapping::{AddressMapper, Location, MappingScheme};
 pub use params::{Organization, TimingParams};

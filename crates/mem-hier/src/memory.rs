@@ -317,16 +317,17 @@ impl CycleMemory {
 
     /// Issue every access whose bank is free at `now`, FR-FCFS order
     /// (row hits first, then oldest), appending read completions to
-    /// `out`.
+    /// `out`. Candidates come from the queue's per-bank index intersected
+    /// with the channel's free banks, so busy banks' entries are never
+    /// visited.
     fn schedule(&mut self, now: SimTime, out: &mut Vec<MemArrival>) {
         for ch in 0..self.channels.len() {
             self.drain_spill(ch);
             loop {
                 let channel = &self.channels[ch];
+                let queue = &self.queues[ch];
                 let picked = self.frfcfs.pick(
-                    self.queues[ch]
-                        .iter()
-                        .filter(|(_, e)| channel.bank_free(e.access.bank, now)),
+                    queue.iter_in(queue.in_banks(channel.free_banks(now))),
                     |e| channel.peek_outcome(e.access.bank, e.access.row),
                 );
                 let Some(pos) = picked else { break };
@@ -353,13 +354,16 @@ impl CycleMemory {
     }
 
     /// Earliest instant a queued access's bank frees — the next time a
-    /// pump could make progress. `None` when nothing is queued.
+    /// pump could make progress. `None` when nothing is queued. Reads one
+    /// busy-until per occupied bank, not one per entry.
     fn next_wakeup(&self) -> Option<SimTime> {
         let mut earliest: Option<SimTime> = None;
-        for (ch, queue) in self.queues.iter().enumerate() {
-            for (_, e) in queue.iter() {
-                let t = self.channels[ch].bank_busy_until(e.access.bank);
+        for (channel, queue) in self.channels.iter().zip(&self.queues) {
+            let mut banks = queue.banks();
+            while banks != 0 {
+                let t = channel.bank_busy_until(banks.trailing_zeros());
                 earliest = Some(earliest.map_or(t, |b| b.min(t)));
+                banks &= banks - 1;
             }
             // Spilled entries wait on queue room, which opens when any
             // queued entry issues — covered by the loop above (a spill

@@ -98,6 +98,8 @@ impl Bliss {
     /// caller's queue paired with entries). `row_outcome` reports how each
     /// entry would meet its bank's row buffer *right now*.
     ///
+    /// The priority order is one lexicographic key: not blacklisted, then
+    /// row hit, then oldest, then lowest id (the deterministic tiebreak).
     /// Returns the winning position, or `None` when there are no
     /// candidates.
     pub fn pick<'a, I, F>(&self, candidates: I, mut row_outcome: F) -> Option<usize>
@@ -105,17 +107,16 @@ impl Bliss {
         I: IntoIterator<Item = (usize, &'a QueueEntry)>,
         F: FnMut(&QueueEntry) -> RowOutcome,
     {
-        let mut best: Option<(usize, Key)> = None;
-        for (pos, entry) in candidates {
-            let key = Key {
-                blacklisted: self.is_blacklisted(entry.app),
-                row_hit: row_outcome(entry) == RowOutcome::Hit,
-                age: entry.enqueued_at,
-                id: entry.id,
-            };
-            match &best {
-                Some((_, bk)) if !key.beats(bk) => {}
-                _ => best = Some((pos, key)),
+        let mut best: Option<(usize, (bool, bool, SimTime, u64))> = None;
+        for (pos, e) in candidates {
+            let key = (
+                self.is_blacklisted(e.app),
+                row_outcome(e) != RowOutcome::Hit,
+                e.enqueued_at,
+                e.id,
+            );
+            if best.is_none_or(|(_, b)| key < b) {
+                best = Some((pos, key));
             }
         }
         best.map(|(pos, _)| pos)
@@ -125,34 +126,6 @@ impl Bliss {
 impl Default for Bliss {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Arbitration key implementing the BLISS priority order.
-#[derive(Clone, Copy, Debug)]
-struct Key {
-    blacklisted: bool,
-    row_hit: bool,
-    age: SimTime,
-    id: u64,
-}
-
-impl Key {
-    /// Strict "higher priority than" per BLISS rules.
-    fn beats(&self, other: &Key) -> bool {
-        // 1. Non-blacklisted first.
-        if self.blacklisted != other.blacklisted {
-            return !self.blacklisted;
-        }
-        // 2. Row hits first.
-        if self.row_hit != other.row_hit {
-            return self.row_hit;
-        }
-        // 3. Oldest first; unique id as the final deterministic tiebreak.
-        if self.age != other.age {
-            return self.age < other.age;
-        }
-        self.id < other.id
     }
 }
 

@@ -6,6 +6,7 @@
 //! (§IV-B: "our scheme is not limited to any scheduling algorithm").
 
 use dca_dram::RowOutcome;
+use dca_sim_core::SimTime;
 
 use crate::queue::QueueEntry;
 
@@ -26,27 +27,14 @@ impl FrFcfs {
         I: IntoIterator<Item = (usize, &'a QueueEntry)>,
         F: FnMut(&QueueEntry) -> RowOutcome,
     {
-        let mut best: Option<(usize, bool, u64, u64)> = None;
+        let mut best: Option<(usize, (bool, SimTime, u64))> = None;
         for (pos, e) in candidates {
-            let hit = row_outcome(e) == RowOutcome::Hit;
-            let key = (pos, hit, e.enqueued_at.ps(), e.id);
-            best = match best {
-                None => Some(key),
-                Some(b) => {
-                    let better = match (hit, b.1) {
-                        (true, false) => true,
-                        (false, true) => false,
-                        _ => (key.2, key.3) < (b.2, b.3),
-                    };
-                    if better {
-                        Some(key)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
+            let key = (row_outcome(e) != RowOutcome::Hit, e.enqueued_at, e.id);
+            if best.is_none_or(|(_, b)| key < b) {
+                best = Some((pos, key));
+            }
         }
-        best.map(|(pos, ..)| pos)
+        best.map(|(pos, _)| pos)
     }
 }
 
@@ -55,7 +43,6 @@ mod tests {
     use super::*;
     use crate::queue::ReadClass;
     use dca_dram::DramAccess;
-    use dca_sim_core::SimTime;
 
     fn entry(id: u64, bank: u32, at: u64) -> QueueEntry {
         QueueEntry {

@@ -1,26 +1,46 @@
-//! Bounded access queues.
+//! Bounded access queues, indexed by bank.
 //!
-//! [`AccessQueue`] is a **slotted** bounded queue built as a sparse set:
+//! [`AccessQueue`] keeps its entries in fixed slots and, next to them,
+//! bit-set indexes that let an arbiter build a candidate set without
+//! touching an entry:
 //!
-//! * entries live contiguously in a dense array, so arbitration scans
-//!   touch only live entries, in cache order — exactly as cheap as the
-//!   plain `Vec` queue this replaced;
-//! * each entry owns a stable *slot* id (from a LIFO free stack) with a
-//!   sparse slot→dense index table, so [`AccessQueue::remove`] is O(1)
-//!   `swap_remove` — unlike the old `Vec::remove`, which paid O(n)
-//!   memmove per issued command.
+//! * one [`SlotSet`] per bank — the slots whose access targets it;
+//! * the occupied-bank mask ([`AccessQueue::banks`]): bit `b` is set
+//!   while bank `b` has at least one entry;
+//! * the priority-read set ([`AccessQueue::priority`]).
 //!
-//! Iteration order is the dense-array order (insertion order perturbed
-//! by `swap_remove`), which is deterministic but **not** age order; every
-//! consumer is order-independent because arbitration keys carry the
-//! entry's age (`enqueued_at`) and a unique tiebreak `id` explicitly.
+//! A controller intersects these with its channel's free-bank mask
+//! (`DramChannel::free_banks`): [`AccessQueue::in_banks`] ORs the slot
+//! sets of the requested banks that hold entries, so an arbitration slot
+//! whose candidate banks are all busy costs a few mask operations and
+//! visits no entry. [`AccessQueue::iter_in`] then walks one slot set.
 //!
-//! Slot ids are stable for the lifetime of their entry but recycled
-//! afterwards; they are meaningful only between one arbitration pass and
-//! the following `remove`.
+//! The index bounds the queue: a slot set is a `u128` and the bank mask a
+//! `u64`, so a queue holds at most [`MAX_CAPACITY`] (128) entries and
+//! indexes banks `0..`[`MAX_BANKS`] (64). `SystemConfig::validate`
+//! rejects configurations beyond either limit before a queue is built.
+//!
+//! Iteration is in slot order (lowest slot first): deterministic, but
+//! **not** age order. Every consumer is order-independent because
+//! arbitration keys carry the entry's age (`enqueued_at`) and a unique
+//! tiebreak `id` explicitly. A push takes the lowest free slot; slot ids
+//! are stable for the lifetime of their entry and recycled afterwards,
+//! so they are meaningful only between one arbitration pass and the
+//! following `remove`.
 
 use dca_dram::DramAccess;
 use dca_sim_core::SimTime;
+
+/// A set of queue slots, bit `s` standing for slot `s`.
+pub type SlotSet = u128;
+
+/// Largest queue capacity the slot index can hold.
+pub const MAX_CAPACITY: usize = SlotSet::BITS as usize;
+
+/// Banks the per-bank index covers: a queued access's bank must be below
+/// this. Equal to the channel limit, so a channel's free-bank mask and a
+/// queue's bank mask line up bit for bit.
+pub const MAX_BANKS: usize = dca_dram::MAX_CHANNEL_BANKS as usize;
 
 /// Priority class of a read access in the DCA design (§IV-B).
 ///
@@ -51,21 +71,24 @@ pub struct QueueEntry {
     pub enqueued_at: SimTime,
 }
 
-/// A bounded queue of accesses with O(1) push, O(1) removal-by-slot,
-/// dense cache-friendly iteration, and no allocation after construction.
+/// A bounded queue of accesses with O(1) push and removal-by-slot, a
+/// per-bank slot index, and no allocation after construction.
 #[derive(Clone, Debug)]
 pub struct AccessQueue {
-    /// Live entries, contiguous; parallel to `dense_slot`.
-    dense: Vec<QueueEntry>,
-    /// Slot id of each dense entry.
-    dense_slot: Vec<u32>,
-    /// Slot → dense index (valid only for live slots).
-    sparse: Vec<u32>,
-    /// Stack of free slot ids (LIFO recycling, deterministic).
-    free: Vec<u32>,
-    /// Entries with `class == ReadClass::Priority`, maintained
-    /// incrementally so DCA's "any PR pending?" test is O(1).
-    priority_count: usize,
+    /// Entry storage, one per slot; only slots in `occupied` are live.
+    slots: Box<[QueueEntry]>,
+    /// Live slots.
+    occupied: SlotSet,
+    /// Live slots of each bank.
+    by_bank: [SlotSet; MAX_BANKS],
+    /// Banks with at least one live slot.
+    banks: u64,
+    /// Live slots holding a [`ReadClass::Priority`] entry.
+    priority: SlotSet,
+    len: usize,
+    /// `occupancy_at[n]` is `n / capacity`, computed once so the
+    /// per-slot drain and ScheduleAll checks read it instead of dividing.
+    occupancy_at: Box<[f64]>,
     /// High-water mark, for reporting.
     peak: usize,
 }
@@ -73,16 +96,30 @@ pub struct AccessQueue {
 impl AccessQueue {
     /// An empty queue holding at most `capacity` entries. All storage is
     /// allocated up front; the queue never touches the allocator again.
+    ///
+    /// # Panics
+    /// Panics unless `1 <= capacity <=` [`MAX_CAPACITY`].
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
-        assert!(capacity < u32::MAX as usize, "capacity must fit in u32");
+        assert!(
+            capacity <= MAX_CAPACITY,
+            "queue capacity {capacity} exceeds the slot index's {MAX_CAPACITY}"
+        );
+        let vacant = QueueEntry {
+            id: 0,
+            access: DramAccess::read(0, 0),
+            app: 0,
+            class: ReadClass::LowPriority,
+            enqueued_at: SimTime::ZERO,
+        };
         AccessQueue {
-            dense: Vec::with_capacity(capacity),
-            dense_slot: Vec::with_capacity(capacity),
-            sparse: vec![0; capacity],
-            // Pop from the back: slot 0 is handed out first.
-            free: (0..capacity as u32).rev().collect(),
-            priority_count: 0,
+            slots: vec![vacant; capacity].into_boxed_slice(),
+            occupied: 0,
+            by_bank: [0; MAX_BANKS],
+            banks: 0,
+            priority: 0,
+            len: 0,
+            occupancy_at: (0..=capacity).map(|n| n as f64 / capacity as f64).collect(),
             peak: 0,
         }
     }
@@ -90,31 +127,31 @@ impl AccessQueue {
     /// Entries currently queued.
     #[inline]
     pub fn len(&self) -> usize {
-        self.dense.len()
+        self.len
     }
 
     /// True when empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.dense.is_empty()
+        self.len == 0
     }
 
     /// True when at capacity.
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.free.is_empty()
+        self.len == self.slots.len()
     }
 
     /// Capacity.
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.sparse.len()
+        self.slots.len()
     }
 
     /// Occupancy as a fraction of capacity.
     #[inline]
     pub fn occupancy(&self) -> f64 {
-        self.dense.len() as f64 / self.sparse.len() as f64
+        self.occupancy_at[self.len]
     }
 
     /// Highest occupancy ever observed.
@@ -122,67 +159,133 @@ impl AccessQueue {
         self.peak
     }
 
-    /// Entries whose class is [`ReadClass::Priority`] (O(1)).
+    /// Banks with at least one queued entry, bit `b` for bank `b`.
     #[inline]
-    pub fn priority_count(&self) -> usize {
-        self.priority_count
+    pub fn banks(&self) -> u64 {
+        self.banks
+    }
+
+    /// Slots holding [`ReadClass::Priority`] entries.
+    #[inline]
+    pub fn priority(&self) -> SlotSet {
+        self.priority
+    }
+
+    /// Slots whose entry targets a bank in `banks` (bit `b` for bank
+    /// `b`). Visits only the requested banks that hold entries, never an
+    /// entry.
+    #[inline]
+    pub fn in_banks(&self, banks: u64) -> SlotSet {
+        let mut rest = banks & self.banks;
+        let mut set = 0;
+        while rest != 0 {
+            set |= self.by_bank[rest.trailing_zeros() as usize];
+            rest &= rest - 1;
+        }
+        set
     }
 
     /// Push an entry; returns `Err(entry)` when full so callers can apply
     /// backpressure instead of losing accesses.
+    ///
+    /// # Panics
+    /// Panics if the entry's bank is not below [`MAX_BANKS`].
     pub fn push(&mut self, entry: QueueEntry) -> Result<(), QueueEntry> {
-        let Some(slot) = self.free.pop() else {
+        if self.is_full() {
             return Err(entry);
-        };
-        if entry.class == ReadClass::Priority {
-            self.priority_count += 1;
         }
-        self.sparse[slot as usize] = self.dense.len() as u32;
-        self.dense.push(entry);
-        self.dense_slot.push(slot);
-        self.peak = self.peak.max(self.dense.len());
+        let bank = entry.access.bank as usize;
+        assert!(
+            bank < MAX_BANKS,
+            "bank {bank} outside the queue's {MAX_BANKS}-bank index"
+        );
+        // Not full, so the lowest clear bit is a slot below capacity.
+        let slot = (!self.occupied).trailing_zeros() as usize;
+        let bit: SlotSet = 1 << slot;
+        self.slots[slot] = entry;
+        self.occupied |= bit;
+        self.by_bank[bank] |= bit;
+        self.banks |= 1 << bank;
+        if entry.class == ReadClass::Priority {
+            self.priority |= bit;
+        }
+        self.len += 1;
+        self.peak = self.peak.max(self.len);
         Ok(())
     }
 
     /// Remove and return the entry in `slot` (slots come from the
-    /// arbiters via [`AccessQueue::iter`]). O(1); other entries keep
-    /// their slots.
+    /// arbiters via [`AccessQueue::iter`] / [`AccessQueue::iter_in`]).
+    /// O(1); other entries keep their slots.
     ///
     /// # Panics
     /// Panics if `slot` is not currently occupied.
     pub fn remove(&mut self, slot: usize) -> QueueEntry {
-        let d = self.sparse[slot] as usize;
         assert!(
-            d < self.dense.len() && self.dense_slot[d] as usize == slot,
+            slot < self.slots.len() && (self.occupied >> slot) & 1 == 1,
             "removing an empty queue slot"
         );
-        let entry = self.dense.swap_remove(d);
-        self.dense_slot.swap_remove(d);
-        if let Some(&moved_slot) = self.dense_slot.get(d) {
-            self.sparse[moved_slot as usize] = d as u32;
+        let bit: SlotSet = 1 << slot;
+        let entry = self.slots[slot];
+        let bank = entry.access.bank as usize;
+        self.occupied &= !bit;
+        self.priority &= !bit;
+        self.by_bank[bank] &= !bit;
+        if self.by_bank[bank] == 0 {
+            self.banks &= !(1 << bank);
         }
-        if entry.class == ReadClass::Priority {
-            self.priority_count -= 1;
-        }
-        self.free.push(slot as u32);
+        self.len -= 1;
         entry
     }
 
-    /// Iterator over `(slot, entry)` pairs in dense order — contiguous
-    /// and live-only. Deterministic; age order is *not* implied —
-    /// consumers needing age use `entry.enqueued_at` / `entry.id`, as
-    /// the arbiters do.
+    /// Iterator over every `(slot, entry)` pair, in slot order.
+    /// Deterministic; age order is *not* implied — consumers needing age
+    /// use `entry.enqueued_at` / `entry.id`, as the arbiters do.
     #[inline]
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &QueueEntry)> + '_ {
-        self.dense_slot
-            .iter()
-            .zip(self.dense.iter())
-            .map(|(&s, e)| (s as usize, e))
+    pub fn iter(&self) -> Slots<'_> {
+        self.iter_in(self.occupied)
     }
 
-    /// Count of entries matching a predicate (e.g. PR-only occupancy).
-    pub fn count_where(&self, mut pred: impl FnMut(&QueueEntry) -> bool) -> usize {
-        self.dense.iter().filter(|e| pred(e)).count()
+    /// Iterator over the `(slot, entry)` pairs of the live slots in
+    /// `set`, in slot order.
+    #[inline]
+    pub fn iter_in(&self, set: SlotSet) -> Slots<'_> {
+        let set = set & self.occupied;
+        Slots {
+            slots: &self.slots,
+            lo: set as u64,
+            hi: (set >> 64) as u64,
+        }
+    }
+}
+
+/// Iterator over the `(slot, entry)` pairs of a [`SlotSet`], lowest slot
+/// first ([`AccessQueue::iter`], [`AccessQueue::iter_in`]). Walks the
+/// set one 64-bit word at a time.
+#[derive(Clone, Debug)]
+pub struct Slots<'a> {
+    slots: &'a [QueueEntry],
+    lo: u64,
+    hi: u64,
+}
+
+impl<'a> Iterator for Slots<'a> {
+    type Item = (usize, &'a QueueEntry);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let slot = if self.lo != 0 {
+            let s = self.lo.trailing_zeros() as usize;
+            self.lo &= self.lo - 1;
+            s
+        } else if self.hi != 0 {
+            let s = 64 + self.hi.trailing_zeros() as usize;
+            self.hi &= self.hi - 1;
+            s
+        } else {
+            return None;
+        };
+        Some((slot, &self.slots[slot]))
     }
 }
 
@@ -242,7 +345,7 @@ mod tests {
         let order_a: Vec<(usize, u64)> = a.iter().map(|(s, e)| (s, e.id)).collect();
         let order_b: Vec<(usize, u64)> = b.iter().map(|(s, e)| (s, e.id)).collect();
         assert_eq!(order_a, order_b, "same ops ⇒ same slots and order");
-        // The freed slot is reused immediately (LIFO).
+        // The freed slot is reused immediately (lowest free slot first).
         assert_eq!(slot_of(&a, 2), 0);
     }
 
@@ -267,7 +370,7 @@ mod tests {
     }
 
     #[test]
-    fn count_where_and_priority_count() {
+    fn priority_set_tracks_pushes_and_removes() {
         let mut q = AccessQueue::new(8);
         for i in 0..6 {
             let mut e = entry(i);
@@ -276,16 +379,41 @@ mod tests {
             }
             q.push(e).unwrap();
         }
-        assert_eq!(q.count_where(|e| e.class == ReadClass::LowPriority), 2);
-        assert_eq!(q.count_where(|e| e.class == ReadClass::Priority), 4);
-        assert_eq!(q.priority_count(), 4);
+        let pr_ids =
+            |q: &AccessQueue| -> Vec<u64> { q.iter_in(q.priority()).map(|(_, e)| e.id).collect() };
+        assert_eq!(pr_ids(&q), vec![1, 2, 4, 5]);
         q.remove(slot_of(&q, 1)); // a Priority entry
-        assert_eq!(q.priority_count(), 3);
+        assert_eq!(pr_ids(&q), vec![2, 4, 5]);
+        q.remove(slot_of(&q, 0)); // a LowPriority entry
+        assert_eq!(q.priority().count_ones(), 3);
+    }
+
+    #[test]
+    fn bank_index_follows_entries() {
+        let mut q = AccessQueue::new(8);
+        for (id, bank) in [(0, 3), (1, 3), (2, 63), (3, 0)] {
+            let mut e = entry(id);
+            e.access.bank = bank;
+            q.push(e).unwrap();
+        }
+        assert_eq!(q.banks(), 1 << 0 | 1 << 3 | 1 << 63);
+        let in_banks = |q: &AccessQueue, m: u64| -> Vec<u64> {
+            q.iter_in(q.in_banks(m)).map(|(_, e)| e.id).collect()
+        };
+        assert_eq!(in_banks(&q, 1 << 3), vec![0, 1]);
+        assert_eq!(in_banks(&q, 1 << 3 | 1 << 63), vec![0, 1, 2]);
+        assert_eq!(in_banks(&q, 1 << 5), Vec::<u64>::new());
+        // A bank leaves the mask with its last entry.
+        q.remove(slot_of(&q, 0));
+        assert_eq!(q.banks(), 1 << 0 | 1 << 3 | 1 << 63);
+        q.remove(slot_of(&q, 1));
+        assert_eq!(q.banks(), 1 << 0 | 1 << 63);
+        assert_eq!(in_banks(&q, u64::MAX), vec![2, 3]);
     }
 
     #[test]
     fn drain_and_refill_many_times() {
-        // Exercise free-stack recycling well past one capacity's worth.
+        // Exercise slot recycling well past one capacity's worth.
         let mut q = AccessQueue::new(8);
         let mut next = 0u64;
         for round in 0..100u64 {
@@ -303,7 +431,19 @@ mod tests {
             }
         }
         assert_eq!(q.peak(), 8);
-        assert_eq!(q.priority_count(), 0);
+        assert_eq!(q.priority(), 0);
+        assert_eq!(q.banks(), 0);
+    }
+
+    #[test]
+    fn full_capacity_queue_uses_every_slot() {
+        let mut q = AccessQueue::new(MAX_CAPACITY);
+        for i in 0..MAX_CAPACITY as u64 {
+            q.push(entry(i)).unwrap();
+        }
+        assert!(q.push(entry(999)).is_err());
+        assert_eq!(q.in_banks(1).count_ones() as usize, MAX_CAPACITY);
+        assert_eq!(q.remove(MAX_CAPACITY - 1).id, MAX_CAPACITY as u64 - 1);
     }
 
     #[test]
@@ -320,5 +460,19 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
         AccessQueue::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the slot index")]
+    fn oversized_capacity_panics() {
+        AccessQueue::new(MAX_CAPACITY + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the queue's 64-bank index")]
+    fn bank_beyond_the_index_panics() {
+        let mut e = entry(0);
+        e.access.bank = MAX_BANKS as u32;
+        AccessQueue::new(2).push(e).unwrap();
     }
 }

@@ -113,3 +113,27 @@ fn predictor_learns_the_workload() {
         r.predictor_accuracy
     );
 }
+
+#[test]
+fn smallest_valid_queues_run_to_completion() {
+    // The boundary sizes `SystemConfig::validate` accepts. One entry
+    // fewer and the admission gate closes below the write drain's low
+    // mark (write queue) or below DCA's ScheduleAll band (read queue),
+    // and the run would poll forever.
+    for m in [1, 7, 22] {
+        for design in Design::ALL {
+            let mut cfg = SystemConfig::paper(design, OrgKind::DirectMapped).scaled(10_000, 20_000);
+            cfg.write_q_cap = 5;
+            if design == Design::Dca {
+                cfg.read_q_cap = 14;
+            }
+            assert_eq!(cfg.validate(), Ok(()));
+            let r = System::new(cfg, &mix(m).benches).run();
+            assert!(
+                r.cores.iter().all(|c| c.insts >= 10_000),
+                "{} on mix {m} did not finish",
+                design.label()
+            );
+        }
+    }
+}
