@@ -23,7 +23,9 @@
 
 use dca_dram::{AccessKind, DramChannel, IssueInfo, RowOutcome};
 use dca_dram_cache::{AccessRole, AccessSpec, CacheReqKind, RequestId};
-use dca_sched::{AccessQueue, Bliss, DrainPolicy, FrFcfs, Hysteresis, QueueEntry, ReadClass};
+use dca_sched::{
+    AccessQueue, Bliss, DrainPolicy, FrFcfs, Hysteresis, QueueEntry, ReadClass, SlotSet,
+};
 use dca_sim_core::{Counter, SimTime};
 use std::collections::VecDeque;
 
@@ -269,13 +271,21 @@ impl ChannelController {
         }
     }
 
-    /// Arbitrate among `candidates` with the configured base arbiter.
-    /// Takes the candidate iterator directly — no per-slot `Vec` is ever
-    /// materialised on the scheduling path.
-    fn pick<'a, I>(&self, candidates: I, ch: &DramChannel) -> Option<usize>
-    where
-        I: IntoIterator<Item = (usize, &'a QueueEntry)>,
-    {
+    /// Arbitrate with the configured base arbiter over the entries of
+    /// `q` in `set` that `keep` accepts. An empty set — the common case
+    /// when every candidate bank is busy — returns without entering the
+    /// arbiter.
+    fn pick_in(
+        &self,
+        q: &AccessQueue,
+        set: SlotSet,
+        keep: impl Fn(&QueueEntry) -> bool,
+        ch: &DramChannel,
+    ) -> Option<usize> {
+        if set == 0 {
+            return None;
+        }
+        let candidates = q.iter_in(set).filter(|(_, e)| keep(e));
         let outcome = |e: &QueueEntry| ch.peek_outcome(e.access.bank, e.access.row);
         match self.arbiter {
             Arbiter::Bliss => self.bliss.pick(candidates, outcome),
@@ -287,7 +297,7 @@ impl ChannelController {
     /// shared candidate set of all three drain modes (forced, sticky,
     /// opportunistic).
     fn pick_write(&self, free: u64, ch: &DramChannel) -> Option<usize> {
-        self.pick(self.write_q.iter_in(self.write_q.in_banks(free)), ch)
+        self.pick_in(&self.write_q, self.write_q.in_banks(free), |_| true, ch)
     }
 
     /// Issue the entry at `pos` of the read or write queue.
@@ -398,7 +408,7 @@ impl ChannelController {
         } else {
             reads & self.read_q.priority()
         };
-        if let Some(pos) = self.pick(self.read_q.iter_in(eligible), ch) {
+        if let Some(pos) = self.pick_in(&self.read_q, eligible, |_| true, ch) {
             return Some(self.issue_at(pos, false, ch, rrpc, now));
         }
 
@@ -408,26 +418,19 @@ impl ChannelController {
         // stream keeps the row-buffer locality that CD's interleaving
         // destroys (Figs 16–17). No PR sits on a free bank here (phase 2
         // would have issued it), so every read candidate left is an LR.
-        if self.design == Design::Dca && !sched_all && reads != 0 {
-            let picked = self.pick(
-                self.read_q.iter_in(reads).filter(|(_, e)| {
-                    ch.peek_outcome(e.access.bank, e.access.row) != RowOutcome::Conflict
-                }),
-                ch,
-            );
-            if let Some(pos) = picked {
+        if self.design == Design::Dca && !sched_all {
+            let friendly = |e: &QueueEntry| {
+                ch.peek_outcome(e.access.bank, e.access.row) != RowOutcome::Conflict
+            };
+            if let Some(pos) = self.pick_in(&self.read_q, reads, friendly, ch) {
                 self.stats.ofs_row_friendly.inc();
                 return Some(self.issue_at(pos, false, ch, rrpc, now));
             }
             let bank_base = self.channel_index * self.banks_per_channel;
             let rrpc_ref: &Rrpc = rrpc;
-            let picked = self.pick(
-                self.read_q.iter_in(reads).filter(|(_, e)| {
-                    rrpc_ref.is_cold(bank_base + e.access.bank, self.flushing_factor)
-                }),
-                ch,
-            );
-            if let Some(pos) = picked {
+            let cold =
+                |e: &QueueEntry| rrpc_ref.is_cold(bank_base + e.access.bank, self.flushing_factor);
+            if let Some(pos) = self.pick_in(&self.read_q, reads, cold, ch) {
                 self.stats.ofs_rrpc_cold.inc();
                 return Some(self.issue_at(pos, false, ch, rrpc, now));
             }
