@@ -133,10 +133,23 @@ impl DramChannel {
     /// without visiting the busy ones.
     #[inline]
     pub fn free_banks(&self, now: SimTime) -> u64 {
-        self.busy_until
-            .iter()
-            .enumerate()
-            .fold(0, |mask, (b, &until)| mask | ((until <= now) as u64) << b)
+        // Four banks per step, each at a constant shift: cheaper than one
+        // variable shift per bank on this once-per-slot path.
+        let mut quads = self.busy_until.chunks_exact(4);
+        let mut mask = 0;
+        let mut base = 0;
+        for q in &mut quads {
+            let bits = (q[0] <= now) as u64
+                | ((q[1] <= now) as u64) << 1
+                | ((q[2] <= now) as u64) << 2
+                | ((q[3] <= now) as u64) << 3;
+            mask |= bits << base;
+            base += 4;
+        }
+        for (i, &until) in quads.remainder().iter().enumerate() {
+            mask |= ((until <= now) as u64) << (base + i);
+        }
+        mask
     }
 
     /// When `bank` finishes its in-flight access.
@@ -370,6 +383,20 @@ mod tests {
         assert_eq!(c.free_banks(i.burst_end) & 1, 1);
         let busy = c.free_banks(SimTime::ZERO + Duration::from_ns(1));
         assert_eq!(busy, 0xFFFE, "bank 0 busy, the other 15 free");
+    }
+
+    #[test]
+    fn free_banks_covers_bank_counts_off_the_four_bank_step() {
+        let org = Organization {
+            banks_per_rank: 6,
+            ..Organization::paper()
+        };
+        let mut c = DramChannel::new(TimingParams::paper_stacked(), &org);
+        assert_eq!(c.free_banks(SimTime::ZERO), 0b11_1111);
+        let i = c.issue(DramAccess::read(5, 0), SimTime::ZERO);
+        c.issue(DramAccess::read(1, 0), SimTime::ZERO);
+        assert_eq!(c.free_banks(SimTime::ZERO), 0b01_1101);
+        assert_eq!(c.free_banks(i.burst_end) & 1 << 5, 1 << 5);
     }
 
     #[test]
