@@ -107,19 +107,19 @@ impl Bliss {
         I: IntoIterator<Item = (usize, &'a QueueEntry)>,
         F: FnMut(&QueueEntry) -> RowOutcome,
     {
-        let mut best: Option<(usize, (bool, bool, SimTime, u64))> = None;
+        // The two flags fold into one class byte (0 = clean row hit, 3 =
+        // blacklisted non-hit). Class 4 ranks below every real key, so
+        // the first candidate always takes over from it.
+        let mut best = (usize::MAX, (4u8, SimTime::ZERO, 0u64));
         for (pos, e) in candidates {
-            let key = (
-                self.is_blacklisted(e.app),
-                row_outcome(e) != RowOutcome::Hit,
-                e.enqueued_at,
-                e.id,
-            );
-            if best.is_none_or(|(_, b)| key < b) {
-                best = Some((pos, key));
+            let class =
+                (self.is_blacklisted(e.app) as u8) << 1 | (row_outcome(e) != RowOutcome::Hit) as u8;
+            let key = (class, e.enqueued_at, e.id);
+            if key < best.1 {
+                best = (pos, key);
             }
         }
-        best.map(|(pos, _)| pos)
+        (best.0 != usize::MAX).then_some(best.0)
     }
 }
 

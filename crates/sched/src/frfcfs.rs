@@ -27,14 +27,20 @@ impl FrFcfs {
         I: IntoIterator<Item = (usize, &'a QueueEntry)>,
         F: FnMut(&QueueEntry) -> RowOutcome,
     {
-        let mut best: Option<(usize, (bool, SimTime, u64))> = None;
+        // Class 0 is a row hit, 1 anything else; class 2 ranks below every
+        // real key, so the first candidate always takes over from it.
+        let mut best = (usize::MAX, (2u8, SimTime::ZERO, 0u64));
         for (pos, e) in candidates {
-            let key = (row_outcome(e) != RowOutcome::Hit, e.enqueued_at, e.id);
-            if best.is_none_or(|(_, b)| key < b) {
-                best = Some((pos, key));
+            let key = (
+                (row_outcome(e) != RowOutcome::Hit) as u8,
+                e.enqueued_at,
+                e.id,
+            );
+            if key < best.1 {
+                best = (pos, key);
             }
         }
-        best.map(|(pos, _)| pos)
+        (best.0 != usize::MAX).then_some(best.0)
     }
 }
 
