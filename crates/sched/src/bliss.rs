@@ -110,16 +110,16 @@ impl Bliss {
         // The two flags fold into one class byte (0 = clean row hit, 3 =
         // blacklisted non-hit). Class 4 ranks below every real key, so
         // the first candidate always takes over from it.
-        let mut best = (usize::MAX, (4u8, SimTime::ZERO, 0u64));
+        let mut best = (None, (4u8, SimTime::ZERO, 0u64));
         for (pos, e) in candidates {
             let class =
                 (self.is_blacklisted(e.app) as u8) << 1 | (row_outcome(e) != RowOutcome::Hit) as u8;
             let key = (class, e.enqueued_at, e.id);
             if key < best.1 {
-                best = (pos, key);
+                best = (Some(pos), key);
             }
         }
-        (best.0 != usize::MAX).then_some(best.0)
+        best.0
     }
 }
 

@@ -29,7 +29,7 @@ impl FrFcfs {
     {
         // Class 0 is a row hit, 1 anything else; class 2 ranks below every
         // real key, so the first candidate always takes over from it.
-        let mut best = (usize::MAX, (2u8, SimTime::ZERO, 0u64));
+        let mut best = (None, (2u8, SimTime::ZERO, 0u64));
         for (pos, e) in candidates {
             let key = (
                 (row_outcome(e) != RowOutcome::Hit) as u8,
@@ -37,10 +37,10 @@ impl FrFcfs {
                 e.id,
             );
             if key < best.1 {
-                best = (pos, key);
+                best = (Some(pos), key);
             }
         }
-        (best.0 != usize::MAX).then_some(best.0)
+        best.0
     }
 }
 
