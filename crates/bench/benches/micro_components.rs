@@ -11,12 +11,12 @@ use dca_sched::{AccessQueue, Bliss, QueueEntry, ReadClass};
 use dca_sim_core::{BaselineEventQueue, EventQueue, SimTime, Slab};
 
 /// Reschedule offset (ps) for the three arrival distributions the
-/// adaptive queue is benchmarked against. `0` = uniform (~1 event per
+/// event queues are benchmarked against. `0` = uniform (~1 event per
 /// 4 default slots, the shape `SLOT_SHIFT` was tuned for), `1` =
 /// clustered (sub-slot bursts with occasional long jumps — sorted
 /// inserts degrade at the default shift), anything else = bursty
 /// (phases alternate between the two every 4096 events — no fixed
-/// shift suits both, the regime the EWMA density tracker exists for).
+/// shift suits both).
 fn dist_offset(dist: usize, v: u64) -> u64 {
     let sparse = 3 * 1024 + (v * 467) % 2048;
     let dense = (v * 31) % 16;
@@ -139,15 +139,8 @@ fn micro(c: &mut Criterion) {
         });
     }
 
-    // The self-tuning queue across arrival distributions: fixed default
-    // shift vs adaptive vs the heap oracle, rolling window of 256. On
-    // `uniform` the adaptive queue should match fixed (its EWMA settles
-    // inside the hysteresis band and it never rebuilds); on `clustered`
-    // and `bursty` it narrows the slots and closes most of the gap to
-    // wherever a hand-pinned shift would land — without anyone picking
-    // that shift per workload. `perf_smoke` runs the same three
-    // distributions at 200 k events and records them in
-    // `BENCH_engine.json` under `engine_adaptive.micro`.
+    // The calendar queue at its default shift vs the heap oracle across
+    // arrival distributions, rolling window of 256.
     macro_rules! dist_bench {
         ($name:expr, $qinit:expr, $dist:expr) => {{
             let mut q = $qinit;
@@ -165,32 +158,17 @@ fn micro(c: &mut Criterion) {
     }
     dist_bench!("event_dist_uniform_fixed10", EventQueue::<u64>::new(), 0);
     dist_bench!(
-        "event_dist_uniform_adaptive",
-        EventQueue::<u64>::adaptive(),
-        0
-    );
-    dist_bench!(
         "event_dist_uniform_heap",
         BaselineEventQueue::<u64>::new(),
         0
     );
     dist_bench!("event_dist_clustered_fixed10", EventQueue::<u64>::new(), 1);
     dist_bench!(
-        "event_dist_clustered_adaptive",
-        EventQueue::<u64>::adaptive(),
-        1
-    );
-    dist_bench!(
         "event_dist_clustered_heap",
         BaselineEventQueue::<u64>::new(),
         1
     );
     dist_bench!("event_dist_bursty_fixed10", EventQueue::<u64>::new(), 2);
-    dist_bench!(
-        "event_dist_bursty_adaptive",
-        EventQueue::<u64>::adaptive(),
-        2
-    );
     dist_bench!(
         "event_dist_bursty_heap",
         BaselineEventQueue::<u64>::new(),

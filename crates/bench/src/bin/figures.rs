@@ -28,34 +28,21 @@
 //! the drain semantics. `--chunk M` sets the mixes (and alone
 //! benchmarks) per job.
 //!
-//! ## Fabric mode
+//! One job can be re-run by hand through the same worker protocol:
 //!
-//! `--serve <addr>` runs the same sweep as a **fabric coordinator**: a
-//! TCP job service (see `shard::fabric`) that leases jobs to any
-//! number of `figures --agent <addr> --jobs N` processes, each
-//! draining jobs through its own local persistent worker pool. The
-//! coordinator journals every job transition to a write-ahead log
-//! (`results/partials/fabric.journal`) so a killed `--serve` resumes
-//! exactly; agents that die, hang or garble their uploads forfeit
-//! their leases into the ordinary retry/backoff/quarantine machinery;
-//! and if no agent is connected the coordinator falls back to local
-//! workers rather than stalling. Outputs are byte-identical to a
-//! serial run (locked by `crates/bench/tests/fabric.rs`).
+//! ```text
+//! printf 'RUN 0 <job id>\n' | figures --worker --serve
+//! ```
 //!
 //! ## Exit codes
 //!
 //! | code | meaning |
 //! |------|---------|
 //! | 0    | success — every requested figure written |
-//! | 1    | hard error (bad environment, unwritable results, unreachable coordinator) |
+//! | 1    | hard error (bad environment, unwritable results) |
 //! | 2    | usage error |
 //! | 3    | degraded — quarantined jobs; affected figure cells render as `—` |
 //! | 130  | interrupted — in-flight jobs drained and flushed; re-run to resume |
-//!
-//! `--serve` uses the same contract (130 keeps the journal for
-//! resume). `--agent` exits 0 when released by the coordinator, 1 when
-//! the coordinator is unreachable or rejects the handshake, and 130
-//! when drained by Ctrl-C.
 
 use std::fs;
 use std::path::Path;
@@ -99,39 +86,28 @@ const FIGURE_FLAGS: &[&str] = &[
 fn usage() -> String {
     format!(
         "usage: figures [--all] [{}] [--jobs N] [--chunk M]\n\
-         \x20      figures [figure flags] --serve <addr> [--jobs N] [--chunk M]\n\
-         \x20      figures --agent <addr> [--jobs N]\n\
-         \x20      figures --worker --job <id> [--job <id> ...]\n\
          \x20      figures --worker --serve\n\
          \n\
          \x20 --all          regenerate everything (default with no figure flags)\n\
          \x20 --jobs N       run through a persistent pool of N supervised workers\n\
-         \x20                (with --serve/--agent: local worker count, default\n\
-         \x20                available parallelism)\n\
          \x20 --chunk M      mixes per sharded job (default {DEFAULT_CHUNK})\n\
-         \x20 --serve <addr> fabric coordinator: lease jobs to TCP agents, journal\n\
-         \x20                transitions for crash-exact resume, fall back to local\n\
-         \x20                workers when no agent is live\n\
-         \x20 --agent <addr> fabric agent: drain coordinator jobs through a local\n\
-         \x20                worker pool (no figure flags; scale must match)\n\
-         \x20 --worker       worker mode (internal)\n\
-         \x20 --job <id>     a job the worker executes, one partial each (repeatable)\n\
-         \x20 --serve        (with --worker) RUN/EXIT over stdin, frames over stdout\n\
+         \x20 --worker --serve\n\
+         \x20                pool worker: RUN/EXIT over stdin, frames over stdout\n\
+         \x20                (re-run one job by hand: printf 'RUN 0 <id>\\n' | ...)\n\
          \n\
          exit codes:\n\
          \x20   0  ok — every requested figure written\n\
-         \x20   1  hard error (bad environment, unwritable results; --agent:\n\
-         \x20      coordinator unreachable or handshake rejected)\n\
+         \x20   1  hard error (bad environment, unwritable results)\n\
          \x20   2  usage\n\
          \x20   3  degraded — quarantined jobs (see results/partials/\n\
          \x20      quarantine.json); affected cells render as \"—\"\n\
          \x20 130  interrupted — in-flight jobs drained and flushed; re-run the\n\
-         \x20      same command (same dir/addr for --serve) to resume\n\
+         \x20      same command to resume\n\
          \n\
          environment: DCA_FULL, DCA_INSTS, DCA_MIXES, DCA_WARMUP, DCA_WARM*,\n\
          \x20 DCA_JOB_TIMEOUT_MS, DCA_JOB_ATTEMPTS, DCA_RETRY_BACKOFF_MS,\n\
          \x20 DCA_HEARTBEAT_MS, DCA_HEARTBEAT_TIMEOUT_MS, DCA_POOL_INFLIGHT,\n\
-         \x20 DCA_FAULT_PLAN, DCA_FABRIC_GRACE_MS, DCA_AGENT_RETRY_MS",
+         \x20 DCA_FAULT_PLAN",
         FIGURE_FLAGS.join("] [")
     )
 }
@@ -143,14 +119,8 @@ struct Cli {
     jobs: Option<usize>,
     /// Mixes per sharded job.
     chunk: usize,
-    /// Worker mode: the jobs to drain.
-    worker_jobs: Vec<String>,
     /// Pool-worker serve loop (`--worker --serve`).
     serve: bool,
-    /// Fabric coordinator listen address (`--serve <addr>`).
-    serve_addr: Option<String>,
-    /// Fabric agent: coordinator address (`--agent <addr>`).
-    agent_addr: Option<String>,
 }
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
@@ -158,15 +128,13 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         figures: Vec::new(),
         jobs: None,
         chunk: DEFAULT_CHUNK,
-        worker_jobs: Vec::new(),
         serve: false,
-        serve_addr: None,
-        agent_addr: None,
     };
     let mut all = false;
     let mut worker = false;
-    let mut it = args.iter().peekable();
-    let value_of = |it: &mut std::iter::Peekable<std::slice::Iter<String>>,
+    let mut chunk = None;
+    let mut it = args.iter();
+    let value_of = |it: &mut std::slice::Iter<String>,
                     flag: &str,
                     inline: Option<&str>|
      -> Result<String, String> {
@@ -182,8 +150,8 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             Some((f, v)) => (f, Some(v)),
             None => (arg.as_str(), None),
         };
-        // Only --job/--jobs/--chunk take a value; an inline `=value`
-        // on any other flag is a typo'd invocation, not a selection.
+        // Only --jobs/--chunk take a value; an inline `=value` on any
+        // other flag is a typo'd invocation, not a selection.
         let no_value = |flag: &str| -> Result<(), String> {
             match inline {
                 Some(v) => Err(format!("{flag} takes no value, got {flag}={v:?}")),
@@ -200,35 +168,9 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 worker = true;
             }
             "--serve" => {
-                // Two spellings: bare `--worker --serve` is the pool
-                // worker's stdin/stdout loop; `--serve <addr>` is the
-                // fabric coordinator. A following token that is not a
-                // flag is the listen address.
-                let addr = match inline {
-                    Some(v) => Some(v.to_string()),
-                    None => match it.peek() {
-                        Some(next) if !next.starts_with("--") => it.next().cloned(),
-                        _ => None,
-                    },
-                };
-                match addr {
-                    Some(a) => {
-                        if cli.serve_addr.is_some() {
-                            return Err("--serve given twice".to_string());
-                        }
-                        cli.serve_addr = Some(a);
-                    }
-                    None => cli.serve = true,
-                }
+                no_value("--serve")?;
+                cli.serve = true;
             }
-            "--agent" => {
-                let v = value_of(&mut it, "--agent", inline)?;
-                if cli.agent_addr.is_some() {
-                    return Err("--agent given twice".to_string());
-                }
-                cli.agent_addr = Some(v);
-            }
-            "--job" => cli.worker_jobs.push(value_of(&mut it, "--job", inline)?),
             "--jobs" => {
                 let v = value_of(&mut it, "--jobs", inline)?;
                 let n: usize = v
@@ -240,11 +182,12 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             }
             "--chunk" => {
                 let v = value_of(&mut it, "--chunk", inline)?;
-                cli.chunk = v
+                let n: usize = v
                     .parse()
                     .ok()
                     .filter(|&n| n >= 1)
                     .ok_or_else(|| format!("--chunk wants a size >= 1, got {v:?}"))?;
+                chunk = Some(n);
             }
             f if FIGURE_FLAGS.contains(&f) => {
                 no_value(f)?;
@@ -253,33 +196,14 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             f => return Err(format!("unrecognized flag {f:?}")),
         }
     }
-    if cli.serve && !worker {
-        return Err("--serve requires --worker".to_string());
+    if worker != cli.serve {
+        return Err("--worker and --serve go together (the pool worker mode)".to_string());
     }
-    if cli.serve && !cli.worker_jobs.is_empty() {
-        return Err("--serve and --job are mutually exclusive".to_string());
+    if worker && (all || !cli.figures.is_empty() || cli.jobs.is_some() || chunk.is_some()) {
+        return Err("--worker --serve takes no figure selection, --jobs or --chunk".to_string());
     }
-    if worker && !cli.serve && cli.worker_jobs.is_empty() {
-        return Err("--worker needs --serve or at least one --job".to_string());
-    }
-    if !worker && !cli.worker_jobs.is_empty() {
-        return Err("--job requires --worker".to_string());
-    }
-    if worker && (all || !cli.figures.is_empty() || cli.jobs.is_some()) {
-        return Err("--worker takes no figure selection or --jobs".to_string());
-    }
-    if cli.serve_addr.is_some() && (worker || cli.serve || !cli.worker_jobs.is_empty()) {
-        return Err("--serve <addr> excludes --worker and --job".to_string());
-    }
-    if let Some(addr) = &cli.agent_addr {
-        if worker || cli.serve || !cli.worker_jobs.is_empty() || cli.serve_addr.is_some() {
-            return Err("--agent excludes --worker, --job and --serve".to_string());
-        }
-        if all || !cli.figures.is_empty() {
-            return Err(format!(
-                "--agent {addr} takes no figure selection (the coordinator owns the plan)"
-            ));
-        }
+    if let Some(n) = chunk {
+        cli.chunk = n;
     }
     if all {
         cli.figures.clear();
@@ -289,13 +213,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
 
 fn wanted(cli: &Cli, flag: &str) -> bool {
     cli.figures.is_empty() || cli.figures.iter().any(|f| f == flag)
-}
-
-/// Worker count when `--jobs` is not given in a fabric role.
-fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Write one figure to stdout and `results/<name>.{md,csv,json}`.
@@ -786,24 +703,6 @@ fn main() {
         shard::pool::serve();
     }
 
-    // Fabric agent: connect to the coordinator and drain its jobs
-    // through a local worker pool. Everything figure-shaped (plans,
-    // scale banner, results/) belongs to the coordinator.
-    if let Some(addr) = &cli.agent_addr {
-        let workers = cli.jobs.unwrap_or_else(default_workers);
-        std::process::exit(shard::agent::run(addr, workers));
-    }
-
-    // One-shot worker mode: drain the given jobs (one partial each),
-    // no banner, no figure output.
-    if !cli.worker_jobs.is_empty() {
-        if let Err(e) = shard::run_worker_many(&cli.worker_jobs) {
-            eprintln!("figures worker: error: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-
     // The output directory is load-bearing for every figure — create it
     // up front and refuse to run if that fails, instead of quietly
     // producing nothing.
@@ -853,8 +752,7 @@ fn main() {
     let mut degraded = false;
     if !plans.is_empty() {
         let jobs = shard::plan_jobs(&plans, cli.chunk);
-        let pooled = cli.jobs.is_some() || cli.serve_addr.is_some();
-        let store = if pooled {
+        let store = if let Some(workers) = cli.jobs {
             shard::supervisor::install_signal_handlers();
             // Partials left by an *older plan* (different scale,
             // chunking, or figure set) would linger forever; prune
@@ -864,23 +762,12 @@ fn main() {
             if pruned > 0 {
                 eprintln!("figures: pruned {pruned} orphan partial(s) left by a previous plan");
             }
-            let workers = cli.jobs.unwrap_or_else(default_workers);
-            let (outcome, mode) = match &cli.serve_addr {
-                Some(addr) => (
-                    shard::server::serve_run(addr, &jobs, workers, &scale),
-                    format!("fabric coordinator on {addr}"),
-                ),
-                None => (
-                    shard::supervisor::Supervisor::new(workers).run(&jobs),
-                    format!("{workers} workers"),
-                ),
-            };
-            match outcome {
+            match shard::supervisor::Supervisor::new(workers).run(&jobs) {
                 Ok(outcome) => {
                     let s = outcome.stats;
                     eprintln!(
                         "figures: pool: {} jobs run, {} reused from prior partials, \
-                         {} retried, {} quarantined, {} worker respawns, {mode}",
+                         {} retried, {} quarantined, {} worker respawns, {workers} workers",
                         s.run, s.reused, s.retried, s.quarantined, s.respawns
                     );
                     if outcome.drained {

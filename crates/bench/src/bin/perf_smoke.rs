@@ -1,27 +1,10 @@
 //! Engine + sweep throughput smoke test.
 //!
 //! Runs the quickstart workload (Table I mix 1 under DCA, direct-mapped)
-//! through every event engine — the calendar queue, the baseline heap,
-//! the density-adaptive calendar queue, and the domain-sharded merge at
-//! two shards — reports simulated-cycles/sec and events/sec for each,
-//! **fails on any fingerprint divergence from the heap engine**, and
-//! writes the numbers to `BENCH_engine.json` so every PR leaves a perf
-//! trajectory.
-//!
-//! Two engine-specific sections accompany the head-to-head:
-//!
-//! * `engine_adaptive` — raw-queue microbenches (uniform / clustered /
-//!   bursty arrivals; fixed shift vs adaptive vs heap) plus the
-//!   adaptive engine's system-level wall clock.
-//! * `sharded` — the honest parallel story. The *system-level* sharded
-//!   engine is merge-bound by design (cross-domain events carry zero
-//!   lookahead and handlers share one uncore, so its number reports the
-//!   partition/merge overhead floor, typically < 1.0x). The wall-clock
-//!   *win* comes from `dca_sim_core::shardloop` on a long-run
-//!   domain-decoupled workload (positive lookahead): sequential vs 2
-//!   and 4 worker threads, bit-identity asserted, with a deliberately
-//!   tiny `short` config documenting the crossover regime where
-//!   synchronization overhead dominates and parallelism loses.
+//! through both event engines — the calendar queue and the baseline
+//! heap — reports simulated-cycles/sec and events/sec for each, **fails
+//! on any digest divergence from the heap engine**, and writes the
+//! numbers to `BENCH_engine.json` so every PR leaves a perf trajectory.
 //!
 //! Construction (functional cache warm-up) is timed separately from the
 //! event loop: the engine overhaul targets the loop, and warm-up noise
@@ -90,6 +73,10 @@
 //!   fastest rep is reported, standard practice for wall-clock benches).
 //! * `DCA_PERF_SWEEP_REPS` — repetitions per sweep flavour (default 2).
 //! * `DCA_PERF_OUT` — output path (default `BENCH_engine.json`).
+//!
+//! The three counts must be positive integers: any other value is an
+//! error naming the variable, and the binary exits 2 before running
+//! anything.
 
 use std::time::Instant;
 
@@ -97,10 +84,6 @@ use dca::{Design, EngineSel, System, SystemConfig, SystemReport};
 use dca_bench::{MainMemKind, RunSpec};
 use dca_cpu::{mix, register_mix, register_trace_file, Benchmark};
 use dca_dram_cache::{OrgKind, ReplacementPolicy};
-use dca_sim_core::{
-    events::SLOT_SHIFT, BaselineEventQueue, Duration, EventQueue, Outbox, ShardConfig, ShardSim,
-    SimTime,
-};
 
 /// Event-loop wall time of the hash-map/`Vec::remove` engine this PR
 /// replaced, measured on the same workload (200 k insts/core, 3-rep
@@ -296,7 +279,6 @@ fn run_trace_smoke(insts: u64) -> TraceSmokeResult {
         flushing_factor: 4,
         policy: ReplacementPolicy::Srrip,
         main_mem: MainMemKind::Flat,
-        engine: EngineSel::Calendar,
         insts: insts / 2,
         warmup: 200_000,
         seed: 0xDCA_2016,
@@ -461,99 +443,6 @@ fn run_shard_smoke(reps: u32) -> ShardSmokeResult {
         best.session_serial_s
     );
     best
-}
-
-/// Outcome of the fabric loopback smoke.
-struct FabricSmokeResult {
-    /// Serial `--fig14` wall clock in this smoke's environment.
-    serial_s: f64,
-    /// The same sweep through `--serve` + one loopback `--agent`.
-    fabric_s: f64,
-}
-
-/// Run the `--fig14` sweep once serially and once through the TCP
-/// fabric (`--serve 127.0.0.1:<port>` + one local `--agent`), assert
-/// the rendered figure files are byte-identical, and record both wall
-/// clocks. The overhead (TCP framing, journaling, lease bookkeeping,
-/// two extra process startups) is reported, not asserted — at smoke
-/// scale it legitimately exceeds the serial cost; the point of the
-/// number is the trajectory.
-fn run_fabric_smoke() -> FabricSmokeResult {
-    use std::path::PathBuf;
-    use std::process::{Command, Stdio};
-
-    let exe = std::env::current_exe().expect("current exe");
-    let figures = exe.with_file_name("figures");
-    let scratch = |tag: &str| -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("dca-fabric-smoke-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        dir
-    };
-    let cmd = |dir: &PathBuf| -> Command {
-        let mut c = Command::new(&figures);
-        c.current_dir(dir)
-            .env("DCA_MIXES", "1,2")
-            .env("DCA_INSTS", "20000")
-            .env("DCA_WARMUP", "60000")
-            .env_remove("DCA_FULL")
-            .env_remove("DCA_FAULT_PLAN")
-            .env_remove("DCA_POOL_INFLIGHT")
-            .stdout(Stdio::null())
-            .stderr(Stdio::null());
-        c
-    };
-
-    let serial_dir = scratch("serial");
-    let t0 = Instant::now();
-    let status = cmd(&serial_dir)
-        .arg("--fig14")
-        .status()
-        .expect("spawn figures");
-    assert!(status.success(), "serial figures failed with {status}");
-    let serial_s = t0.elapsed().as_secs_f64();
-
-    let coord_dir = scratch("coord");
-    let agent_dir = scratch("agent");
-    let addr = {
-        let l = std::net::TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
-        let addr = l.local_addr().expect("local addr").to_string();
-        drop(l);
-        addr
-    };
-    let t0 = Instant::now();
-    let mut coord = cmd(&coord_dir)
-        .args(["--fig14", "--serve", &addr, "--jobs", "2"])
-        .env("DCA_FABRIC_GRACE_MS", "60000")
-        .spawn()
-        .expect("spawn coordinator");
-    let mut agent = cmd(&agent_dir)
-        .args(["--agent", &addr, "--jobs", "2"])
-        .spawn()
-        .expect("spawn agent");
-    let cstatus = coord.wait().expect("wait coordinator");
-    let fabric_s = t0.elapsed().as_secs_f64();
-    let astatus = agent.wait().expect("wait agent");
-    assert!(
-        cstatus.success(),
-        "fabric coordinator failed with {cstatus}"
-    );
-    assert!(astatus.success(), "fabric agent failed with {astatus}");
-
-    for ext in ["md", "json", "csv"] {
-        let file = format!("fig14.{ext}");
-        let a = std::fs::read(serial_dir.join("results").join(&file)).expect(&file);
-        let b = std::fs::read(coord_dir.join("results").join(&file)).expect(&file);
-        assert_eq!(
-            a, b,
-            "fabric {file} diverged from the serial run — the transport broke bit-identity"
-        );
-    }
-    for dir in [serial_dir, coord_dir, agent_dir] {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    FabricSmokeResult { serial_s, fabric_s }
 }
 
 /// Outcome of the flat-vs-cycle main-memory smoke.
@@ -723,293 +612,38 @@ fn run_designs_smoke(insts: u64) -> DesignsSmokeResult {
     }
 }
 
-/// One arrival distribution's raw-queue microbench row: the same
-/// 200 k-event rolling-window workload through the fixed-shift
-/// calendar, the self-tuning calendar, and the binary-heap oracle.
-struct QueueMicroRow {
-    label: &'static str,
-    fixed_ms: f64,
-    adaptive_ms: f64,
-    heap_ms: f64,
-    /// Ring rebuilds the adaptive queue performed on this distribution.
-    resizes: u64,
-    /// Slot shift the adaptive queue settled on (started at SLOT_SHIFT).
-    final_shift: u32,
-}
-
-fn xorshift(x: &mut u64) -> u64 {
-    *x ^= *x << 13;
-    *x ^= *x >> 7;
-    *x ^= *x << 17;
-    *x
-}
-
-/// Absolute arrival times (ps, nondecreasing) for one distribution.
-///
-/// * `uniform` — one event every ~4 default slots: a good match for
-///   `SLOT_SHIFT`, the adaptive queue should mostly leave it alone.
-/// * `clustered` — dense bursts (many events per default slot) with
-///   long silent gaps: per-bucket sorted inserts degrade at the default
-///   shift, so the adaptive queue narrows the slots.
-/// * `bursty` — alternating sparse and dense phases: no fixed shift is
-///   right for both, the regime the EWMA tracker exists for.
-fn micro_times(label: &str) -> Vec<u64> {
-    const N: usize = 200_000;
-    let mut rng: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut times = Vec::with_capacity(N);
-    let mut t: u64 = 0;
-    match label {
-        "uniform" => {
-            for _ in 0..N {
-                t += 3 * 1024 + (xorshift(&mut rng) % 2048);
-                times.push(t);
-            }
-        }
-        "clustered" => {
-            while times.len() < N {
-                for _ in 0..512 {
-                    t += xorshift(&mut rng) % 16;
-                    times.push(t);
-                }
-                t += 1 << 22;
-            }
-            times.truncate(N);
-        }
-        "bursty" => {
-            while times.len() < N {
-                for _ in 0..4096 {
-                    t += 3 * 1024 + (xorshift(&mut rng) % 2048);
-                    times.push(t);
-                }
-                for _ in 0..4096 {
-                    t += xorshift(&mut rng) % 16;
-                    times.push(t);
-                }
-            }
-            times.truncate(N);
-        }
-        other => panic!("unknown micro distribution {other}"),
-    }
-    times
-}
-
-/// Rolling-window driver: keep `WINDOW` events in flight, pop one /
-/// push one — the steady-state shape of the system event loop.
-const MICRO_WINDOW: usize = 4096;
-
-fn drive_calendar(q: &mut EventQueue<u32>, times: &[u64]) -> f64 {
-    let t0 = Instant::now();
-    let w = MICRO_WINDOW.min(times.len());
-    for (i, &t) in times[..w].iter().enumerate() {
-        q.push(SimTime(t), i as u32);
-    }
-    for (i, &t) in times[w..].iter().enumerate() {
-        let _ = q.pop();
-        q.push(SimTime(t), i as u32);
-    }
-    while q.pop().is_some() {}
-    t0.elapsed().as_secs_f64()
-}
-
-fn drive_heap(q: &mut BaselineEventQueue<u32>, times: &[u64]) -> f64 {
-    let t0 = Instant::now();
-    let w = MICRO_WINDOW.min(times.len());
-    for (i, &t) in times[..w].iter().enumerate() {
-        q.push(SimTime(t), i as u32);
-    }
-    for (i, &t) in times[w..].iter().enumerate() {
-        let _ = q.pop();
-        q.push(SimTime(t), i as u32);
-    }
-    while q.pop().is_some() {}
-    t0.elapsed().as_secs_f64()
-}
-
-/// Raw-queue head-to-head on the three arrival distributions, best of
-/// `reps`. Mirrors `benches/micro_components.rs`; this copy runs in CI
-/// and lands in `BENCH_engine.json` under `engine_adaptive.micro`.
-fn run_adaptive_micro(reps: u32) -> Vec<QueueMicroRow> {
-    ["uniform", "clustered", "bursty"]
-        .into_iter()
-        .map(|label| {
-            let times = micro_times(label);
-            let mut fixed_ms = f64::INFINITY;
-            let mut adaptive_ms = f64::INFINITY;
-            let mut heap_ms = f64::INFINITY;
-            let mut resizes = 0;
-            let mut final_shift = SLOT_SHIFT;
-            for _ in 0..reps.max(1) {
-                let mut q = EventQueue::with_slot_shift(SLOT_SHIFT);
-                fixed_ms = fixed_ms.min(drive_calendar(&mut q, &times) * 1e3);
-                let mut q = EventQueue::adaptive();
-                adaptive_ms = adaptive_ms.min(drive_calendar(&mut q, &times) * 1e3);
-                resizes = q.resizes();
-                final_shift = q.slot_shift();
-                let mut q = BaselineEventQueue::new();
-                heap_ms = heap_ms.min(drive_heap(&mut q, &times) * 1e3);
-            }
-            QueueMicroRow {
-                label,
-                fixed_ms,
-                adaptive_ms,
-                heap_ms,
-                resizes,
-                final_shift,
-            }
-        })
-        .collect()
-}
-
-/// Outcome of the shardloop (conservative-sync parallel engine) smoke.
-struct ShardloopSmokeResult {
-    host_cores: usize,
-    domains: usize,
-    /// Long run: enough per-event work and concurrent chains for the
-    /// safe-time protocol to amortize — the regime threading exists for.
-    long_events: u64,
-    long_seq_s: f64,
-    long_t2_s: f64,
-    long_t4_s: f64,
-    /// Short run: a few hundred tiny events — synchronization overhead
-    /// dominates and parallelism legitimately loses. Reported, never
-    /// asserted, so the crossover stays visible in the JSON.
-    short_events: u64,
-    short_seq_s: f64,
-    short_t2_s: f64,
-}
-
-/// SplitMix64 finalizer: the per-event "model work" of the synthetic
-/// domain-decoupled workload.
-fn smix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-const SHARDLOOP_DOMAINS: usize = 6;
-const SHARDLOOP_LOOKAHEAD_NS: u64 = 8;
-
-/// Build the synthetic workload: `seeds` independent event chains of
-/// `hops + 1` events each, hopping pseudo-randomly between domains with
-/// `work` rounds of hashing per event. Deterministic by construction.
-fn shardloop_sim(threads: usize, seeds: u64, hops: u32) -> ShardSim<(u64, u64), (u32, u64)> {
-    let cfg = ShardConfig::new(threads, Duration::from_ns(SHARDLOOP_LOOKAHEAD_NS));
-    let states = vec![(0u64, 0u64); SHARDLOOP_DOMAINS];
-    let mut sim = ShardSim::new(cfg, states).expect("valid shardloop config");
-    for i in 0..seeds {
-        let dst = (i % SHARDLOOP_DOMAINS as u64) as u16;
-        let at = SimTime(smix(i) % 4_000);
-        sim.schedule(dst, at, (hops, smix(i ^ 0xD0A)))
-            .expect("schedule initial event");
-    }
-    sim
-}
-
-/// Run the workload sequentially and on 2 and 4 threads, asserting the
-/// final per-domain states are bit-identical, and time each flavour
-/// (best of `reps`).
-fn run_shardloop_smoke(reps: u32) -> ShardloopSmokeResult {
-    let handler = |work: u32| {
-        move |state: &mut (u64, u64),
-              d: u16,
-              t: SimTime,
-              (hops, tag): (u32, u64),
-              out: &mut Outbox<(u32, u64)>| {
-            let mut acc = state.1 ^ tag ^ t.ps() ^ (d as u64);
-            for _ in 0..work {
-                acc = smix(acc);
-            }
-            state.0 += 1;
-            state.1 = state.1.wrapping_add(acc);
-            if hops > 0 {
-                let dst = ((acc >> 8) % SHARDLOOP_DOMAINS as u64) as u16;
-                let at =
-                    t + Duration::from_ns(SHARDLOOP_LOOKAHEAD_NS) + Duration::from_ps(acc % 4_000);
-                out.send(dst, at, (hops - 1, acc));
-            }
-        }
+/// Parse a count knob: `default` when the variable is unset (`value`
+/// is `None`), the number when it is a positive integer, otherwise an
+/// error naming the variable and its value.
+fn parse_count<T>(name: &str, value: Option<&str>, default: T) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialEq + From<u8>,
+{
+    let Some(v) = value else {
+        return Ok(default);
     };
-
-    let measure = |threads: usize, seeds: u64, hops: u32, work: u32, reps: u32| {
-        let mut best_s = f64::INFINITY;
-        let mut best_run = None;
-        for _ in 0..reps.max(1) {
-            let sim = shardloop_sim(threads, seeds, hops);
-            let t0 = Instant::now();
-            let run = if threads == 1 {
-                sim.run_sequential(handler(work))
-            } else {
-                sim.run(handler(work))
-            }
-            .expect("shardloop run succeeds");
-            let dt = t0.elapsed().as_secs_f64();
-            if dt < best_s {
-                best_s = dt;
-                best_run = Some(run);
-            }
-        }
-        (best_s, best_run.expect("at least one rep"))
-    };
-
-    // Long run: ~147 k events, 384 hash rounds each, 1536 concurrent
-    // chains over 6 domains — plenty of events per safe-time window.
-    let (long_seq_s, long_seq) = measure(1, 1536, 95, 384, reps);
-    let (long_t2_s, long_t2) = measure(2, 1536, 95, 384, reps);
-    let (long_t4_s, long_t4) = measure(4, 1536, 95, 384, reps);
-    assert_eq!(
-        long_seq.states, long_t2.states,
-        "shardloop 2-thread run diverged from sequential"
-    );
-    assert_eq!(
-        long_seq.states, long_t4.states,
-        "shardloop 4-thread run diverged from sequential"
-    );
-    assert_eq!(long_seq.events, 1536 * 96);
-
-    // Short run: 96 tiny events — the sync-dominated crossover regime.
-    let (short_seq_s, short_seq) = measure(1, 24, 3, 16, reps);
-    let (short_t2_s, short_t2) = measure(2, 24, 3, 16, reps);
-    assert_eq!(
-        short_seq.states, short_t2.states,
-        "shardloop short 2-thread run diverged from sequential"
-    );
-
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    // The engine's reason to exist: on the long run, 2 threads must beat
-    // sequential. Only assertable when the host actually has 2 cores.
-    if host_cores >= 2 {
-        assert!(
-            long_seq_s / long_t2_s > 1.0,
-            "shardloop 2-thread long run slower than sequential ({long_t2_s:.3}s vs {long_seq_s:.3}s)"
-        );
-    }
-    ShardloopSmokeResult {
-        host_cores,
-        domains: SHARDLOOP_DOMAINS,
-        long_events: long_seq.events,
-        long_seq_s,
-        long_t2_s,
-        long_t4_s,
-        short_events: short_seq.events,
-        short_seq_s,
-        short_t2_s,
+    match v.parse::<T>() {
+        Ok(n) if n != T::from(0) => Ok(n),
+        _ => Err(format!("{name}={v:?} is not a positive integer")),
     }
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// [`parse_count`] on the environment; a bad value exits 2.
+fn env_count<T>(name: &str, default: T) -> T
+where
+    T: std::str::FromStr + PartialEq + From<u8>,
+{
+    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_count(name, raw.as_deref(), default).unwrap_or_else(|e| {
+        eprintln!("perf_smoke: error: {e}");
+        std::process::exit(2);
+    })
 }
 
 fn main() {
-    let insts = env_u64("DCA_PERF_INSTS", 200_000);
-    let reps = env_u64("DCA_PERF_REPS", 3) as u32;
-    let sweep_reps = env_u64("DCA_PERF_SWEEP_REPS", 2) as u32;
+    let insts: u64 = env_count("DCA_PERF_INSTS", 200_000);
+    let reps: u32 = env_count("DCA_PERF_REPS", 3);
+    let sweep_reps: u32 = env_count("DCA_PERF_SWEEP_REPS", 2);
     let out_path =
         std::env::var("DCA_PERF_OUT").unwrap_or_else(|_| "BENCH_engine.json".to_string());
 
@@ -1017,22 +651,18 @@ fn main() {
 
     let calendar = run_engine("calendar", EngineSel::Calendar, insts, reps);
     let heap = run_engine("baseline-heap", EngineSel::Heap, insts, reps);
-    let adaptive = run_engine("cal-adaptive", EngineSel::CalendarAdaptive, insts, reps);
-    let sharded2 = run_engine("sharded(2)", EngineSel::Sharded { threads: 2 }, insts, reps);
 
-    // The CI gate: every engine must reproduce the heap oracle's report
-    // bit for bit. Any divergence fails the build here.
-    for r in [&calendar, &adaptive, &sharded2] {
-        assert_eq!(
-            r.report.digest(),
-            heap.report.digest(),
-            "{} engine diverged from the heap oracle",
-            r.label
-        );
-    }
-    println!("all engines agree bit-for-bit with the heap oracle\n");
+    // The CI gate: the calendar queue must reproduce the heap oracle's
+    // report bit for bit. Any divergence fails the build here.
+    assert_eq!(
+        calendar.report.digest(),
+        heap.report.digest(),
+        "{} engine diverged from the heap oracle",
+        calendar.label
+    );
+    println!("calendar agrees bit-for-bit with the heap oracle\n");
 
-    for r in [&calendar, &heap, &adaptive, &sharded2] {
+    for r in [&calendar, &heap] {
         println!(
             "{:<14} build {:>7.1} ms   loop {:>7.1} ms   {:>12.0} sim-cycles/s   {:>12.0} events/s",
             r.label,
@@ -1048,36 +678,6 @@ fn main() {
     if insts == 200_000 {
         println!("calendar event-loop speedup vs pre-overhaul ref: {vs_pre:.3}x");
     }
-
-    let micro = run_adaptive_micro(reps);
-    println!("\nadaptive-queue micro (200k events, rolling window, best of {reps}):");
-    for row in &micro {
-        println!(
-            "  {:<10} fixed(shift {SLOT_SHIFT}) {:>7.2} ms   adaptive {:>7.2} ms \
-             (-> shift {}, {} resizes)   heap {:>7.2} ms",
-            row.label, row.fixed_ms, row.adaptive_ms, row.final_shift, row.resizes, row.heap_ms
-        );
-    }
-
-    let sl = run_shardloop_smoke(sweep_reps);
-    println!(
-        "\nshardloop smoke ({} domains, {} host cores): long run ({} events) seq {:.3}s   \
-         2 threads {:.3}s ({:.3}x)   4 threads {:.3}s ({:.3}x)   short run ({} events) \
-         seq {:.4}s vs 2 threads {:.4}s ({:.3}x — sync-dominated, reported not asserted); \
-         all states bit-identical",
-        sl.domains,
-        sl.host_cores,
-        sl.long_events,
-        sl.long_seq_s,
-        sl.long_t2_s,
-        sl.long_seq_s / sl.long_t2_s,
-        sl.long_t4_s,
-        sl.long_seq_s / sl.long_t4_s,
-        sl.short_events,
-        sl.short_seq_s,
-        sl.short_t2_s,
-        sl.short_seq_s / sl.short_t2_s,
-    );
 
     let sweep = run_sweep(insts, sweep_reps);
     println!(
@@ -1102,17 +702,6 @@ fn main() {
         shard.session_serial_s,
         shard.session_pool_s,
         shard.session_speedup()
-    );
-
-    let fabric = run_fabric_smoke();
-    println!(
-        "\nfabric smoke (fig14, 2 mixes, loopback --serve + one --agent): serial {:.2}s   \
-         local pool {:.2}s   fabric {:.2}s   overhead vs serial {:.3}x (figure files \
-         byte-identical)",
-        fabric.serial_s,
-        shard.pool_s,
-        fabric.fabric_s,
-        fabric.fabric_s / fabric.serial_s
     );
 
     let main_mem = run_main_mem_smoke(insts);
@@ -1160,70 +749,18 @@ fn main() {
     };
     // Hand-rolled JSON: the workspace is offline (no serde), and the
     // schema is flat.
-    let micro_json = micro
-        .iter()
-        .map(|r| {
-            format!(
-                "      \"{}\": {{\"fixed_shift_ms\": {:.4}, \"adaptive_ms\": {:.4}, \
-                 \"heap_ms\": {:.4}, \"resizes\": {}, \"final_shift\": {}}}",
-                r.label, r.fixed_ms, r.adaptive_ms, r.heap_ms, r.resizes, r.final_shift
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let adaptive_section = format!(
-        "\"engine_adaptive\": {{\n    \
-         \"system\": {{\"run_loop_s\": {:.6}, \"vs_calendar\": {:.4}}},\n    \
-         \"micro\": {{\n{micro_json}\n    }}\n  }}",
-        adaptive.run_s,
-        calendar.run_s / adaptive.run_s,
-    );
-    let sharded_section = format!(
-        "\"sharded\": {{\n    \
-         \"system_merge\": {{\"run_loop_s\": {:.6}, \"vs_calendar\": {:.4}, \
-         \"note\": \"zero cross-domain lookahead + shared uncore make the system-level sharded \
-         engine a deterministic merge, not a parallel win; see the shardloop numbers\"}},\n    \
-         \"shardloop\": {{\"host_cores\": {}, \"domains\": {}, \
-         \"lookahead_ns\": {SHARDLOOP_LOOKAHEAD_NS},\n      \
-         \"long\": {{\"events\": {}, \"seq_s\": {:.4}, \"t2_s\": {:.4}, \"t4_s\": {:.4}, \
-         \"speedup_t2\": {:.4}, \"speedup_t4\": {:.4}}},\n      \
-         \"short\": {{\"events\": {}, \"seq_s\": {:.6}, \"t2_s\": {:.6}, \
-         \"speedup_t2\": {:.4}, \
-         \"note\": \"sync overhead dominates at this scale; parallelism legitimately loses\"}}\n    \
-         }}\n  }}",
-        sharded2.run_s,
-        calendar.run_s / sharded2.run_s,
-        sl.host_cores,
-        sl.domains,
-        sl.long_events,
-        sl.long_seq_s,
-        sl.long_t2_s,
-        sl.long_t4_s,
-        sl.long_seq_s / sl.long_t2_s,
-        sl.long_seq_s / sl.long_t4_s,
-        sl.short_events,
-        sl.short_seq_s,
-        sl.short_t2_s,
-        sl.short_seq_s / sl.short_t2_s,
-    );
     let json = format!(
         "{{\n  \"workload\": {{\"mix\": 1, \"design\": \"DCA\", \"org\": \"direct-mapped\", \
          \"insts_per_core\": {insts}, \"reps\": {reps}}},\n  \"engines\": {{\n    \
          \"calendar\": {{\"run_loop_s\": {:.6}, \"sim_cycles_per_sec\": {:.0}, \"events_per_sec\": {:.0}}},\n    \
-         \"baseline_heap\": {{\"run_loop_s\": {:.6}, \"sim_cycles_per_sec\": {:.0}, \"events_per_sec\": {:.0}}},\n    \
-         \"cal_adaptive\": {{\"run_loop_s\": {:.6}, \"sim_cycles_per_sec\": {:.0}, \"events_per_sec\": {:.0}}},\n    \
-         \"sharded_2\": {{\"run_loop_s\": {:.6}, \"sim_cycles_per_sec\": {:.0}, \"events_per_sec\": {:.0}}}\n  }},\n  \
+         \"baseline_heap\": {{\"run_loop_s\": {:.6}, \"sim_cycles_per_sec\": {:.0}, \"events_per_sec\": {:.0}}}\n  }},\n  \
          \"speedup_calendar_over_heap\": {vs_heap:.4}{reference},\n  \
-         {adaptive_section},\n  \
-         {sharded_section},\n  \
          \"sweep\": {{\"variants\": {}, \"reps\": {sweep_reps}, \"cold_s\": {:.4}, \
          \"warm_s\": {:.4}, \"speedup\": {:.4}}},\n  \
          \"shard\": {{\"figure\": \"fig14\", \"jobs\": {}, \"host_cores\": {}, \
          \"serial_s\": {:.4}, \"pool_s\": {:.4}, \"fresh_speedup\": {:.4}, \
          \"session_figures\": \"fig14+fig12\", \"session_serial_s\": {:.4}, \
          \"session_pool_s\": {:.4}, \"speedup\": {:.4}}},\n  \
-         \"fabric\": {{\"figure\": \"fig14\", \"agents\": 1, \"serial_s\": {:.4}, \
-         \"pool_s\": {:.4}, \"fabric_s\": {:.4}, \"overhead_vs_serial\": {:.4}}},\n  \
          \"main_mem\": {{\"flat_s\": {:.4}, \"cycle_s\": {:.4}, \"cycle_overhead\": {:.4}, \
          \"cycle_mem_reads\": {}, \"cycle_row_hit_rate\": {:.4}}},\n  \
          \"designs\": {{\"dca_s\": {:.4}, \"banshee_s\": {:.4}, \"xpoint_s\": {:.4}, \
@@ -1238,12 +775,6 @@ fn main() {
         heap.run_s,
         heap.cycles_per_sec,
         heap.events_per_sec,
-        adaptive.run_s,
-        adaptive.cycles_per_sec,
-        adaptive.events_per_sec,
-        sharded2.run_s,
-        sharded2.cycles_per_sec,
-        sharded2.events_per_sec,
         sweep.variants,
         sweep.cold_s,
         sweep.warm_s,
@@ -1256,10 +787,6 @@ fn main() {
         shard.session_serial_s,
         shard.session_pool_s,
         shard.session_speedup(),
-        fabric.serial_s,
-        shard.pool_s,
-        fabric.fabric_s,
-        fabric.fabric_s / fabric.serial_s,
         main_mem.flat_s,
         main_mem.cycle_s,
         main_mem.cycle_s / main_mem.flat_s,
@@ -1281,4 +808,29 @@ fn main() {
     );
     std::fs::write(&out_path, json).expect("write BENCH_engine.json");
     println!("wrote {out_path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_count;
+
+    #[test]
+    fn count_knobs_default_when_unset_and_accept_positive_integers() {
+        assert_eq!(parse_count("DCA_PERF_REPS", None, 3u32), Ok(3));
+        assert_eq!(parse_count("DCA_PERF_REPS", Some("7"), 3u32), Ok(7));
+        assert_eq!(parse_count("DCA_PERF_INSTS", Some("1"), 200_000u64), Ok(1));
+    }
+
+    #[test]
+    fn count_knobs_reject_zero_and_non_numeric_values_by_name() {
+        for bad in ["0", "", "abc", "-1", "3.5", " 3", "4294967296"] {
+            let err = parse_count("DCA_PERF_REPS", Some(bad), 3u32).expect_err(bad);
+            assert_eq!(
+                err,
+                format!("DCA_PERF_REPS={bad:?} is not a positive integer")
+            );
+        }
+        assert!(parse_count("DCA_PERF_INSTS", Some("0"), 200_000u64).is_err());
+        assert!(parse_count("DCA_PERF_SWEEP_REPS", Some("two"), 2u32).is_err());
+    }
 }

@@ -36,39 +36,21 @@
 //! [`warm`] for how concurrent workers coordinate warm-ups through the
 //! shared `DCA_WARM_DIR`.
 //!
-//! ## Sweep fabric
-//!
-//! The same job model also runs *distributed*: `figures --serve <addr>`
-//! is a TCP coordinator leasing jobs to any number of
-//! `figures --agent <addr>` processes, each draining its leases through
-//! a local worker pool. The fabric layers four robustness mechanisms on
-//! the pool: lease ownership with forwarded heartbeats (a silent or
-//! disconnected agent forfeits its leases into the ordinary
-//! retry/backoff/quarantine machinery), a write-ahead journal so a
-//! killed coordinator resumes exactly, digest-verified length-prefixed
-//! transport (torn or corrupt uploads are rejected and retried), and
-//! graceful degradation (SIGINT drains, zero live agents falls back to
-//! local workers). See [`shard::fabric`].
-//!
 //! ## `figures` exit-code contract
 //!
 //! | code | meaning |
 //! |------|---------|
 //! | 0    | success — every requested figure written |
-//! | 1    | hard error (bad environment, unwritable `results/`; for `--agent`: coordinator unreachable or handshake rejected) |
+//! | 1    | hard error (bad environment, unwritable `results/`) |
 //! | 2    | usage error |
 //! | 3    | degraded — quarantined jobs; affected cells render as `—` |
-//! | 130  | interrupted — in-flight jobs drained and flushed; re-running the same command resumes (`--serve` keeps its journal) |
-//!
-//! `--serve` follows the same table; `--agent` exits `0` when the
-//! coordinator releases it, `1` on unreachable/rejected, `130` when
-//! drained.
+//! | 130  | interrupted — in-flight jobs drained and flushed; re-running the same command resumes |
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use dca::{Design, EngineSel, System, SystemConfig, SystemReport};
+use dca::{Design, System, SystemConfig, SystemReport};
 use dca_cpu::{mix, Benchmark};
 use dca_dram::MappingScheme;
 use dca_dram_cache::{OrgKind, ReplacementPolicy};
@@ -169,10 +151,6 @@ pub struct RunSpec {
     pub policy: ReplacementPolicy,
     /// Main-memory backend (default flat — the seed model).
     pub main_mem: MainMemKind,
-    /// Event engine (default calendar). A pure wall-clock knob: every
-    /// engine is locked bit-identical by `tests/engine_equivalence.rs`,
-    /// so it rides in job ids for reproducibility, not for results.
-    pub engine: EngineSel,
     /// Instructions per core.
     pub insts: u64,
     /// Warm-up ops per core.
@@ -198,7 +176,6 @@ impl RunSpec {
             flushing_factor: 4,
             policy: ReplacementPolicy::Srrip,
             main_mem: MainMemKind::Flat,
-            engine: EngineSel::Calendar,
             insts: scale.insts,
             warmup: scale.warmup,
             seed: DEFAULT_SEED,
@@ -229,12 +206,6 @@ impl RunSpec {
         self
     }
 
-    /// Select an event engine.
-    pub fn with_engine(mut self, engine: EngineSel) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Materialise the system configuration.
     pub fn config(&self) -> SystemConfig {
         let mut cfg = SystemConfig::paper(self.design, self.org);
@@ -245,7 +216,6 @@ impl RunSpec {
         cfg.dca.flushing_factor = self.flushing_factor;
         cfg.replacement = self.policy;
         cfg.main_mem = self.main_mem.config();
-        cfg.engine = self.engine;
         cfg.target_insts = self.insts;
         cfg.warmup_ops = self.warmup;
         cfg.seed = self.seed;
@@ -379,7 +349,6 @@ impl AloneIpc {
             flushing_factor: 4,
             policy: ReplacementPolicy::Srrip,
             main_mem: mm,
-            engine: EngineSel::Calendar,
             insts: self.insts,
             warmup: self.warmup,
             seed: self.seed,

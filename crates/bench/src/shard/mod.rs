@@ -9,11 +9,11 @@
 //! deterministically and self-describingly**: the id encodes the full
 //! payload (spec fields, scale, seed, mix/bench list), so a worker
 //! reconstructs its work from the id alone — no side-channel job file,
-//! and a job can be re-run by hand with
-//! `figures --worker --job <id>`. The grammar:
+//! and a job can be re-run by hand through the worker protocol with
+//! `printf 'RUN 0 <id>\n' | figures --worker --serve`. The grammar:
 //!
 //! ```text
-//! ev_<org>_<design>_x<0|1>_l<0|1>_ff<n>_p<policy>_i<insts>_w<warmup>_s<seed hex>_<mm>_e<engine>_m<mix>.<mix>...
+//! ev_<org>_<design>_x<0|1>_l<0|1>_ff<n>_p<policy>_i<insts>_w<warmup>_s<seed hex>_<mm>_m<mix>.<mix>...
 //! al_<org>_i<insts>_w<warmup>_s<seed hex>_<mm>_b<bench>.<bench>...
 //! ```
 //!
@@ -22,12 +22,9 @@
 //! (`srrip` / `lru` / `lruc` / `lrud` — see
 //! [`dca_dram_cache::ReplacementPolicy`]), `<mm>` the main-memory
 //! backend token (`mmf` flat, `mmd<n>` cycle-level DDR4 at bandwidth
-//! ÷ n, `mmx` the 3DXPoint-like slow tier — see [`crate::MainMemKind`]),
-//! and `<engine>` the event-engine token (`heap` / `cal` / `cala` /
-//! `sh<threads>` — see [`dca::EngineSel`]; a pure wall-clock knob, in
-//! the id so a job names its engine reproducibly). Alone jobs carry no
-//! design, policy, or engine field: the weighted-speedup denominator is
-//! always the CD/SRRIP baseline on the default engine. Identical units
+//! ÷ n, `mmx` the 3DXPoint-like slow tier — see [`crate::MainMemKind`]).
+//! Alone jobs carry no design or policy field: the weighted-speedup
+//! denominator is always the CD/SRRIP baseline. Identical units
 //! shared by several figures (e.g. the CD baseline of Figs 8 and 12)
 //! collapse to one job.
 //!
@@ -74,42 +71,14 @@
 //! same [`PartialStore`], so both modes share one code path from raw
 //! reports to rendered tables — the bit-identity guarantee the tests
 //! lock holds under every injected fault.
-//!
-//! ## Sweep fabric
-//!
-//! `figures --serve <addr>` lifts the same job service onto TCP (the
-//! [`fabric`] facade): remote `figures --agent <addr> --jobs N`
-//! processes authenticate with a build+config HELLO and drain jobs
-//! through their own local pools, while the coordinator holds
-//! lease-based ownership (a silent or disconnected agent forfeits its
-//! leases back into the retry machinery), journals every transition to
-//! a write-ahead log for kill/restart resume, and verifies every
-//! partial twice — a digest trailer on the wire and
-//! [`decode_partial`] on arrival. Because partials are byte-exact and
-//! content-addressed by job id, the fabric's at-least-once delivery
-//! collapses to exactly-once results: a duplicate completion is a
-//! verified-idempotent merge.
 
-pub mod agent;
-pub mod journal;
-pub mod net;
 pub mod pool;
-pub mod server;
 pub mod supervisor;
-
-/// The multi-host sweep fabric, one facade over its four layers:
-/// [`net`] (verified framing + message grammar), [`journal`] (the
-/// coordinator's write-ahead log), [`server`] (`figures --serve`,
-/// lease-based dispatch) and [`agent`] (`figures --agent`, a remote
-/// front-end to the local worker pool).
-pub mod fabric {
-    pub use super::{agent, journal, net, server};
-}
 
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 
-use dca::{Design, EngineSel};
+use dca::Design;
 use dca_cpu::{mix, Benchmark};
 use dca_dram_cache::{OrgKind, ReplacementPolicy};
 
@@ -240,7 +209,7 @@ pub fn encode_job_id(payload: &JobPayload) -> String {
         JobPayload::Eval { spec, mixes } => {
             let mixes: Vec<String> = mixes.iter().map(|m| m.to_string()).collect();
             format!(
-                "ev_{}_{}_x{}_l{}_ff{}_p{}_i{}_w{}_s{:x}_{}_e{}_m{}",
+                "ev_{}_{}_x{}_l{}_ff{}_p{}_i{}_w{}_s{:x}_{}_m{}",
                 org_token(spec.org),
                 design_token(spec.design),
                 spec.remap as u8,
@@ -251,7 +220,6 @@ pub fn encode_job_id(payload: &JobPayload) -> String {
                 spec.warmup,
                 spec.seed,
                 spec.main_mem.token(),
-                spec.engine.token(),
                 mixes.join(".")
             )
         }
@@ -294,8 +262,8 @@ fn tagged<'a>(tok: &'a str, tag: &str) -> Result<&'a str, String> {
 pub fn parse_job_id(id: &str) -> Result<JobPayload, String> {
     if let Some(rest) = id.strip_prefix("ev_") {
         let t: Vec<&str> = rest.split('_').collect();
-        if t.len() != 12 {
-            return Err(format!("eval job id has {} fields, expected 12", t.len()));
+        if t.len() != 11 {
+            return Err(format!("eval job id has {} fields, expected 11", t.len()));
         }
         let org = parse_org_token(field(&t, 0, "org")?)?;
         let design = parse_design_token(field(&t, 1, "design")?)?;
@@ -314,10 +282,7 @@ pub fn parse_job_id(id: &str) -> Result<JobPayload, String> {
         let seed = u64::from_str_radix(tagged(field(&t, 8, "seed")?, "s")?, 16)
             .map_err(|_| "bad seed".to_string())?;
         let main_mem = MainMemKind::parse_token(field(&t, 9, "main memory")?)?;
-        let engine_tok = tagged(field(&t, 10, "engine")?, "e")?;
-        let engine = EngineSel::parse_token(engine_tok)
-            .ok_or_else(|| format!("bad engine token {engine_tok:?} in job id"))?;
-        let mixes: Vec<u32> = tagged(field(&t, 11, "mixes")?, "m")?
+        let mixes: Vec<u32> = tagged(field(&t, 10, "mixes")?, "m")?
             .split('.')
             .map(|m| m.parse().map_err(|_| format!("bad mix id {m:?}")))
             .collect::<Result<_, _>>()?;
@@ -333,7 +298,6 @@ pub fn parse_job_id(id: &str) -> Result<JobPayload, String> {
                 flushing_factor: ff,
                 policy,
                 main_mem,
-                engine,
                 insts,
                 warmup,
                 seed,
@@ -712,7 +676,6 @@ pub fn execute_job(payload: &JobPayload) -> JobResult {
                 flushing_factor: 4,
                 policy: ReplacementPolicy::Srrip,
                 main_mem: *main_mem,
-                engine: EngineSel::Calendar,
                 insts: *insts,
                 warmup: *warmup,
                 seed: *seed,
@@ -853,35 +816,14 @@ pub(crate) fn write_partial_atomic(job_id: &str, text: &str) -> std::io::Result<
     })
 }
 
-/// Worker entry point behind `figures --worker --job <id>`: decode the
-/// id, execute, and write the partial atomically.
+/// Run one job for a `figures --worker --serve` worker (one `RUN`
+/// frame): decode the id, execute, and write the partial atomically.
 pub fn run_worker(job_id: &str) -> Result<(), String> {
     let payload = parse_job_id(job_id)?;
     let result = execute_job(&payload);
     let text = encode_partial(job_id, &result);
     write_partial_atomic(job_id, &text)
         .map_err(|e| format!("cannot write partial for {job_id}: {e}"))
-}
-
-/// Worker entry point for a *batch* of jobs (`figures --worker --job a
-/// --job b ...`): one process drains the whole list, amortising process
-/// spawn and warm-blob decode across jobs. Each job writes its own
-/// atomic partial the moment it finishes, and a failing job does not
-/// abort the batch — the remaining jobs still run, the worker exits
-/// non-zero naming every failure, and the coordinator retries exactly
-/// the jobs that left no valid partial.
-pub fn run_worker_many(job_ids: &[String]) -> Result<(), String> {
-    let mut errors = Vec::new();
-    for id in job_ids {
-        if let Err(e) = run_worker(id) {
-            errors.push(e);
-        }
-    }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors.join("; "))
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -899,16 +841,6 @@ pub struct PartialStore {
 }
 
 impl PartialStore {
-    /// Fold every result of `other` into `self` (the fabric's local
-    /// fallback merges a nested supervisor run this way). Both sides
-    /// were built from validated partials keyed by job id, so a
-    /// duplicate key carries identical bytes and the overwrite is
-    /// idempotent.
-    pub fn merge(&mut self, other: PartialStore) {
-        self.eval.extend(other.eval);
-        self.alone.extend(other.alone);
-    }
-
     /// Record one finished job.
     pub fn insert(&mut self, job: &Job, result: JobResult) {
         match (&job.payload, result) {
@@ -1015,7 +947,7 @@ pub fn execute_inline(jobs: &[Job]) -> PartialStore {
 // ---------------------------------------------------------------------
 
 /// The **warm group** of a job: jobs in one group share warm-state
-/// fingerprints (warm-up is design-, remap-, lee-, ff-, engine- and
+/// fingerprints (warm-up is design-, remap-, lee-, ff- and
 /// main-memory-independent, but **policy-dependent** — warm-up evicts
 /// through the replacement policy), so the supervisor routes a group to
 /// one worker and that worker builds each warm state exactly once for
@@ -1397,27 +1329,23 @@ mod tests {
             "",
             "zz_dm_cd",
             "ev_dm",
-            "ev_qq_cd_x0_l0_ff4_psrrip_i1_w1_s0_mmf_ecal_m1",
-            "ev_dm_cd_x0_l0_ff4_psrrip_i1_w1_s0_mmf_ecal_m",
+            "ev_qq_cd_x0_l0_ff4_psrrip_i1_w1_s0_mmf_m1",
+            "ev_dm_cd_x0_l0_ff4_psrrip_i1_w1_s0_mmf_m",
             "al_dm_i1_w1_s0_bnosuchbench",
             // Trailing fields (e.g. a trace stem with '_') must not be
             // silently ignored.
-            "ev_dm_cd_x0_l0_ff4_psrrip_i1_w1_s0_mmf_ecal_m1_extra",
+            "ev_dm_cd_x0_l0_ff4_psrrip_i1_w1_s0_mmf_m1_extra",
             "al_dm_i1_w1_s0_mmf_bgcc_2800",
             // Unknown / malformed tokens for the main-memory backend,
-            // the replacement policy, the design, and the engine.
-            "ev_dm_cd_x0_l0_ff4_psrrip_i1_w1_s0_mmq_ecal_m1",
-            "ev_dm_cd_x0_l0_ff4_psrrip_i1_w1_s0_mmd0_ecal_m1",
-            "ev_dm_cd_x0_l0_ff4_pfifo_i1_w1_s0_mmf_ecal_m1",
-            "ev_dm_ban2_x0_l0_ff4_psrrip_i1_w1_s0_mmf_ecal_m1",
-            "ev_dm_cd_x0_l0_ff4_psrrip_i1_w1_s0_mmf_eturbo_m1",
-            "ev_dm_cd_x0_l0_ff4_psrrip_i1_w1_s0_mmf_esh0_m1",
-            "ev_dm_cd_x0_l0_ff4_psrrip_i1_w1_s0_mmf_esh9_m1",
+            // the replacement policy, and the design.
+            "ev_dm_cd_x0_l0_ff4_psrrip_i1_w1_s0_mmq_m1",
+            "ev_dm_cd_x0_l0_ff4_psrrip_i1_w1_s0_mmd0_m1",
+            "ev_dm_cd_x0_l0_ff4_pfifo_i1_w1_s0_mmf_m1",
+            "ev_dm_ban2_x0_l0_ff4_psrrip_i1_w1_s0_mmf_m1",
             "al_dm_i1_w1_s0_mmd_bgcc",
-            // Pre-refactor (11-field / 10-field / 5-field) ids must not
-            // half-parse — the policy and engine fields are mandatory.
-            "ev_dm_cd_x0_l0_ff4_psrrip_i1_w1_s0_mmf_m1",
-            "ev_dm_cd_x0_l0_ff4_i1_w1_s0_mmf_ecal_m1",
+            // Ids with a field too many or too few must not half-parse.
+            "ev_dm_cd_x0_l0_ff4_psrrip_i1_w1_s0_mmf_ecal_m1",
+            "ev_dm_cd_x0_l0_ff4_i1_w1_s0_mmf_m1",
             "ev_dm_cd_x0_l0_ff4_i1_w1_s0_m1",
             "al_dm_i1_w1_s0_bgcc",
         ] {

@@ -53,16 +53,6 @@
 //! a plan like `crash:…@0` means "crash the first try, succeed on the
 //! retry" — which the integration tests use to assert byte-identical
 //! output under every failure mode.
-//!
-//! Three further modes are **network faults** injected by a fabric
-//! *agent* (see `shard::agent`) at the moment it would upload a
-//! finished partial, instead of by a pool worker: `drop` (close the
-//! connection without sending the result), `torn` (send a truncated
-//! frame, then close) and `garbage-frame` (send a frame whose digest
-//! trailer lies, then close). Worker-side matching
-//! ([`FaultPlan::fault_for`]) ignores network rules and agent-side
-//! matching ([`FaultPlan::net_fault_for`]) ignores worker rules, so
-//! one plan string can script both layers at once.
 
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -189,8 +179,7 @@ pub fn parse_frame(line: &str) -> Result<Frame, String> {
 // Fault plan
 // ---------------------------------------------------------------------
 
-/// What an injected fault does to the worker (or, for the `Net*`
-/// modes, to the fabric agent's upload of a finished partial).
+/// What an injected fault does to the worker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultMode {
     /// Exit [`FAULT_EXIT`] before running the job.
@@ -199,25 +188,6 @@ pub enum FaultMode {
     Hang,
     /// Emit garbage frames on stdout, then stall.
     Garbage,
-    /// Agent: close the fabric connection instead of sending the
-    /// finished partial (`drop`).
-    NetDrop,
-    /// Agent: send a truncated result frame, then close (`torn`).
-    NetTorn,
-    /// Agent: send a result frame whose digest trailer lies, then
-    /// close (`garbage-frame`).
-    NetGarbage,
-}
-
-impl FaultMode {
-    /// Whether this mode is injected by a fabric agent at the network
-    /// layer (as opposed to by a pool worker).
-    pub fn is_net(self) -> bool {
-        matches!(
-            self,
-            FaultMode::NetDrop | FaultMode::NetTorn | FaultMode::NetGarbage
-        )
-    }
 }
 
 /// One `<mode>:<glob>@<attempt>` rule.
@@ -250,13 +220,9 @@ impl FaultPlan {
                 "crash" => FaultMode::Crash,
                 "hang" => FaultMode::Hang,
                 "garbage" => FaultMode::Garbage,
-                "drop" => FaultMode::NetDrop,
-                "torn" => FaultMode::NetTorn,
-                "garbage-frame" => FaultMode::NetGarbage,
                 other => {
                     return Err(format!(
-                        "unknown fault mode {other:?} \
-                         (want crash, hang, garbage, drop, torn or garbage-frame)"
+                        "unknown fault mode {other:?} (want crash, hang or garbage)"
                     ))
                 }
             };
@@ -293,23 +259,10 @@ impl FaultPlan {
         }
     }
 
-    /// The worker-side fault to inject for `(job_id, attempt)`, if
-    /// any. Network rules are invisible here.
+    /// The fault to inject for `(job_id, attempt)`, if any.
     pub fn fault_for(&self, job_id: &str, attempt: u32) -> Option<FaultMode> {
-        self.matching(job_id, attempt, false)
-    }
-
-    /// The agent-side network fault to inject when uploading the
-    /// finished partial of `(job_id, attempt)`, if any. Worker rules
-    /// are invisible here.
-    pub fn net_fault_for(&self, job_id: &str, attempt: u32) -> Option<FaultMode> {
-        self.matching(job_id, attempt, true)
-    }
-
-    fn matching(&self, job_id: &str, attempt: u32, net: bool) -> Option<FaultMode> {
         self.rules
             .iter()
-            .filter(|r| r.mode.is_net() == net)
             .find(|r| r.attempt.is_none_or(|a| a == attempt) && glob_match(&r.glob, job_id))
             .map(|r| r.mode)
     }
@@ -449,10 +402,7 @@ pub fn serve() -> ! {
                     std::thread::sleep(Duration::from_secs(3600));
                 }
             }
-            // Net modes are filtered out by `fault_for` — they belong
-            // to the agent's upload path, not the worker.
-            Some(m) if m.is_net() => unreachable!("net fault {m:?} reached the worker"),
-            Some(_) | None => {}
+            None => {}
         }
         let reply = match super::run_worker(job_id) {
             Ok(()) => format!("OK {job_id}"),
@@ -565,23 +515,11 @@ mod tests {
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad:?} must not parse");
         }
-    }
-
-    #[test]
-    fn net_faults_parse_and_stay_in_their_layer() {
-        let plan = FaultPlan::parse("drop:ev_*@0,torn:al_*@1,garbage-frame:*dca*@*").expect("plan");
-        assert_eq!(plan.net_fault_for("ev_x", 0), Some(FaultMode::NetDrop));
-        assert_eq!(plan.net_fault_for("ev_x", 1), None);
-        assert_eq!(plan.net_fault_for("al_x", 1), Some(FaultMode::NetTorn));
-        assert_eq!(
-            plan.net_fault_for("ev_dca_m9", 7),
-            Some(FaultMode::NetGarbage)
-        );
-        // Network rules never reach the worker layer, and vice versa.
-        assert_eq!(plan.fault_for("ev_x", 0), None);
-        let mixed = FaultPlan::parse("drop:*@*,crash:*@*").expect("plan");
-        assert_eq!(mixed.fault_for("ev_x", 0), Some(FaultMode::Crash));
-        assert_eq!(mixed.net_fault_for("ev_x", 0), Some(FaultMode::NetDrop));
-        assert!(FaultMode::NetDrop.is_net() && !FaultMode::Crash.is_net());
+        // Only crash, hang and garbage are modes; anything else, such as
+        // a transport-level fault name, is rejected as unknown.
+        for mode in ["drop", "torn", "garbage-frame"] {
+            let err = FaultPlan::parse(&format!("{mode}:ev_*@0")).expect_err(mode);
+            assert!(err.starts_with("unknown fault mode"), "{mode}: {err}");
+        }
     }
 }

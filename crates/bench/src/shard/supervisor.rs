@@ -359,12 +359,9 @@ impl Supervisor {
     /// A supervisor for `workers` slots, configured from the
     /// environment.
     pub fn new(workers: usize) -> Supervisor {
-        Supervisor::with_config(PoolConfig::from_env(workers))
-    }
-
-    /// A supervisor with an explicit policy (tests).
-    pub fn with_config(cfg: PoolConfig) -> Supervisor {
-        Supervisor { cfg }
+        Supervisor {
+            cfg: PoolConfig::from_env(workers),
+        }
     }
 
     /// Run `jobs` to completion (or drain). Hard `Err` only for
@@ -845,7 +842,7 @@ impl RunState<'_> {
 /// Parse `results/partials/quarantine.json` back into records. Absent
 /// or unreadable files yield an empty list (the record is advisory —
 /// partials are the source of truth for results).
-pub(crate) fn read_quarantine() -> Vec<Quarantined> {
+fn read_quarantine() -> Vec<Quarantined> {
     let Ok(text) = std::fs::read_to_string(quarantine_path()) else {
         return Vec::new();
     };
@@ -917,7 +914,7 @@ fn healed_on_disk(job_id: &str) -> bool {
 /// by one figure's session must survive another figure's clean run —
 /// but must disappear the moment any session lands a valid partial
 /// for it). When nothing remains, the file is removed.
-pub(crate) fn write_quarantine(quarantined: &[Quarantined]) -> Result<(), String> {
+fn write_quarantine(quarantined: &[Quarantined]) -> Result<(), String> {
     let path = quarantine_path();
     let kept = prune_quarantine(read_quarantine(), quarantined, healed_on_disk);
     let all: Vec<&Quarantined> = kept.iter().chain(quarantined.iter()).collect();

@@ -63,22 +63,16 @@
 //! field — so a worker legitimately parked on another process's
 //! warm-up keeps its job deadline alive (see `shard::pool`).
 //!
-//! ## Per-host warm directories (fabric)
+//! ## Per-host warm directories
 //!
 //! Both the lock protocol and the reclaim heuristic are **per-host by
 //! construction**: the warm directory is resolved against the process's
 //! own filesystem (`results/warm/` under its cwd, or `DCA_WARM_DIR`),
 //! and owner liveness is judged by the local `/proc` table — a pid is
-//! only meaningful on the machine that minted it. The sweep fabric
-//! (`figures --serve` / `--agent`, see `shard::fabric`) leans on this
-//! instead of fighting it: every agent warms against its *own* disk and
-//! proc table, so there is **no cross-host lock coupling** — a crashed
-//! agent on one machine can never wedge, or be "reclaimed" by, a waiter
-//! on another. Pointing two hosts' agents at one network-shared
-//! `DCA_WARM_DIR` is therefore unsupported (the pid check would judge
-//! foreign owners with the local proc table); give each host its own
-//! directory and let the coordinator's digest-verified partial
-//! transport be the only cross-host channel.
+//! only meaningful on the machine that minted it. Pointing processes on
+//! two hosts at one network-shared `DCA_WARM_DIR` is therefore
+//! unsupported (the pid check would judge foreign owners with the local
+//! proc table); give each host its own directory.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;

@@ -65,9 +65,7 @@ fn figures_cmd(dir: &Path) -> Command {
         .env_remove("DCA_RETRY_BACKOFF_MS")
         .env_remove("DCA_HEARTBEAT_MS")
         .env_remove("DCA_HEARTBEAT_TIMEOUT_MS")
-        .env_remove("DCA_POOL_INFLIGHT")
-        .env_remove("DCA_FABRIC_GRACE_MS")
-        .env_remove("DCA_AGENT_RETRY_MS");
+        .env_remove("DCA_POOL_INFLIGHT");
     cmd
 }
 

@@ -9,8 +9,9 @@
 //! is a reported error, and malformed `DCA_WARM*` knobs warn instead
 //! of silently falling back.
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use dca_bench::shard::{figure_plan, plan_jobs, JobPayload, DEFAULT_CHUNK};
 use dca_bench::Scale;
@@ -156,9 +157,10 @@ fn sharded_run_is_bit_identical_retries_crashes_and_resumes() {
     let _ = std::fs::remove_dir_all(&shard_dir);
 }
 
-/// Satellite bugfix: unknown flags exit 2 with a usage listing instead
-/// of silently producing nothing. `--batch` died with the spawn-per-
-/// batch coordinator; `--serve` outside `--worker` is a usage error.
+/// Unknown flags exit 2 with a usage listing instead of silently
+/// producing nothing. `--serve` outside `--worker` is a usage error, as
+/// are options `figures` does not have, a value after `--serve`, and
+/// pool options given to a worker.
 #[test]
 fn unknown_flags_exit_2_with_usage() {
     for bad in [
@@ -169,7 +171,12 @@ fn unknown_flags_exit_2_with_usage() {
         &["--all=x"],
         &["--batch", "3"],
         &["--serve"],
+        &["--serve", "127.0.0.1:1"],
+        &["--agent", "127.0.0.1:1"],
         &["--worker", "--serve", "--job", "x"],
+        &["--worker", "--job", "x"],
+        &["--worker", "--serve", "--chunk", "3"],
+        &["--worker", "--serve", "--jobs", "2"],
         &["--worker"],
         &["--job", "x"],
     ] {
@@ -249,26 +256,65 @@ fn malformed_warm_knobs_warn_on_stderr() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// One worker invocation can drain several jobs (`--job a --job b ...`),
-/// writing one valid partial per job — the one-shot CLI the pool does
-/// not use but humans re-running a job by hand do.
+/// Drive one `figures --worker --serve` process through the pool's
+/// wire protocol: one `RUN 0 <id>` frame per job, then stdin EOF, which
+/// the worker answers with `BYE` and exit 0. Returns the stdout frames.
+fn serve_jobs(dir: &Path, ids: &[&str]) -> Vec<String> {
+    let mut child = figures_cmd(dir)
+        .args(["--worker", "--serve"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn worker");
+    let mut stdin = child.stdin.take().expect("worker stdin");
+    for id in ids {
+        writeln!(stdin, "RUN 0 {id}").expect("write RUN frame");
+    }
+    drop(stdin);
+    let out = child.wait_with_output().expect("worker output");
+    assert!(
+        out.status.success(),
+        "worker failed ({}):\n--- stderr ---\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .map(str::to_string)
+        .collect()
+}
+
+/// One worker process drains several jobs in order, answering `OK <id>`
+/// for each and writing one valid partial per job.
 #[test]
 fn batched_workers_drain_multiple_jobs() {
     let plan = figure_plan("fig14", &tiny_scale()).expect("plan");
     let jobs = plan_jobs(std::slice::from_ref(&plan), DEFAULT_CHUNK);
     assert!(jobs.len() >= 2, "need at least two jobs to batch");
-    let hand_dir = scratch("batch-hand");
-    run_ok(figures_cmd(&hand_dir).args(["--worker", "--job", &jobs[0].id, "--job", &jobs[1].id]));
+    let dir = scratch("batch-hand");
+    let frames = serve_jobs(&dir, &[&jobs[0].id, &jobs[1].id]);
+    let oks: Vec<&str> = frames
+        .iter()
+        .filter_map(|f| f.strip_prefix("OK "))
+        .collect();
+    assert_eq!(
+        oks,
+        [jobs[0].id.as_str(), jobs[1].id.as_str()],
+        "{frames:?}"
+    );
+    assert_eq!(frames.last().map(String::as_str), Some("BYE"), "{frames:?}");
     for job in &jobs[..2] {
-        let text = std::fs::read_to_string(hand_dir.join(dca_bench::shard::partial_path(&job.id)))
-            .unwrap_or_else(|e| panic!("batched worker must write {}: {e}", job.id));
+        let text = std::fs::read_to_string(dir.join(dca_bench::shard::partial_path(&job.id)))
+            .unwrap_or_else(|e| panic!("the worker must write {}: {e}", job.id));
         dca_bench::shard::decode_partial(&text, job).expect("partial validates");
     }
-    let _ = std::fs::remove_dir_all(&hand_dir);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The worker CLI is self-contained: a job id re-run by hand produces
-/// a partial the supervisor would accept.
+/// A job id re-run by hand through the worker protocol produces a
+/// partial the supervisor would accept, and a malformed id is an `ERR`
+/// frame that leaves the worker serving.
 #[test]
 fn worker_mode_writes_a_valid_partial() {
     let dir = scratch("worker");
@@ -277,15 +323,17 @@ fn worker_mode_writes_a_valid_partial() {
         .into_iter()
         .find(|j| matches!(j.payload, JobPayload::Alone { .. }))
         .expect("an alone job");
-    run_ok(figures_cmd(&dir).args(["--worker", "--job", &job.id]));
+    let frames = serve_jobs(&dir, &["ev_bogus", &job.id]);
+    assert!(
+        frames.iter().any(|f| f.starts_with("ERR ev_bogus ")),
+        "a malformed id must be an ERR frame: {frames:?}"
+    );
+    assert!(
+        frames.iter().any(|f| *f == format!("OK {}", job.id)),
+        "the worker must keep serving after an ERR: {frames:?}"
+    );
     let text = std::fs::read_to_string(dir.join(dca_bench::shard::partial_path(&job.id)))
         .expect("partial written");
     dca_bench::shard::decode_partial(&text, &job).expect("partial validates");
-    // Worker mode with a malformed id fails cleanly.
-    let out = figures_cmd(&dir)
-        .args(["--worker", "--job", "ev_bogus"])
-        .output()
-        .expect("spawn");
-    assert!(!out.status.success());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -39,11 +39,10 @@ impl Design {
     }
 }
 
-/// Which event engine drives the simulation loop. Every variant delivers
-/// events in the same total `(time, seq)` order, so the choice cannot
-/// affect results — `tests/engine_equivalence.rs` locks all of them to
-/// bit-identical `SystemReport` fingerprints. The knob selects wall-clock
-/// behaviour only.
+/// Which event engine drives the simulation loop. Both deliver events
+/// in the same total `(time, seq)` order, so the choice cannot affect
+/// results — `tests/engine_equivalence.rs` locks them to bit-identical
+/// report digests. The knob selects wall-clock behaviour only.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum EngineSel {
     /// The original `BinaryHeap` engine — the A/B oracle and perf
@@ -53,50 +52,6 @@ pub enum EngineSel {
     /// [`SystemConfig::event_slot_shift`] slot width (default).
     #[default]
     Calendar,
-    /// Calendar queue with runtime density-adaptive slot width: the
-    /// queue samples events-per-slot and resizes itself when clustering
-    /// changes, so no per-workload `event_slot_shift` tuning is needed.
-    CalendarAdaptive,
-    /// Domain-sharded event storage: one calendar queue per shard
-    /// (events are tagged with a static domain — front-end, per
-    /// DRAM-cache channel, main memory — at their schedule sites) with a
-    /// deterministic min-merge across shards. `threads` sets the shard
-    /// count (1–8). See the engine notes in `core::system` for why the
-    /// system-level merge stays on one thread while the parallel
-    /// protocol itself lives in `dca_sim_core::shardloop`.
-    Sharded {
-        /// Shard count; must be in `1..=8`.
-        threads: u8,
-    },
-}
-
-impl EngineSel {
-    /// Stable lowercase token for job ids and CLI surfaces: `heap`,
-    /// `cal`, `cala`, or `sh<threads>`.
-    pub fn token(self) -> String {
-        match self {
-            EngineSel::Heap => "heap".to_string(),
-            EngineSel::Calendar => "cal".to_string(),
-            EngineSel::CalendarAdaptive => "cala".to_string(),
-            EngineSel::Sharded { threads } => format!("sh{threads}"),
-        }
-    }
-
-    /// Inverse of [`EngineSel::token`].
-    pub fn parse_token(tok: &str) -> Option<EngineSel> {
-        match tok {
-            "heap" => Some(EngineSel::Heap),
-            "cal" => Some(EngineSel::Calendar),
-            "cala" => Some(EngineSel::CalendarAdaptive),
-            _ => {
-                let n = tok.strip_prefix("sh")?;
-                let threads: u8 = n.parse().ok()?;
-                (1..=8)
-                    .contains(&threads)
-                    .then_some(EngineSel::Sharded { threads })
-            }
-        }
-    }
 }
 
 /// Which base arbitration algorithm orders candidates within a queue.
@@ -205,8 +160,8 @@ pub struct SystemConfig {
     /// Record a detailed access timeline (examples/diagnostics only).
     pub record_timeline: bool,
     /// Event engine driving the run ([`EngineSel`]; default calendar).
-    /// Results are bit-identical for every variant; the knob exists for
-    /// A/B determinism tests and `perf_smoke` measurements.
+    /// Results are bit-identical under both engines; the knob exists for
+    /// the heap-oracle determinism tests and `perf_smoke` measurements.
     pub engine: EngineSel,
     /// **log2 of the calendar-queue slot width, in picoseconds** — shift
     /// 10 means `2^10 ps ≈ 1 ns` slots, so the 1024-bucket ring spans
@@ -221,10 +176,7 @@ pub struct SystemConfig {
     /// wrap the shift amount. [`SystemConfig::validate`] rejects such
     /// values up front instead of leaving them to a debug-only assert.
     ///
-    /// Used by [`EngineSel::Calendar`] (fixed width) and as the starting
-    /// width for [`EngineSel::Sharded`] shard queues; ignored by the
-    /// heap engine, and only the *initial* width for
-    /// [`EngineSel::CalendarAdaptive`].
+    /// Used by [`EngineSel::Calendar`]; ignored by the heap engine.
     pub event_slot_shift: u32,
 }
 
@@ -276,13 +228,6 @@ impl SystemConfig {
                  larger shifts overflow the ring-width computation)",
                 self.event_slot_shift, max
             ));
-        }
-        if let EngineSel::Sharded { threads } = self.engine {
-            if threads == 0 || threads > 8 {
-                return Err(format!(
-                    "sharded engine thread count {threads} outside 1..=8"
-                ));
-            }
         }
         // The controller queues' bank index holds at most MAX_CAPACITY
         // entries over MAX_BANKS banks.
@@ -439,39 +384,13 @@ mod tests {
     }
 
     #[test]
-    fn engine_tokens_round_trip() {
-        let all = [
-            EngineSel::Heap,
-            EngineSel::Calendar,
-            EngineSel::CalendarAdaptive,
-            EngineSel::Sharded { threads: 1 },
-            EngineSel::Sharded { threads: 4 },
-        ];
-        for e in all {
-            assert_eq!(EngineSel::parse_token(&e.token()), Some(e));
-        }
-        assert_eq!(EngineSel::parse_token("sh0"), None);
-        assert_eq!(EngineSel::parse_token("sh9"), None);
-        assert_eq!(EngineSel::parse_token("sh"), None);
-        assert_eq!(EngineSel::parse_token("turbo"), None);
-        assert_eq!(EngineSel::default(), EngineSel::Calendar);
-    }
-
-    #[test]
-    fn validate_rejects_overflowing_slot_shift_and_bad_threads() {
+    fn validate_rejects_overflowing_slot_shift() {
         let mut cfg = SystemConfig::paper(Design::Dca, OrgKind::DirectMapped);
         assert!(cfg.validate().is_ok());
         cfg.event_slot_shift = dca_sim_core::events::MAX_SLOT_SHIFT;
         assert!(cfg.validate().is_ok());
         cfg.event_slot_shift = dca_sim_core::events::MAX_SLOT_SHIFT + 1;
         assert!(cfg.validate().is_err());
-        cfg.event_slot_shift = dca_sim_core::events::SLOT_SHIFT;
-        cfg.engine = EngineSel::Sharded { threads: 0 };
-        assert!(cfg.validate().is_err());
-        cfg.engine = EngineSel::Sharded { threads: 9 };
-        assert!(cfg.validate().is_err());
-        cfg.engine = EngineSel::Sharded { threads: 4 };
-        assert!(cfg.validate().is_ok());
     }
 
     fn dm(design: Design) -> SystemConfig {

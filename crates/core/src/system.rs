@@ -131,107 +131,13 @@ struct ReqState {
     fsm_done: bool,
 }
 
-/// Static event domain for the sharded engine: which island of the
-/// system an event's handler touches first. Domain 0 is the CPU/uncore
-/// front-end, domains `1..=channels` are the DRAM-cache channels, and
-/// `1 + channels` is the main-memory device.
-#[inline]
-fn domain_of(ev: &Ev, channels: u32) -> u16 {
-    match ev {
-        Ev::CoreWake(_) | Ev::Deliver { .. } => 0,
-        Ev::Pump(ch) | Ev::AccessDone { ch, .. } => 1 + *ch as u16,
-        Ev::MemData { .. } | Ev::MemPump | Ev::MemFetch { .. } | Ev::MemArrive { .. } => {
-            1 + channels as u16
-        }
-    }
-}
-
-/// Domain-sharded event storage with a deterministic min-merge.
-///
-/// Events are tagged with their static domain ([`domain_of`]) at the
-/// schedule site and land in one of `shards` calendar queues
-/// (round-robin by domain); `pop` merges the shard heads by the global
-/// `(time, seq)` key, so delivery order — and therefore every result —
-/// is bit-identical to the single-queue engines.
-///
-/// **Why the merge runs on one thread here.** The system's cross-domain
-/// events carry zero lookahead (an `AccessDone` wakes a core *at* the
-/// same instant) and the handlers share one `Uncore`, so a conservative
-/// parallel schedule has an empty safe window at this boundary: running
-/// the shards on threads could never overlap handler execution without
-/// changing results. This engine is the domain-tagging integration
-/// point and measures the partition/merge overhead floor; the parallel
-/// protocol itself — per-shard threads, SPSC rings, safe-time bounds —
-/// lives in [`dca_sim_core::shardloop`] and wins wall clock where
-/// domains are genuinely decoupled by a positive lookahead (see the
-/// `sharded` section of `BENCH_engine.json`).
-struct ShardedEngine {
-    shards: Vec<EventQueue<Ev>>,
-    channels: u32,
-    /// Global insertion sequence: the cross-shard tiebreak key.
-    next_seq: u64,
-    now: SimTime,
-}
-
-impl ShardedEngine {
-    fn new(threads: u8, channels: u32, slot_shift: u32) -> Self {
-        // One front-end domain + one per channel + main memory.
-        let ndomains = 2 + channels as usize;
-        let nshards = (threads as usize).clamp(1, ndomains);
-        ShardedEngine {
-            shards: (0..nshards)
-                .map(|_| EventQueue::with_slot_shift(slot_shift))
-                .collect(),
-            channels,
-            next_seq: 0,
-            now: SimTime::ZERO,
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, at: SimTime, ev: Ev) {
-        let shard = domain_of(&ev, self.channels) as usize % self.shards.len();
-        let key = self.next_seq;
-        self.next_seq += 1;
-        self.shards[shard].push_keyed(at, key, ev);
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(SimTime, Ev)> {
-        let mut best: Option<(usize, (SimTime, u64))> = None;
-        for (i, q) in self.shards.iter().enumerate() {
-            if let Some(k) = q.peek_key() {
-                if best.is_none_or(|(_, bk)| k < bk) {
-                    best = Some((i, k));
-                }
-            }
-        }
-        let (i, _) = best?;
-        let popped = self.shards[i].pop();
-        if let Some((t, _)) = popped {
-            self.now = t;
-        }
-        popped
-    }
-
-    #[inline]
-    fn counters(&self) -> (u64, u64) {
-        self.shards
-            .iter()
-            .map(|q| q.counters())
-            .fold((0, 0), |(p, o), (a, b)| (p + a, o + b))
-    }
-}
-
 /// The event engine, selectable per run ([`EngineSel`]): the calendar
-/// queue at a fixed or self-tuning slot width, the original binary
-/// heap, or domain-sharded storage. All deliver in the same total
-/// `(time, seq)` order, so the choice cannot affect results — only
-/// wall-clock speed.
+/// queue (production) or the original binary heap (the test oracle).
+/// Both deliver in the same total `(time, seq)` order, so the choice
+/// cannot affect results — only wall-clock speed.
 enum Engine {
     Calendar(EventQueue<Ev>),
     Heap(BaselineEventQueue<Ev>),
-    Sharded(ShardedEngine),
 }
 
 impl Engine {
@@ -240,7 +146,6 @@ impl Engine {
         match self {
             Engine::Calendar(q) => q.now(),
             Engine::Heap(q) => q.now(),
-            Engine::Sharded(q) => q.now,
         }
     }
 
@@ -249,7 +154,6 @@ impl Engine {
         match self {
             Engine::Calendar(q) => q.push(at, ev),
             Engine::Heap(q) => q.push(at, ev),
-            Engine::Sharded(q) => q.push(at, ev),
         }
     }
 
@@ -258,7 +162,6 @@ impl Engine {
         match self {
             Engine::Calendar(q) => q.pop(),
             Engine::Heap(q) => q.pop(),
-            Engine::Sharded(q) => q.pop(),
         }
     }
 
@@ -267,7 +170,6 @@ impl Engine {
         match self {
             Engine::Calendar(q) => q.counters(),
             Engine::Heap(q) => q.counters(),
-            Engine::Sharded(q) => q.counters(),
         }
     }
 }
@@ -665,14 +567,6 @@ impl System {
                 EngineSel::Calendar => {
                     Engine::Calendar(EventQueue::with_slot_shift(cfg.event_slot_shift))
                 }
-                EngineSel::CalendarAdaptive => {
-                    Engine::Calendar(EventQueue::adaptive_from(cfg.event_slot_shift))
-                }
-                EngineSel::Sharded { threads } => Engine::Sharded(ShardedEngine::new(
-                    threads,
-                    cfg.dram_org.channels,
-                    cfg.event_slot_shift,
-                )),
             },
         }
     }

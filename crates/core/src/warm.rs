@@ -337,7 +337,7 @@ mod tests {
             c.design = design;
             c.mapping = dca_dram::MappingScheme::XorRemap;
             c.target_insts = 999_999;
-            c.engine = crate::config::EngineSel::Sharded { threads: 4 };
+            c.engine = crate::config::EngineSel::Heap;
             c.event_slot_shift = 4;
             c.lee_writeback = true;
             assert_eq!(WarmState::fingerprint_for(&c, &BENCHES), fp);

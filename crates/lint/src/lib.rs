@@ -1,7 +1,7 @@
 //! `dca-lint` — a workspace-wide determinism & robustness linter.
 //!
 //! Everything this reproduction promises — paper figures byte-identical
-//! across engines, warm restores, serial vs pool vs TCP fabric — rests on
+//! across engines, warm restores, serial vs worker pool — rests on
 //! invariants that runtime bit-identity tests only catch *after* a
 //! violation slips in. This crate enforces them statically, at the source
 //! level, with zero dependencies (a hand-rolled line/token scanner; no
@@ -15,8 +15,7 @@
 //! | D02  | all crates, non-test | no `Instant::now`/`SystemTime` outside the bench-timing allowlist ([`D02_ALLOW`]) — wall-clock reads in sim code leak host timing into results. |
 //! | D03  | sim crates, non-test | no unsorted iteration (`.iter()`, `.keys()`, `for .. in &map`, …) over hash maps — order leaks into event order and reports. Collect & sort, or use `BTreeMap`. |
 //! | C01  | all crates, non-test | codec coverage: a struct with `fn encode` must mention every named field somewhere in its `encode`/`decode` bodies — catches the "added a field, forgot the codec" class that forced the `WarmState` v2→v3→v4 bumps. |
-//! | R01  | `shard::{net,server,agent,supervisor,journal}` + `sim-core::shardloop`, non-test | no `unwrap`/`expect`/`panic!` — the crash-recoverable fabric paths must degrade (retry, quarantine, reconnect), and a panicking worker thread in the parallel engine would poison its peers' rings; both surface typed errors instead. |
-//! | T01  | `sim-core/src/shardloop*`, non-test | no `std::sync::mpsc` — the parallel engine's determinism proof rests on its own bounded SPSC rings with explicit acquire/release pairing; mutex-backed channels add blocking and wakeup nondeterminism the safe-time protocol does not account for. (Hash order and wall-clock reads in the same files are already covered by D01/D03/D02: `sim-core` is a sim crate and `shardloop` is not in the D02 allowlist.) |
+//! | R01  | `shard::{supervisor,pool}`, non-test | no `unwrap`/`expect`/`panic!` — the worker pool exists to survive worker crashes, hangs and protocol garbage, so its paths must degrade (retry, respawn, quarantine) through error values instead of aborting the sweep. |
 //! | P01  | everywhere | a `dca-lint:` pragma that names an unknown rule or carries no reason is itself a finding. |
 //!
 //! "Non-test" means: not under a `tests/` or `benches/` directory, and not
@@ -77,10 +76,6 @@ pub const RULES: &[(&str, &str)] = &[
         "R01",
         "unwrap/expect/panic! in crash-recoverable shard code",
     ),
-    (
-        "T01",
-        "std::sync::mpsc in the parallel engine (shardloop uses its own SPSC rings)",
-    ),
     ("P01", "malformed dca-lint allow pragma"),
 ];
 
@@ -119,32 +114,14 @@ pub const D02_ALLOW: &[(&str, &str)] = &[
         "crates/bench/src/shard/supervisor.rs",
         "job deadlines and heartbeat liveness need a clock",
     ),
-    (
-        "crates/bench/src/shard/server.rs",
-        "lease expiry and agent liveness need a clock",
-    ),
-    (
-        "crates/bench/src/shard/agent.rs",
-        "reconnect backoff and idle draining need a clock",
-    ),
 ];
 
-/// Modules where panicking is forbidden (R01): the crash-recoverable
-/// fabric paths, plus the parallel engine — a worker-thread panic there
-/// would strand its peers spinning on rings that will never drain.
+/// Modules where panicking is forbidden (R01): the worker pool's
+/// crash-recoverable paths, supervisor and worker side.
 pub const R01_FILES: &[&str] = &[
-    "crates/bench/src/shard/net.rs",
-    "crates/bench/src/shard/server.rs",
-    "crates/bench/src/shard/agent.rs",
     "crates/bench/src/shard/supervisor.rs",
-    "crates/bench/src/shard/journal.rs",
-    "crates/sim-core/src/shardloop.rs",
+    "crates/bench/src/shard/pool.rs",
 ];
-
-/// Path prefix of the parallel engine, where `std::sync::mpsc` is
-/// forbidden (T01) — its determinism proof rests on the module's own
-/// bounded SPSC rings.
-pub const T01_PREFIX: &str = "crates/sim-core/src/shardloop";
 
 /// A single lint violation at `path:line`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -479,7 +456,6 @@ fn collect_pragmas(path: &str, pragma_lines: &[&str], masked_lines: &[&str]) -> 
 struct FileCtx {
     sim_crate: bool,
     r01: bool,
-    t01: bool,
     d02_allowed: bool,
 }
 
@@ -491,7 +467,6 @@ impl FileCtx {
         FileCtx {
             sim_crate: crate_name.is_some_and(|c| SIM_CRATES.contains(&c)),
             r01: R01_FILES.contains(&rel),
-            t01: rel.starts_with(T01_PREFIX),
             d02_allowed: D02_ALLOW.iter().any(|(p, _)| *p == rel),
         }
     }
@@ -610,19 +585,6 @@ pub fn scan_file(rel: &str, src: &str) -> (Vec<Finding>, Vec<AllowPragma>) {
                     &pragmas.suppress,
                 );
             }
-        }
-        if ctx.t01 && has_ident(ml, "mpsc") {
-            push(
-                Finding {
-                    rule: "T01",
-                    path: rel.into(),
-                    line,
-                    message:
-                        "std::sync::mpsc in the parallel engine: the safe-time protocol's determinism proof assumes the module's own bounded SPSC rings, not mutex-backed channels"
-                            .into(),
-                },
-                &pragmas.suppress,
-            );
         }
     }
 

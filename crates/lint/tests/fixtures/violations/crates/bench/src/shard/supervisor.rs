@@ -1,4 +1,4 @@
-//! Seeded R01 violations: the crash-recoverable coordinator must not
+//! Seeded R01 violations: the crash-recoverable supervisor must not
 //! panic. Scanned, never compiled.
 
 pub fn dispatch(queue: &mut Vec<u64>) -> u64 {
@@ -9,7 +9,7 @@ pub fn dispatch(queue: &mut Vec<u64>) -> u64 {
     head
 }
 
-pub fn lease(map: &std::collections::BTreeMap<u64, u64>) -> u64 {
+pub fn next_slot(map: &std::collections::BTreeMap<u64, u64>) -> u64 {
     // unwrap_or_else is a degrade path, not an abort: must NOT trip R01.
     let soft = map.get(&1).copied().unwrap_or_else(|| 0);
     soft + map.get(&2).copied().unwrap()

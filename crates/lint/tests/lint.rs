@@ -79,9 +79,10 @@ fn violations_fixture_trips_every_rule() {
         .map(|f| (f.rule, f.path.as_str(), f.line))
         .collect();
     let expected: Vec<(&str, &str, usize)> = vec![
-        ("R01", "crates/bench/src/shard/server.rs", 5),
-        ("R01", "crates/bench/src/shard/server.rs", 7),
-        ("R01", "crates/bench/src/shard/server.rs", 15),
+        ("R01", "crates/bench/src/shard/pool.rs", 5),
+        ("R01", "crates/bench/src/shard/supervisor.rs", 5),
+        ("R01", "crates/bench/src/shard/supervisor.rs", 7),
+        ("R01", "crates/bench/src/shard/supervisor.rs", 15),
         ("C01", "crates/core/src/codec.rs", 4),
         ("P01", "crates/core/src/codec.rs", 57),
         ("P01", "crates/core/src/codec.rs", 58),
@@ -91,9 +92,6 @@ fn violations_fixture_trips_every_rule() {
         ("D02", "crates/sim-core/src/maps.rs", 20),
         ("D01", "crates/sim-core/src/maps.rs", 24),
         ("D01", "crates/sim-core/src/maps.rs", 26),
-        ("T01", "crates/sim-core/src/shardloop.rs", 3),
-        ("T01", "crates/sim-core/src/shardloop.rs", 6),
-        ("R01", "crates/sim-core/src/shardloop.rs", 7),
     ];
     assert_eq!(got, expected);
     assert!(report.pragmas.is_empty());
@@ -117,7 +115,7 @@ fn allow_pragmas_suppress_and_are_reported() {
         .map(|p| (p.rule.as_str(), p.path.as_str(), p.line))
         .collect();
     let expected: Vec<(&str, &str, usize)> = vec![
-        ("R01", "crates/bench/src/shard/agent.rs", 4),
+        ("R01", "crates/bench/src/shard/pool.rs", 4),
         ("D01", "crates/sim-core/src/maps.rs", 4),
         ("D01", "crates/sim-core/src/maps.rs", 7),
         ("D03", "crates/sim-core/src/maps.rs", 13),
@@ -214,9 +212,10 @@ fn json_output_matches_schema_golden() {
   "schema": 1,
   "files_scanned": 4,
   "findings": [
-    {"rule": "R01", "path": "crates/bench/src/shard/server.rs", "line": 5, "message": "expect in crash-recoverable shard code: degrade via retry/quarantine, do not abort"},
-    {"rule": "R01", "path": "crates/bench/src/shard/server.rs", "line": 7, "message": "panic! in crash-recoverable shard code: degrade via retry/quarantine, do not abort"},
-    {"rule": "R01", "path": "crates/bench/src/shard/server.rs", "line": 15, "message": "unwrap in crash-recoverable shard code: degrade via retry/quarantine, do not abort"},
+    {"rule": "R01", "path": "crates/bench/src/shard/pool.rs", "line": 5, "message": "unwrap in crash-recoverable shard code: degrade via retry/quarantine, do not abort"},
+    {"rule": "R01", "path": "crates/bench/src/shard/supervisor.rs", "line": 5, "message": "expect in crash-recoverable shard code: degrade via retry/quarantine, do not abort"},
+    {"rule": "R01", "path": "crates/bench/src/shard/supervisor.rs", "line": 7, "message": "panic! in crash-recoverable shard code: degrade via retry/quarantine, do not abort"},
+    {"rule": "R01", "path": "crates/bench/src/shard/supervisor.rs", "line": 15, "message": "unwrap in crash-recoverable shard code: degrade via retry/quarantine, do not abort"},
     {"rule": "C01", "path": "crates/core/src/codec.rs", "line": 4, "message": "struct Snapshot has fn encode but field `generation` never mentioned in its encode/decode bodies"},
     {"rule": "P01", "path": "crates/core/src/codec.rs", "line": 57, "message": "pragma names unknown rule `Z99`"},
     {"rule": "P01", "path": "crates/core/src/codec.rs", "line": 58, "message": "allow(C01) pragma carries no reason"},
@@ -225,10 +224,7 @@ fn json_output_matches_schema_golden() {
     {"rule": "D03", "path": "crates/sim-core/src/maps.rs", "line": 13, "message": "unsorted iteration (iter) over hash map `counts`: order leaks into results; collect & sort, or use BTreeMap"},
     {"rule": "D02", "path": "crates/sim-core/src/maps.rs", "line": 20, "message": "wall-clock read (Instant::now) outside the bench-timing allowlist: host timing must not reach sim code"},
     {"rule": "D01", "path": "crates/sim-core/src/maps.rs", "line": 24, "message": "std HashMap in sim-crate code: SipHash keys differ per process; use FastHashMap or BTreeMap"},
-    {"rule": "D01", "path": "crates/sim-core/src/maps.rs", "line": 26, "message": "std HashMap in sim-crate code: SipHash keys differ per process; use FastHashMap or BTreeMap"},
-    {"rule": "T01", "path": "crates/sim-core/src/shardloop.rs", "line": 3, "message": "std::sync::mpsc in the parallel engine: the safe-time protocol's determinism proof assumes the module's own bounded SPSC rings, not mutex-backed channels"},
-    {"rule": "T01", "path": "crates/sim-core/src/shardloop.rs", "line": 6, "message": "std::sync::mpsc in the parallel engine: the safe-time protocol's determinism proof assumes the module's own bounded SPSC rings, not mutex-backed channels"},
-    {"rule": "R01", "path": "crates/sim-core/src/shardloop.rs", "line": 7, "message": "unwrap in crash-recoverable shard code: degrade via retry/quarantine, do not abort"}
+    {"rule": "D01", "path": "crates/sim-core/src/maps.rs", "line": 26, "message": "std HashMap in sim-crate code: SipHash keys differ per process; use FastHashMap or BTreeMap"}
   ],
   "allow_pragmas": []
 }

@@ -22,20 +22,9 @@
 //! scheduled for the same instant always pop in the order they were
 //! pushed, independent of either engine's internals.
 //!
-//! ## Self-tuning slot width
-//!
-//! The right slot width depends on the workload's event density, which
-//! shifts at runtime (bursty channel traffic vs. sparse main-memory
-//! stragglers). [`EventQueue::adaptive`] makes the queue classic-calendar
-//! self-tuning: it tracks observed events per scanned slot with an
-//! integer EWMA and moves the slot shift one power of two at a time when
-//! the estimate leaves a wide hysteresis band — narrower slots when
-//! clustering makes in-bucket sorted inserts expensive, wider slots when
-//! the cursor burns its time scanning empty buckets. A resize
-//! redistributes the near ring under the new width and leaves the far
-//! heap untouched; delivery order is exactly `(time, seq)` before,
-//! across, and after every resize. [`EventQueue::with_slot_shift`] pins
-//! the knob and disables adaptation entirely.
+//! The slot width is fixed per queue ([`EventQueue::with_slot_shift`];
+//! the simulator passes `SystemConfig::event_slot_shift`). It is a pure
+//! performance knob: delivery order is identical for every width.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -64,24 +53,6 @@ pub const MAX_SLOT_SHIFT: u32 = 40;
 pub const NUM_BUCKETS: usize = 1024;
 
 const BUCKET_MASK: u64 = NUM_BUCKETS as u64 - 1;
-
-/// Pops per adaptation sample. Density is measured over windows of this
-/// many deliveries, so adaptation cost is O(1) amortised and a queue
-/// that never reaches steady state (short runs) never resizes.
-const ADAPT_SAMPLE_POPS: u64 = 1024;
-
-/// Fixed-point scale for the density EWMA (Q8: 256 == 1.0 event/slot).
-const ADAPT_Q8: u64 = 256;
-
-/// Upper hysteresis bound: above ~4 events per scanned slot the bucket
-/// inserts dominate — halve the slot width. The band spans 16x
-/// ([`ADAPT_LO_Q8`]..[`ADAPT_HI_Q8`]) while one shift step moves density
-/// by only 2x, so a resize can never oscillate on a stable workload.
-const ADAPT_HI_Q8: u64 = 4 * ADAPT_Q8;
-
-/// Lower hysteresis bound: below ~1/4 event per scanned slot the
-/// empty-bucket scan dominates — double the slot width.
-const ADAPT_LO_Q8: u64 = ADAPT_Q8 / 4;
 
 struct Entry<E> {
     time: SimTime,
@@ -166,16 +137,6 @@ pub struct EventQueue<E> {
     far: BinaryHeap<Entry<E>>,
     /// log2 of this queue's slot width in picoseconds.
     slot_shift: u32,
-    /// Self-tune the slot shift from observed density ([`Self::adaptive`]).
-    adaptive: bool,
-    /// EWMA of events per scanned slot, Q8 fixed point (256 == 1.0).
-    density_q8: u64,
-    /// Pops since the current adaptation sample began.
-    sample_pops: u64,
-    /// Empty slots the cursor scanned past in the current sample.
-    sample_slots: u64,
-    /// Lifetime count of adaptive resizes (observability for tests/benches).
-    resizes: u64,
     next_seq: u64,
     now: SimTime,
     pushed: u64,
@@ -195,8 +156,7 @@ impl<E> EventQueue<E> {
         Self::with_slot_shift(SLOT_SHIFT)
     }
 
-    /// An empty queue whose calendar slots are `1 << slot_shift` ps wide,
-    /// with the width **pinned**: runtime adaptation is off.
+    /// An empty queue whose calendar slots are `1 << slot_shift` ps wide.
     ///
     /// Delivery order is identical for every shift — only the constant
     /// factors move. The `event_clustered_*` / `event_rolling_window_*`
@@ -217,54 +177,11 @@ impl<E> EventQueue<E> {
             base_slot: 0,
             far: BinaryHeap::new(),
             slot_shift,
-            adaptive: false,
-            density_q8: ADAPT_Q8,
-            sample_pops: 0,
-            sample_slots: 0,
-            resizes: 0,
             next_seq: 0,
             now: SimTime::ZERO,
             pushed: 0,
             popped: 0,
         }
-    }
-
-    /// An empty **self-tuning** queue: starts at the default
-    /// [`SLOT_SHIFT`] and thereafter resizes the ring (slot shift one
-    /// power of two at a time, within `[0, MAX_SLOT_SHIFT]`) whenever the
-    /// per-sample density EWMA leaves the hysteresis band. Resizing is a
-    /// pure performance move — the `(time, seq)` delivery contract is
-    /// identical to the pinned and heap engines, which the property tests
-    /// enforce under forced resizes.
-    pub fn adaptive() -> Self {
-        Self::adaptive_from(SLOT_SHIFT)
-    }
-
-    /// A self-tuning queue starting from a caller-chosen slot shift —
-    /// the adaptive analogue of [`EventQueue::with_slot_shift`].
-    ///
-    /// # Panics
-    /// Panics if `slot_shift` exceeds [`MAX_SLOT_SHIFT`].
-    pub fn adaptive_from(slot_shift: u32) -> Self {
-        let mut q = Self::with_slot_shift(slot_shift);
-        q.adaptive = true;
-        q
-    }
-
-    /// This queue's slot-width exponent (current value: an adaptive
-    /// queue moves it at runtime).
-    pub fn slot_shift(&self) -> u32 {
-        self.slot_shift
-    }
-
-    /// Whether runtime slot-width adaptation is enabled.
-    pub fn is_adaptive(&self) -> bool {
-        self.adaptive
-    }
-
-    /// How many adaptive resizes have happened so far.
-    pub fn resizes(&self) -> u64 {
-        self.resizes
     }
 
     #[inline]
@@ -285,39 +202,13 @@ impl<E> EventQueue<E> {
     /// Panics if `at` is earlier than the current time — scheduling into
     /// the past is always a model bug and must fail loudly.
     pub fn push(&mut self, at: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.insert_entry(at, seq, event);
-    }
-
-    /// Schedule `event` at `at` with a caller-supplied tiebreak key in
-    /// place of the auto-assigned insertion sequence: delivery order is
-    /// `(time, key)`. This is the hook the shard engines use to impose a
-    /// *content-derived* order — e.g. `(sender shard, sender seq)` packed
-    /// into one u64 — so that the merge of racy cross-shard arrivals is
-    /// deterministic regardless of wall-clock interleaving.
-    ///
-    /// Keys must be unique per `(time, key)` pair. Mixing with [`push`]
-    /// on one queue is supported: the auto sequence jumps past every
-    /// explicit key it has seen, so auto-keyed events never collide with
-    /// earlier explicit ones.
-    ///
-    /// [`push`]: EventQueue::push
-    pub fn push_keyed(&mut self, at: SimTime, key: u64, event: E) {
-        self.next_seq = self.next_seq.max(key.saturating_add(1));
-        self.insert_entry(at, key, event);
-    }
-
-    /// Shared insertion path.
-    ///
-    /// # Panics
-    /// Panics if `at` is earlier than the current time.
-    fn insert_entry(&mut self, at: SimTime, seq: u64, event: E) {
         assert!(
             at >= self.now,
             "event scheduled in the past: at={at:?} now={:?}",
             self.now
         );
+        let seq = self.next_seq;
+        self.next_seq += 1;
         self.pushed += 1;
         let slot = self.slot_of(at);
         debug_assert!(slot >= self.base_slot);
@@ -369,7 +260,6 @@ impl<E> EventQueue<E> {
         // exactly one slot's events (window size == ring size), so the
         // first hit is the earliest slot; the cursor's monotonic advance
         // amortises the scan to O(1) per pop.
-        let scan_from = self.base_slot;
         loop {
             let bucket = &mut self.buckets[(self.base_slot & BUCKET_MASK) as usize];
             if bucket.items.is_empty() {
@@ -381,83 +271,15 @@ impl<E> EventQueue<E> {
             debug_assert!(time >= self.now, "time went backwards");
             self.now = time;
             self.popped += 1;
-            if self.adaptive {
-                self.sample_pops += 1;
-                self.sample_slots += self.base_slot - scan_from;
-                if self.sample_pops >= ADAPT_SAMPLE_POPS {
-                    self.adapt();
-                }
-            }
             return Some((time, event));
-        }
-    }
-
-    /// Close an adaptation sample: fold its density into the EWMA and
-    /// resize one power-of-two step if the estimate left the band.
-    fn adapt(&mut self) {
-        // Events delivered per slot of cursor advance. A fully clustered
-        // sample (everything in the cursor's slot) advances zero slots
-        // and reads as maximal density via the `.max(1)` floor.
-        let density = (self.sample_pops << 8) / self.sample_slots.max(1);
-        // EWMA, alpha = 1/4: cheap, integer, and slow enough that one
-        // anomalous sample cannot trigger a resize by itself.
-        self.density_q8 = self.density_q8 - self.density_q8 / 4 + density / 4;
-        self.sample_pops = 0;
-        self.sample_slots = 0;
-        if self.density_q8 > ADAPT_HI_Q8 && self.slot_shift > 0 {
-            self.resize(self.slot_shift - 1);
-            // Halving the width halves expected density; pre-scale the
-            // estimate so the band check reflects the new geometry.
-            self.density_q8 /= 2;
-        } else if self.density_q8 < ADAPT_LO_Q8 && self.slot_shift < MAX_SLOT_SHIFT {
-            self.resize(self.slot_shift + 1);
-            self.density_q8 *= 2;
-        }
-    }
-
-    /// Re-bucket the near ring under a new slot width. Order is
-    /// preserved because redistribution only re-*addresses* entries: the
-    /// `(time, seq)` keys are untouched, every bucket re-inserts in
-    /// ascending key order (so each insert is the fast append), and
-    /// entries whose slot left the shrunken window fall back to the far
-    /// heap, from which `migrate_far` re-delivers them by the same keys.
-    fn resize(&mut self, new_shift: u32) {
-        debug_assert!(new_shift <= MAX_SLOT_SHIFT);
-        let mut scratch: Vec<(SimTime, u64, E)> = Vec::with_capacity(self.near_len);
-        for bucket in &mut self.buckets {
-            scratch.extend(bucket.items.drain(..));
-        }
-        // Unique (time, seq) keys: unstable sort is deterministic here.
-        scratch.sort_unstable_by_key(|e| (e.0, e.1));
-        self.slot_shift = new_shift;
-        self.base_slot = self.now.ps() >> new_shift;
-        self.near_len = 0;
-        self.resizes += 1;
-        let window_end = self.base_slot + NUM_BUCKETS as u64;
-        for (time, seq, event) in scratch {
-            let slot = time.ps() >> new_shift;
-            debug_assert!(slot >= self.base_slot, "pending event before now");
-            if slot < window_end {
-                self.buckets[(slot & BUCKET_MASK) as usize].insert(time, seq, event);
-                self.near_len += 1;
-            } else {
-                self.far.push(Entry { time, seq, event });
-            }
         }
     }
 
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.peek_key().map(|(t, _)| t)
-    }
-
-    /// `(time, tiebreak key)` of the next event without popping it — the
-    /// full delivery key, so a multi-queue merge can order heads that tie
-    /// on timestamp exactly as a single queue would.
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
         // Pushes since the last pop may have landed on either side of the
         // (stale) window split, so take the min across both levels.
-        let far_min = self.far.peek().map(|e| (e.time, e.seq));
+        let far_min = self.far.peek().map(|e| e.time);
         if self.near_len == 0 {
             return far_min;
         }
@@ -465,9 +287,9 @@ impl<E> EventQueue<E> {
         let near_min = loop {
             // Buckets stay sorted, so the front is the bucket minimum;
             // the first non-empty bucket holds the earliest slot, so its
-            // front is the exact near-level minimum by (time, seq).
+            // front is the exact near-level minimum.
             if let Some(front) = self.buckets[(slot & BUCKET_MASK) as usize].items.front() {
-                break (front.0, front.1);
+                break front.0;
             }
             slot += 1;
         };
@@ -532,24 +354,13 @@ impl<E> BaselineEventQueue<E> {
 
     /// Schedule `event` at absolute time `at` (see [`EventQueue::push`]).
     pub fn push(&mut self, at: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.push_entry(at, seq, event);
-    }
-
-    /// Caller-keyed push (see [`EventQueue::push_keyed`]) — the heap
-    /// oracle for keyed delivery order.
-    pub fn push_keyed(&mut self, at: SimTime, key: u64, event: E) {
-        self.next_seq = self.next_seq.max(key.saturating_add(1));
-        self.push_entry(at, key, event);
-    }
-
-    fn push_entry(&mut self, at: SimTime, seq: u64, event: E) {
         assert!(
             at >= self.now,
             "event scheduled in the past: at={at:?} now={:?}",
             self.now
         );
+        let seq = self.next_seq;
+        self.next_seq += 1;
         self.pushed += 1;
         self.heap.push(Entry {
             time: at,
@@ -570,11 +381,6 @@ impl<E> BaselineEventQueue<E> {
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.time)
-    }
-
-    /// `(time, tiebreak key)` of the next event without popping it.
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|e| (e.time, e.seq))
     }
 
     /// Number of events currently pending.
@@ -733,7 +539,8 @@ mod tests {
     #[test]
     fn out_of_order_pushes_within_one_bucket_sort_lazily() {
         let mut q = EventQueue::new();
-        // Same slot (width 1024 ps), descending times: dirties the bucket.
+        // Same slot (width 1024 ps), descending times: each push lands by
+        // ordered insertion in front of the earlier ones.
         q.push(SimTime(900), "c");
         q.push(SimTime(500), "b");
         q.push(SimTime(100), "a");
@@ -826,150 +633,6 @@ mod tests {
     #[should_panic(expected = "exceeds MAX_SLOT_SHIFT")]
     fn oversized_slot_shift_panics() {
         let _q: EventQueue<()> = EventQueue::with_slot_shift(MAX_SLOT_SHIFT + 1);
-    }
-
-    // ------------------------------------------------------------------
-    // Adaptive (self-tuning) slot width.
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn pinned_queue_never_resizes() {
-        let mut q = EventQueue::with_slot_shift(SLOT_SHIFT);
-        assert!(!q.is_adaptive());
-        for i in 0..20_000u64 {
-            q.push(SimTime(i * 3), i);
-        }
-        while q.pop().is_some() {}
-        assert_eq!(q.resizes(), 0);
-        assert_eq!(q.slot_shift(), SLOT_SHIFT);
-    }
-
-    #[test]
-    fn adaptive_narrows_under_clustering() {
-        // Everything lands in a handful of slots: density far above the
-        // band, so the queue must shrink its slot width.
-        let mut q = EventQueue::adaptive();
-        let mut t = 0u64;
-        for i in 0..20_000u64 {
-            // 64 events per kilo-slot burst, bursts 8 slots apart.
-            if i % 64 == 0 {
-                t += 8 << SLOT_SHIFT;
-            }
-            q.push(SimTime(t + (i % 64)), i);
-        }
-        let mut expect = 0u64;
-        // Rolling drain keeps the ring populated while time advances.
-        while let Some((_, i)) = q.pop() {
-            assert_eq!(i, expect, "resize broke delivery order");
-            expect += 1;
-        }
-        assert!(q.resizes() > 0, "clustered load must trigger a resize");
-        assert!(
-            q.slot_shift() < SLOT_SHIFT,
-            "clustering must narrow slots, got shift {}",
-            q.slot_shift()
-        );
-    }
-
-    #[test]
-    fn adaptive_widens_under_sparse_load() {
-        // ~1 event per 64 slots: the cursor scans mostly empty buckets,
-        // so the queue must widen its slots.
-        let mut q = EventQueue::adaptive();
-        for i in 0..20_000u64 {
-            q.push(SimTime(i * (64 << SLOT_SHIFT)), i);
-        }
-        let mut expect = 0u64;
-        while let Some((_, i)) = q.pop() {
-            assert_eq!(i, expect);
-            expect += 1;
-        }
-        assert!(q.resizes() > 0, "sparse load must trigger a resize");
-        assert!(
-            q.slot_shift() > SLOT_SHIFT,
-            "sparse load must widen slots, got shift {}",
-            q.slot_shift()
-        );
-    }
-
-    #[test]
-    fn adaptive_matches_baseline_through_phase_changes() {
-        // Alternating clustered and sparse phases force resizes in both
-        // directions mid-stream; every delivery must still match the
-        // heap oracle exactly, including interleaved pops.
-        let mut ad = EventQueue::adaptive();
-        let mut base = BaselineEventQueue::new();
-        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut tag = 0u64;
-        for round in 0..12 {
-            let clustered = round % 2 == 0;
-            for _ in 0..6_000 {
-                let r = next();
-                if r % 4 != 0 {
-                    let dt = if clustered {
-                        r % 32 // piles ties into a few slots
-                    } else {
-                        (r % 64) * (64 << SLOT_SHIFT) // sparse far spread
-                    };
-                    let at = SimTime(ad.now().ps() + dt);
-                    ad.push(at, tag);
-                    base.push(at, tag);
-                    tag += 1;
-                } else {
-                    assert_eq!(ad.pop(), base.pop());
-                    assert_eq!(ad.now(), base.now());
-                }
-            }
-        }
-        loop {
-            let (a, b) = (ad.pop(), base.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        assert!(ad.resizes() >= 2, "phases must force resizes both ways");
-        assert_eq!(ad.counters(), base.counters());
-    }
-
-    #[test]
-    fn keyed_pushes_order_by_key_not_arrival() {
-        // Two "senders" interleave arbitrarily; delivery must follow the
-        // content key, not arrival order — on both engines.
-        let mut cal: EventQueue<u64> = EventQueue::new();
-        let mut heap: BaselineEventQueue<u64> = BaselineEventQueue::new();
-        let t = SimTime(500);
-        for q in [3u64, 1, 4, 0, 2] {
-            cal.push_keyed(t, q, q);
-            heap.push_keyed(t, q, q);
-        }
-        assert_eq!(cal.peek_key(), Some((t, 0)));
-        assert_eq!(heap.peek_key(), Some((t, 0)));
-        for want in 0..5u64 {
-            assert_eq!(cal.pop(), Some((t, want)));
-            assert_eq!(heap.pop(), Some((t, want)));
-        }
-        // Auto-keyed pushes after explicit keys stay collision-free.
-        cal.push(t, 99);
-        heap.push(t, 99);
-        assert_eq!(cal.pop(), Some((t, 99)));
-        assert_eq!(heap.pop(), Some((t, 99)));
-    }
-
-    #[test]
-    fn peek_key_agrees_across_levels() {
-        let mut q: EventQueue<&str> = EventQueue::new();
-        q.push(SimTime(2 * WINDOW_PS), "far"); // key 0, far heap
-        q.push(SimTime(10), "near"); // key 1, ring
-        assert_eq!(q.peek_key(), Some((SimTime(10), 1)));
-        assert_eq!(q.pop().unwrap().1, "near");
-        assert_eq!(q.peek_key(), Some((SimTime(2 * WINDOW_PS), 0)));
     }
 
     #[test]

@@ -22,15 +22,15 @@
 //!   tuple derives an independent deterministic RNG stream, plus the
 //!   xoshiro-based [`rng::Prng`] the workload generators sample from.
 //!
-//! Everything here is intentionally dependency-free, and determinism is
-//! a correctness requirement for the experiment harness (identical seeds
-//! must yield identical figures). One module — [`shardloop`] — uses
-//! `std::thread`; its whole design exists to keep that determinism
-//! guarantee under parallel execution.
+//! Everything here is intentionally dependency-free and single-threaded,
+//! and determinism is a correctness requirement for the experiment
+//! harness (identical seeds must yield identical figures). Parallelism
+//! lives one level up: a figure sweep runs its independent simulations
+//! on the `figures --jobs N` worker pool in `dca-bench`.
 //!
 //! ## Engine architecture (hot paths)
 //!
-//! Four structures carry essentially all of the simulator's inner-loop
+//! Three structures carry essentially all of the simulator's inner-loop
 //! work:
 //!
 //! 1. **Calendar event queue** ([`events::EventQueue`]). A two-level
@@ -39,49 +39,34 @@
 //!    (events migrate into the ring as the cursor approaches). Delivery
 //!    order is exactly `(time, seq)` — bit-identical to the original heap
 //!    engine, which survives as [`events::BaselineEventQueue`] for A/B
-//!    determinism tests and perf baselines. Buckets sort lazily, and only
-//!    when an out-of-order push actually dirtied them, so the common
-//!    nondecreasing-time push is a plain FIFO append. The slot width is
-//!    **self-tuning** ([`events::EventQueue::adaptive`]): the pop path
-//!    samples events-per-scanned-slot into an integer EWMA and, when
-//!    density leaves a wide hysteresis band, rebuilds the ring one
-//!    power-of-two step narrower or wider — the classic calendar-queue
-//!    resize — while preserving exact `(time, seq)` order across the
-//!    rebuild. `with_slot_shift` pins the knob for A/B experiments.
-//! 2. **Sharded event loop** ([`shardloop`]). A conservative-time
-//!    parallel engine for event traffic that partitions into static
-//!    *domains* (per DRAM-cache channel, the main-memory device, the
-//!    CPU/uncore front-end). Each shard runs the calendar queues of its
-//!    domains on its own thread; cross-shard events travel through
-//!    bounded SPSC rings, and shards synchronize barrier-free by
-//!    publishing monotone *safe times*: `bound = min(local head, min
-//!    peer bound) + L`, where the lookahead `L` is the minimum
-//!    cross-domain latency (a bus transfer plus the tag-access floor —
-//!    no domain can affect another sooner). A shard processes events
-//!    strictly below the minimum peer bound; ties break on
-//!    content-derived keys, so results are bit-identical across 1, 2,
-//!    and 4 threads and the sequential reference.
-//! 3. **Generational slabs** ([`slab::Slab`]). Request and access ids in
+//!    determinism tests and perf baselines. Buckets stay sorted by
+//!    ordered insertion: the common nondecreasing-time push is a plain
+//!    append, and an out-of-order push binary-searches its spot in the
+//!    (small) bucket. The slot width is fixed per queue
+//!    ([`events::EventQueue::with_slot_shift`]); the simulator pins it
+//!    from `SystemConfig::event_slot_shift`.
+//! 2. **Generational slabs** ([`slab::Slab`]). Request and access ids in
 //!    `dca::system` are packed `(index, generation)` slab keys
 //!    ([`slab::SlabKey`]), so per-request state lookups are direct array
 //!    indexing — no hashing anywhere on the request path; stale ids from
 //!    in-flight events are caught by the generation check rather than
 //!    aliasing recycled slots.
-//! 4. **Slotted command queues** (`dca_sched::AccessQueue`). Controller
-//!    read/write queues are sparse sets: entries live contiguously in a
-//!    dense array (arbitration scans touch only live entries, in cache
-//!    order) while stable slot ids from a free stack make removal an
-//!    O(1) `swap_remove` — no element shifting. Iteration is *not* age
+//! 3. **Bank-indexed command queues** (`dca_sched::AccessQueue`).
+//!    Controller read/write queues keep entries in fixed slot storage
+//!    plus one slot set per bank, an occupied-bank mask and the
+//!    priority-read slot set. Each arbitration phase intersects those
+//!    masks with the channel's free banks, so a slot whose candidate
+//!    banks are all busy touches no entry. Iteration is *not* age
 //!    ordered; arbiters carry age explicitly as `(enqueued_at, id)`.
 //!
 //! The `perf_smoke` binary in `dca-bench` measures the end-to-end effect
-//! (simulated cycles/sec and events/sec, new engine vs. baseline) and
-//! writes `BENCH_engine.json` so every PR leaves a perf trajectory.
+//! (simulated cycles/sec and events/sec, calendar vs. heap) and writes
+//! `BENCH_engine.json` so every PR leaves a perf trajectory.
 //!
 //! ## Determinism & codec rules (enforced by `dca-lint`)
 //!
 //! Bit-identical figures across engines, warm restores, and the
-//! serial/pool/TCP-fabric execution paths are a correctness requirement,
+//! serial and worker-pool execution paths are a correctness requirement,
 //! not an aspiration. The `dca-lint` crate enforces the source-level
 //! invariants behind that statically (CI runs it before anything builds):
 //!
@@ -91,8 +76,8 @@
 //!   (unkeyed, stable) or `BTreeMap`.
 //! * **No wall clock in sim code (D02).** `Instant::now`/`SystemTime`
 //!   belong only to the bench-timing layer (perf smoke, supervisor
-//!   deadlines, lease expiry). Simulated time is [`time::SimTime`],
-//!   advanced exclusively by the event queue.
+//!   deadlines). Simulated time is [`time::SimTime`], advanced
+//!   exclusively by the event queue.
 //! * **No hash-order iteration (D03).** Even a stable hasher's iteration
 //!   order is an accident of insertion; iterating a map into event order
 //!   or a report is a silent reproducibility bug. Collect and sort, or
@@ -102,16 +87,10 @@
 //!   "added a field, forgot the codec" class that forced the `WarmState`
 //!   v2→v3→v4 bumps now fails the lint instead of corrupting warm
 //!   restores.
-//! * **No panics on crash-recoverable or cross-thread paths (R01).**
-//!   The sweep fabric (`shard::{net,server,agent,supervisor,journal}`
-//!   in `dca-bench`) exists to survive worker crashes, torn frames, and
-//!   dead agents; [`shardloop`] runs handlers on worker threads where a
-//!   panic would poison the whole run. Both degrade through error
-//!   values (`ShardError`, retry/quarantine machinery), never abort.
-//! * **No `std::sync::mpsc` in the parallel engine (T01).** The shard
-//!   loop's determinism rests on bounded SPSC rings plus the safe-time
-//!   protocol; an unbounded std channel would hide back-pressure and
-//!   reintroduce wall-clock-dependent arrival order.
+//! * **No panics on crash-recoverable paths (R01).** The worker pool
+//!   (`shard::{supervisor,pool}` in `dca-bench`) exists to survive
+//!   worker crashes, hangs and protocol garbage; it degrades through
+//!   error values and its retry/quarantine machinery, never aborts.
 //!
 //! Violations carry a `// dca-lint: allow(<rule>) <reason>` escape hatch,
 //! but every pragma is pinned by the linter's workspace self-test — see
@@ -121,7 +100,6 @@ pub mod codec;
 pub mod events;
 pub mod hash;
 pub mod rng;
-pub mod shardloop;
 pub mod slab;
 pub mod stats;
 pub mod time;
@@ -130,7 +108,6 @@ pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use events::{BaselineEventQueue, EventQueue};
 pub use hash::{digest64, FastBuildHasher, FastHashMap, FastHashSet, FastHasher};
 pub use rng::SeedSplitter;
-pub use shardloop::{Domain, Outbox, ShardConfig, ShardError, ShardRun, ShardSim};
 pub use slab::{Slab, SlabKey};
 pub use stats::{Counter, Histogram, RunningMean};
 pub use time::{Duration, SimTime};

@@ -6,20 +6,17 @@ use dca_sim_core::{
 use proptest::prelude::*;
 
 proptest! {
-    /// The self-tuning queue is observationally identical to the heap
-    /// oracle under any workload of dense and sparse arrival phases —
-    /// sized so the EWMA density tracker crosses its hysteresis band
-    /// and rebuilds the ring in both directions mid-stream. Every pop
-    /// delivers the exact same `(time, value)` pair, and `peek_key`
-    /// always announces exactly the event `pop` then delivers (both
-    /// queues assign identical `(time, seq)` keys for identical push
-    /// sequences).
+    /// The calendar queue is observationally identical to the heap
+    /// oracle under any workload of dense and sparse arrival phases
+    /// (ties piled into one slot, then gaps of several slots). Every pop
+    /// delivers the exact same `(time, value)` pair, and `peek_time`
+    /// always announces the time `pop` then delivers.
     #[test]
-    fn adaptive_resizes_never_reorder_or_drop_events(
+    fn calendar_matches_heap_oracle_under_dense_and_sparse_phases(
         phases in prop::collection::vec((any::<bool>(), 64u64..1500), 2..8),
         seed in any::<u64>(),
     ) {
-        let mut q = EventQueue::adaptive();
+        let mut q = EventQueue::new();
         let mut oracle = BaselineEventQueue::new();
         let mut rng = seed | 1;
         let mut id = 0u64;
@@ -34,7 +31,7 @@ proptest! {
                 oracle.push(at, id);
                 id += 1;
                 if rng & 3 == 0 {
-                    prop_assert_eq!(q.peek_key(), oracle.peek_key());
+                    prop_assert_eq!(q.peek_time(), oracle.peek_time());
                     prop_assert_eq!(q.pop(), oracle.pop());
                 }
             }
@@ -44,28 +41,6 @@ proptest! {
         }
         prop_assert!(oracle.pop().is_none());
         prop_assert_eq!(q.counters(), oracle.counters());
-    }
-
-    /// Caller-keyed pushes (`push_keyed`) merge identically on both
-    /// queue implementations for any (time, unique-key) pattern — the
-    /// contract the sharded engine's cross-shard merge rests on.
-    #[test]
-    fn keyed_pushes_merge_identically(
-        evs in prop::collection::vec((0u64..10_000, 0u64..1 << 20), 1..300)
-    ) {
-        let mut q = EventQueue::adaptive();
-        let mut oracle = BaselineEventQueue::new();
-        for (i, &(t, k)) in evs.iter().enumerate() {
-            // Keys made unique by construction (i < 512): duplicate
-            // (time, key) pairs would have no defined relative order.
-            let key = (k << 9) | i as u64;
-            q.push_keyed(SimTime(t), key, i);
-            oracle.push_keyed(SimTime(t), key, i);
-        }
-        while let Some(got) = q.pop() {
-            prop_assert_eq!(Some(got), oracle.pop());
-        }
-        prop_assert!(oracle.pop().is_none());
     }
 
     /// The event queue delivers exactly the multiset of pushed events, in

@@ -2,32 +2,19 @@
 //!
 //! The calendar-queue engine replaced the original `BinaryHeap` engine on
 //! the promise that `(time, insertion-seq)` delivery order — and hence
-//! every simulation statistic — is preserved bit-for-bit. That promise
-//! now covers four engines: the heap oracle, the fixed-width calendar
-//! queue, the density-adaptive calendar queue, and the domain-sharded
-//! engine at 1/2/4 threads. These tests hold it under the full system
-//! model: the same seed must produce identical `SystemReport`s
-//! run-to-run on each engine, *and* across the whole engine × design ×
-//! organisation matrix.
+//! every simulation statistic — is preserved bit-for-bit. These tests
+//! hold it under the full system model: the same seed must produce
+//! identical `SystemReport`s run-to-run on each engine, *and* the
+//! calendar queue must match the heap oracle across every design and
+//! organisation.
 
 use dca::{Design, EngineSel, System, SystemConfig, SystemReport};
 use dca_cpu::mix;
 use dca_dram_cache::OrgKind;
 
-/// Every engine variant under test. The heap engine is the oracle the
-/// others are compared against.
-const ENGINES: [EngineSel; 6] = [
-    EngineSel::Heap,
-    EngineSel::Calendar,
-    EngineSel::CalendarAdaptive,
-    EngineSel::Sharded { threads: 1 },
-    EngineSel::Sharded { threads: 2 },
-    EngineSel::Sharded { threads: 4 },
-];
-
-fn engine_label(e: EngineSel) -> String {
-    e.token()
-}
+/// Both engines. The heap engine is the oracle the calendar queue is
+/// compared against.
+const ENGINES: [EngineSel; 2] = [EngineSel::Heap, EngineSel::Calendar];
 
 fn run(design: Design, org: OrgKind, engine: EngineSel, seed: u64) -> SystemReport {
     let mut cfg = SystemConfig::paper(design, org);
@@ -46,8 +33,7 @@ fn same_engine_same_seed_identical() {
         assert_eq!(
             a.digest(),
             b.digest(),
-            "{} engine is not reproducible",
-            engine_label(engine)
+            "{engine:?} engine is not reproducible"
         );
     }
 }
@@ -65,8 +51,7 @@ fn all_engines_agree_bit_for_bit_all_designs() {
             assert_eq!(
                 r.digest(),
                 oracle_fp,
-                "{} diverges from the heap oracle on {}",
-                engine_label(engine),
+                "{engine:?} diverges from the heap oracle on {}",
                 design.label()
             );
         }
@@ -82,8 +67,7 @@ fn all_engines_agree_set_assoc_and_other_seed() {
         assert_eq!(
             r.digest(),
             oracle_fp,
-            "{} diverges on the set-associative organisation",
-            engine_label(engine)
+            "{engine:?} diverges on the set-associative organisation"
         );
     }
 }
@@ -92,29 +76,21 @@ fn all_engines_agree_set_assoc_and_other_seed() {
 fn calendar_slot_width_is_a_pure_perf_knob() {
     // The configurable bucket width must never leak into results: runs
     // at extreme widths (16 ps and 64 ns slots) match the default and
-    // the heap engine bit-for-bit — on the fixed, adaptive (initial
-    // width), and sharded (per-shard width) engines alike.
+    // the heap engine bit-for-bit.
     let reference = run(Design::Dca, OrgKind::DirectMapped, EngineSel::Heap, 23);
     let reference_fp = reference.digest();
-    for engine in [
-        EngineSel::Calendar,
-        EngineSel::CalendarAdaptive,
-        EngineSel::Sharded { threads: 2 },
-    ] {
-        for shift in [4u32, 10, 16] {
-            let mut cfg = SystemConfig::paper(Design::Dca, OrgKind::DirectMapped);
-            cfg.target_insts = 40_000;
-            cfg.warmup_ops = 150_000;
-            cfg.seed = 23;
-            cfg.engine = engine;
-            cfg.event_slot_shift = shift;
-            let r = System::new(cfg, &mix(3).benches).run();
-            assert_eq!(
-                r.digest(),
-                reference_fp,
-                "slot shift {shift} changed results on {}",
-                engine_label(engine)
-            );
-        }
+    for shift in [4u32, 10, 16] {
+        let mut cfg = SystemConfig::paper(Design::Dca, OrgKind::DirectMapped);
+        cfg.target_insts = 40_000;
+        cfg.warmup_ops = 150_000;
+        cfg.seed = 23;
+        cfg.engine = EngineSel::Calendar;
+        cfg.event_slot_shift = shift;
+        let r = System::new(cfg, &mix(3).benches).run();
+        assert_eq!(
+            r.digest(),
+            reference_fp,
+            "slot shift {shift} changed results"
+        );
     }
 }

@@ -204,26 +204,18 @@ fn explicit_srrip_policy_is_bit_identical_to_the_seed_model() {
 #[test]
 fn cycle_backend_is_engine_independent() {
     // The cycle-level device's MemPump/MemArrive events must behave
-    // identically under every engine: calendar (default), heap,
-    // adaptive calendar, and the domain-sharded merge.
+    // identically under both engines: calendar (default) and heap.
     let mut cfg =
         SystemConfig::paper_cycle_mem(Design::Dca, OrgKind::DirectMapped).scaled(20_000, 80_000);
     let calendar = System::new(cfg, &mix(3).benches).run();
     assert_eq!(calendar.main_mem.backend, "cycle");
-    for engine in [
-        dca::EngineSel::Heap,
-        dca::EngineSel::CalendarAdaptive,
-        dca::EngineSel::Sharded { threads: 2 },
-    ] {
-        cfg.engine = engine;
-        let r = System::new(cfg, &mix(3).benches).run();
-        assert_eq!(
-            calendar.digest(),
-            r.digest(),
-            "cycle backend diverges under {:?}",
-            engine
-        );
-    }
+    cfg.engine = dca::EngineSel::Heap;
+    let heap = System::new(cfg, &mix(3).benches).run();
+    assert_eq!(
+        calendar.digest(),
+        heap.digest(),
+        "cycle backend diverges under the heap engine"
+    );
 }
 
 #[test]

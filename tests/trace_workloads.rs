@@ -38,7 +38,6 @@ fn harness_spec() -> RunSpec {
         flushing_factor: 4,
         policy: dca_dram_cache::ReplacementPolicy::Srrip,
         main_mem: dca_bench::MainMemKind::Flat,
-        engine: dca::EngineSel::Calendar,
         insts: 20_000,
         warmup: 60_000,
         seed: 0xDCA_2016,
