@@ -703,6 +703,13 @@ fn main() {
         shard::pool::serve();
     }
 
+    // A malformed scale is a bad environment: refuse it before any
+    // output or simulation rather than run a scale nobody asked for.
+    let scale = Scale::from_env().unwrap_or_else(|e| {
+        eprintln!("figures: error: {e}");
+        std::process::exit(1);
+    });
+
     // The output directory is load-bearing for every figure — create it
     // up front and refuse to run if that fails, instead of quietly
     // producing nothing.
@@ -711,7 +718,6 @@ fn main() {
         std::process::exit(1);
     }
 
-    let scale = Scale::from_env();
     eprintln!(
         "figures: insts/core={}, warmup/core={}, mixes={:?} (set DCA_FULL=1 for paper scale; \
          DCA_WARM=0 for cold warm-ups; DCA_WARM_PERSIST=1 to persist under results/warm/; \
@@ -813,9 +819,9 @@ fn main() {
 
     // Sweep wall-clock trajectory: how much warm-up sharing saved. Each
     // cache *build* is a warm-up actually paid; each *hit* is one a cold
-    // harness would have re-run. (perf_smoke measures the cold-vs-warm
-    // ratio under controlled conditions and records it, with this same
-    // warm path asserted bit-identical to cold, in BENCH_engine.json.)
+    // harness would have re-run. (The benchmark's `--trace 1` mode
+    // reports the same two counts for an in-process figure run as
+    // `bench.warm.{builds,hits}`.)
     let s = WarmCache::global().stats();
     eprintln!(
         "figures: wall-clock {:.1}s; warm cache: {} warm-ups built, {} reused, {} disk-loaded, \

@@ -1,22 +1,29 @@
 //! # dca-bench — harness regenerating every table and figure of the paper
 //!
-//! Shared machinery for the Criterion benches and the `figures` binary:
-//! run specifications, the weighted-speedup protocol (§V), parallel
-//! execution over the Table I mixes, and result tables.
+//! Shared machinery for the `figures` binary: run specifications, the
+//! weighted-speedup protocol (§V), parallel execution over the Table I
+//! mixes, and result tables. Every figure number comes from one path:
+//! [`shard::figure_plan`] → jobs → [`shard::PartialStore`] → render.
 //!
 //! ## Scaling
 //!
 //! The paper simulates 500 M instructions per core over 30 mixes; a full
 //! regeneration at that scale is hours of CPU. The harness defaults to a
 //! calibrated reduced scale (400 k instructions, 8 mixes) that preserves
-//! the figures' *shapes*, and reads three environment variables:
+//! the figures' *shapes*, and reads four environment variables:
 //!
-//! * `DCA_FULL=1` — paper scale (2 M instructions/core, all 30 mixes).
-//! * `DCA_INSTS=n` — instructions per core.
-//! * `DCA_MIXES=a,b,c` — explicit mix ids (1..=30).
-//! * `DCA_WARMUP=n` — warm-up ops per core (default: `insts/2` clamped
-//!   to 400 k..=1 M; the override exists so tiny CI/shard smoke runs
-//!   don't pay a 400 k-op functional warm-up per key).
+//! * `DCA_FULL=1` — paper scale (2 M instructions/core, all 30 mixes);
+//!   `0` is the reduced default.
+//! * `DCA_INSTS=n` — instructions per core (a positive integer).
+//! * `DCA_MIXES=a,b,c` — explicit mix ids (a non-empty list, each in
+//!   1..=30).
+//! * `DCA_WARMUP=n` — warm-up ops per core, a positive integer
+//!   (default: `insts/2` clamped to 400 k..=1 M; the override exists so
+//!   tiny CI/shard smoke runs don't pay a 400 k-op functional warm-up
+//!   per key).
+//!
+//! A malformed value is an error naming the variable (see
+//! [`Scale::from_env`]), which `figures` reports with exit code 1.
 //!
 //! ## Process sharding
 //!
@@ -46,7 +53,6 @@
 //! | 3    | degraded — quarantined jobs; affected cells render as `—` |
 //! | 130  | interrupted — in-flight jobs drained and flushed; re-running the same command resumes |
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -160,13 +166,7 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// Paper-default spec at the harness scale.
-    pub fn new(design: Design, org: OrgKind) -> Self {
-        Self::at_scale(design, org, &Scale::from_env())
-    }
-
-    /// Paper-default spec at an explicit scale (the sharded planner and
-    /// its tests build specs without consulting the environment).
+    /// Paper-default spec at an explicit scale.
     pub fn at_scale(design: Design, org: OrgKind, scale: &Scale) -> Self {
         RunSpec {
             design,
@@ -267,114 +267,54 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Read `DCA_FULL` / `DCA_INSTS` / `DCA_MIXES` / `DCA_WARMUP`.
-    pub fn from_env() -> Scale {
-        let full = std::env::var("DCA_FULL").map(|v| v == "1").unwrap_or(false);
-        let insts = std::env::var("DCA_INSTS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(if full { 2_000_000 } else { 400_000 });
-        let warmup = std::env::var("DCA_WARMUP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&w: &u64| w > 0)
-            .unwrap_or((insts / 2).clamp(400_000, 1_000_000));
-        let mixes = std::env::var("DCA_MIXES")
-            .ok()
-            .map(|v| {
-                v.split(',')
-                    .filter_map(|s| s.trim().parse().ok())
-                    .collect::<Vec<u32>>()
-            })
-            .filter(|v| !v.is_empty())
-            .unwrap_or_else(|| {
-                if full {
-                    (1..=30).collect()
-                } else {
-                    // A representative slice: streaming-heavy, chase-heavy
-                    // and mixed mixes, including GemsFDTD/bwaves aliasing.
-                    vec![1, 2, 6, 13, 17, 22, 25, 27]
-                }
-            });
-        Scale {
+    /// Read `DCA_FULL` / `DCA_INSTS` / `DCA_MIXES` / `DCA_WARMUP`. An
+    /// unset variable takes its default; a set one must be well formed,
+    /// or the error names the variable and its value.
+    pub fn from_env() -> Result<Scale, String> {
+        let full = match env_value("DCA_FULL").as_deref() {
+            None | Some("0") => false,
+            Some("1") => true,
+            Some(v) => return Err(format!("DCA_FULL={v:?} must be 0 or 1")),
+        };
+        let insts = positive_env("DCA_INSTS")?.unwrap_or(if full { 2_000_000 } else { 400_000 });
+        let warmup = positive_env("DCA_WARMUP")?.unwrap_or((insts / 2).clamp(400_000, 1_000_000));
+        let mixes = match env_value("DCA_MIXES") {
+            Some(v) => v
+                .split(',')
+                .map(|id| id.trim().parse().ok().filter(|id| (1..=30).contains(id)))
+                .collect::<Option<Vec<u32>>>()
+                .ok_or_else(|| {
+                    format!("DCA_MIXES={v:?} must be a non-empty comma list of mix ids in 1..=30")
+                })?,
+            None if full => (1..=30).collect(),
+            // A representative slice: streaming-heavy, chase-heavy and
+            // mixed mixes, including GemsFDTD/bwaves aliasing.
+            None => vec![1, 2, 6, 13, 17, 22, 25, 27],
+        };
+        Ok(Scale {
             insts,
             warmup,
             mixes,
-        }
+        })
     }
 }
 
-/// Alone-IPC table for the weighted-speedup protocol: each benchmark's
-/// IPC running alone on the **CD / no-remap** baseline of the same
-/// organisation (the denominator is shared by all designs so design
-/// deltas come from the shared runs only).
-pub struct AloneIpc {
-    cache: Mutex<HashMap<(Benchmark, &'static str, MainMemKind), f64>>,
-    insts: u64,
-    warmup: u64,
-    seed: u64,
+/// `name`'s value, `None` when unset (a non-Unicode value keeps its
+/// replacement characters, so it fails every parse below).
+fn env_value(name: &str) -> Option<String> {
+    std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
 }
 
-impl AloneIpc {
-    /// Empty table at the harness scale.
-    pub fn new() -> Self {
-        let scale = Scale::from_env();
-        AloneIpc {
-            cache: Mutex::new(HashMap::new()),
-            insts: scale.insts,
-            warmup: scale.warmup,
-            seed: 0xDCA_2016,
-        }
-    }
-
-    /// Alone IPC of `bench` under organisation `org` with the flat
-    /// main-memory backend (cached).
-    pub fn get(&self, bench: Benchmark, org: OrgKind) -> f64 {
-        self.get_with(bench, org, MainMemKind::Flat)
-    }
-
-    /// Alone IPC of `bench` under `org` × main-memory backend `mm`
-    /// (cached) — the baseline shares the backend under test so
-    /// main-memory sensitivity does not leak into the denominator.
-    pub fn get_with(&self, bench: Benchmark, org: OrgKind, mm: MainMemKind) -> f64 {
-        let key = (bench, org.label(), mm);
-        if let Some(&v) = self.cache.lock().unwrap().get(&key) {
-            return v;
-        }
-        let spec = RunSpec {
-            design: Design::Cd,
-            org,
-            remap: false,
-            lee: false,
-            flushing_factor: 4,
-            policy: ReplacementPolicy::Srrip,
-            main_mem: mm,
-            insts: self.insts,
-            warmup: self.warmup,
-            seed: self.seed,
-        };
-        let r = spec.run_benches(&[bench]);
-        let v = r.cores[0].ipc;
-        self.cache.lock().unwrap().insert(key, v);
-        v
-    }
-
-    /// Pre-compute alone IPCs for every benchmark of the given mixes, in
-    /// parallel.
-    pub fn prime(&self, mixes: &[u32], org: OrgKind) {
-        let mut benches: Vec<Benchmark> = mixes.iter().flat_map(|&id| mix(id).benches).collect();
-        benches.sort();
-        benches.dedup();
-        run_parallel(benches, |b| {
-            self.get(b, org);
-        });
-    }
-}
-
-impl Default for AloneIpc {
-    fn default() -> Self {
-        Self::new()
-    }
+/// `name` as a positive integer, `None` when unset.
+fn positive_env(name: &str) -> Result<Option<u64>, String> {
+    env_value(name)
+        .map(|v| {
+            v.parse()
+                .ok()
+                .filter(|&n: &u64| n > 0)
+                .ok_or_else(|| format!("{name}={v:?} must be a positive integer"))
+        })
+        .transpose()
 }
 
 /// Run `f` over `items` with bounded std::thread parallelism, preserving
@@ -516,10 +456,11 @@ impl MixPoint {
 }
 
 /// Fold measured [`MixPoint`]s into a [`DesignSummary`], resolving each
-/// benchmark's alone IPC through `alone` (an [`AloneIpc`] table in
-/// single-process mode, a merged partial store in sharded mode). Both
-/// paths run the exact same float operations in the exact same order,
-/// which is what makes sharded output bit-identical to serial output.
+/// benchmark's alone IPC through `alone` (a lookup into the merged
+/// partial store). Serial and pool runs fill that store with the same
+/// partials, and this fold runs the same float operations in the same
+/// order on both, which is what makes pool output bit-identical to
+/// serial output.
 pub fn summarize<F>(label: &str, org: OrgKind, points: &[MixPoint], alone: F) -> DesignSummary
 where
     F: Fn(Benchmark, OrgKind) -> f64,
@@ -582,16 +523,6 @@ impl DesignSummary {
     }
 }
 
-/// Evaluate `spec` over `mixes` (parallel), producing a summary. The
-/// weighted-speedup baseline runs on the spec's own main-memory
-/// backend.
-pub fn evaluate(spec: RunSpec, mixes: &[u32], alone: &AloneIpc, label: &str) -> DesignSummary {
-    let points = run_parallel(mixes.to_vec(), |id| MixPoint::measure(&spec, id));
-    summarize(label, spec.org, &points, |b, org| {
-        alone.get_with(b, org, spec.main_mem)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,8 +549,8 @@ mod tests {
     #[test]
     fn run_parallel_balances_uneven_work() {
         // One pathologically slow item must not serialise the rest:
-        // correctness-only check here (timing is the microbench's job),
-        // but it exercises the chunk-claim path under real contention.
+        // a correctness-only check, but it exercises the chunk-claim
+        // path under real contention.
         let out = run_parallel((0..100u64).collect(), |x| {
             if x == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(20));
@@ -656,7 +587,7 @@ mod tests {
 
     #[test]
     fn scale_defaults_are_sane() {
-        let s = Scale::from_env();
+        let s = Scale::from_env().expect("the test environment sets no malformed scale");
         assert!(s.insts >= 50_000);
         assert!(!s.mixes.is_empty());
         assert!(s.mixes.iter().all(|&m| (1..=30).contains(&m)));
@@ -664,7 +595,12 @@ mod tests {
 
     #[test]
     fn spec_config_round_trips() {
-        let spec = RunSpec::new(Design::Dca, OrgKind::DirectMapped)
+        let scale = Scale {
+            insts: 1000,
+            warmup: 2000,
+            mixes: vec![1],
+        };
+        let spec = RunSpec::at_scale(Design::Dca, OrgKind::DirectMapped, &scale)
             .with_remap()
             .with_lee();
         let cfg = spec.config();

@@ -6,9 +6,11 @@
 //! `dca_bench::shard::pool`); the full failure matrix lives in
 //! `tests/pool.rs`. Also covers the bench front-end behaviours:
 //! unknown flags exit 2 with a usage listing, an unwritable `results/`
-//! is a reported error, and malformed `DCA_WARM*` knobs warn instead
-//! of silently falling back.
+//! is a reported error, a malformed scale variable exits 1 before any
+//! simulation, and malformed `DCA_WARM*` knobs warn instead of silently
+//! falling back.
 
+use std::collections::HashSet;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -75,27 +77,30 @@ fn run_ok(cmd: &mut Command) -> Output {
     out
 }
 
-fn read_outputs(dir: &Path) -> Vec<(String, Vec<u8>)> {
-    ["fig14.md", "fig14.csv", "fig14.json"]
+/// `fig`'s rendered `.md`, `.csv` and `.json` files under `dir`.
+fn read_outputs(dir: &Path, fig: &str) -> Vec<(String, Vec<u8>)> {
+    ["md", "csv", "json"]
         .iter()
-        .map(|f| {
-            let bytes = std::fs::read(dir.join("results").join(f))
+        .map(|ext| {
+            let f = format!("{fig}.{ext}");
+            let bytes = std::fs::read(dir.join("results").join(&f))
                 .unwrap_or_else(|e| panic!("{f} missing in {}: {e}", dir.display()));
-            (f.to_string(), bytes)
+            (f, bytes)
         })
         .collect()
 }
 
 /// The tentpole guarantee: a `--jobs 2` pool run produces byte-identical
 /// figure files to the serial in-process run, an injected worker crash
-/// is retried and reported, and a re-run against the surviving partials
-/// reuses them all (crash-safe resume).
+/// is retried and reported, a re-run against the surviving partials
+/// reuses them all (crash-safe resume), and a second figure in the same
+/// directory runs only the jobs the first did not flush.
 #[test]
 fn sharded_run_is_bit_identical_retries_crashes_and_resumes() {
     // Serial reference.
     let serial_dir = scratch("serial");
     run_ok(figures_cmd(&serial_dir).arg("--fig14"));
-    let serial = read_outputs(&serial_dir);
+    let serial = read_outputs(&serial_dir, "fig14");
 
     // Pick a real eval job id to crash, from the same plan the binary
     // derives (same scale → same ids).
@@ -126,7 +131,7 @@ fn sharded_run_is_bit_identical_retries_crashes_and_resumes() {
     );
     assert_eq!(
         serial,
-        read_outputs(&shard_dir),
+        read_outputs(&shard_dir, "fig14"),
         "sharded figure files must be byte-identical to serial"
     );
 
@@ -139,7 +144,7 @@ fn sharded_run_is_bit_identical_retries_crashes_and_resumes() {
         "resume must reuse all {} partials:\n{stderr}",
         jobs.len()
     );
-    assert_eq!(serial, read_outputs(&shard_dir));
+    assert_eq!(serial, read_outputs(&shard_dir, "fig14"));
 
     // A corrupted partial is detected, re-run, and heals.
     let victim = dca_bench::shard::partial_path(&crash_id);
@@ -151,7 +156,34 @@ fn sharded_run_is_bit_identical_retries_crashes_and_resumes() {
         stderr.contains("ignoring invalid partial") && stderr.contains("1 jobs run"),
         "corrupt partial must be re-run:\n{stderr}"
     );
-    assert_eq!(serial, read_outputs(&shard_dir));
+    assert_eq!(serial, read_outputs(&shard_dir, "fig14"));
+
+    // Partial reuse across figures: fig12 shares jobs with fig14, so the
+    // pool runs only fig12's own jobs and reuses every flushed one.
+    let fig12 = figure_plan("fig12", &tiny_scale()).expect("fig12 is shardable");
+    let fig12_jobs = plan_jobs(std::slice::from_ref(&fig12), DEFAULT_CHUNK);
+    let flushed: HashSet<&str> = jobs.iter().map(|j| j.id.as_str()).collect();
+    let reused = fig12_jobs
+        .iter()
+        .filter(|j| flushed.contains(j.id.as_str()))
+        .count();
+    let fresh = fig12_jobs.len() - reused;
+    assert!(
+        reused > 0 && fresh > 0,
+        "fig12 must share some jobs with fig14 and add some of its own"
+    );
+    run_ok(figures_cmd(&serial_dir).arg("--fig12"));
+    let out = run_ok(figures_cmd(&shard_dir).args(["--fig12", "--jobs", "2"]));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("{fresh} jobs run, {reused} reused")),
+        "fig12 must run {fresh} jobs and reuse {reused} fig14 partials:\n{stderr}"
+    );
+    assert_eq!(
+        read_outputs(&serial_dir, "fig12"),
+        read_outputs(&shard_dir, "fig12"),
+        "fig12 from reused partials must be byte-identical to serial"
+    );
 
     let _ = std::fs::remove_dir_all(&serial_dir);
     let _ = std::fs::remove_dir_all(&shard_dir);
@@ -216,6 +248,66 @@ fn unwritable_results_dir_is_a_reported_error() {
         "failure must be reported:\n{stderr}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A malformed scale variable is a bad environment: `figures` names the
+/// variable and its value and exits 1 before it writes or simulates
+/// anything. A well-formed value resolves to the scale `figures` prints.
+#[test]
+fn malformed_scale_exits_1_before_any_simulation() {
+    // (variable, value, fragment of the printed scale when accepted)
+    for (name, value, accepted) in [
+        ("DCA_MIXES", "31", None),
+        ("DCA_MIXES", "0", None),
+        ("DCA_MIXES", "1,x", None),
+        ("DCA_MIXES", "1,,2", None),
+        ("DCA_MIXES", "", None),
+        ("DCA_INSTS", "abc", None),
+        ("DCA_INSTS", "0", None),
+        ("DCA_INSTS", "-5", None),
+        ("DCA_WARMUP", "0", None),
+        ("DCA_WARMUP", "1e5", None),
+        ("DCA_FULL", "yes", None),
+        ("DCA_FULL", "2", None),
+        ("DCA_MIXES", " 2 , 30", Some("mixes=[2, 30]")),
+        ("DCA_INSTS", "3000", Some("insts/core=3000,")),
+        ("DCA_WARMUP", "7", Some("warmup/core=7,")),
+        ("DCA_FULL", "0", Some("insts/core=2000,")),
+        ("DCA_FULL", "1", Some("insts/core=2000,")),
+    ] {
+        let dir = scratch("scale");
+        // A rejected value runs the figure that used to panic or run a
+        // default scale; an accepted one a figure that simulates nothing.
+        let fig = if accepted.is_some() {
+            "--table1"
+        } else {
+            "--fig14"
+        };
+        let out = figures_cmd(&dir)
+            .arg(fig)
+            .env(name, value)
+            .output()
+            .expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        match accepted {
+            Some(scale) => {
+                assert!(out.status.success(), "{name}={value:?}:\n{stderr}");
+                assert!(stderr.contains(scale), "{name}={value:?}:\n{stderr}");
+            }
+            None => {
+                assert_eq!(out.status.code(), Some(1), "{name}={value:?}:\n{stderr}");
+                assert!(
+                    stderr.contains(&format!("figures: error: {name}={value:?} ")),
+                    "the error must name {name} and its value:\n{stderr}"
+                );
+                assert!(
+                    !dir.join("results").exists(),
+                    "{name}={value:?} must be rejected before any output"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Satellite bugfix: malformed `DCA_WARM*` knobs warn (naming the

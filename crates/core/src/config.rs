@@ -161,13 +161,14 @@ pub struct SystemConfig {
     pub record_timeline: bool,
     /// Event engine driving the run ([`EngineSel`]; default calendar).
     /// Results are bit-identical under both engines; the knob exists for
-    /// the heap-oracle determinism tests and `perf_smoke` measurements.
+    /// the heap-oracle determinism tests.
     pub engine: EngineSel,
     /// **log2 of the calendar-queue slot width, in picoseconds** — shift
     /// 10 means `2^10 ps ≈ 1 ns` slots, so the 1024-bucket ring spans
     /// ~1 µs. A pure performance knob — delivery order, and hence every
-    /// result, is identical for any value; the `event_clustered_*` and
-    /// `event_rolling_window_*` microbenches bracket the trade-off.
+    /// result, is identical for any value (see
+    /// [`dca_sim_core::events::EventQueue::with_slot_shift`] for the
+    /// trade-off).
     ///
     /// Valid range is `0..=`[`dca_sim_core::events::MAX_SLOT_SHIFT`]
     /// (40, a ring slot of ~18 minutes of simulated time): beyond that

@@ -86,8 +86,7 @@
 //! * [`System::from_warm`] builds a runnable system directly from a
 //!   `WarmState`, skipping warm-up; the run is bit-for-bit identical to
 //!   a cold [`System::new`] (asserted by
-//!   `tests/warm_checkpoint_equivalence.rs` and the `perf_smoke`
-//!   harness on every CI run).
+//!   `tests/warm_checkpoint_equivalence.rs` on every CI run).
 //!
 //! The `dca-bench` crate layers a process-wide, optionally disk-backed
 //! `WarmCache` on top so the whole figure harness shares warm-ups

@@ -75,8 +75,8 @@ pub struct SystemReport {
     pub fill_bypasses: u64,
     /// Final simulated time.
     pub end_time: SimTime,
-    /// Events the engine delivered over the run (throughput denominator
-    /// for the `perf_smoke` harness).
+    /// Events the engine delivered over the run (the
+    /// `core.system.events` count the benchmark reports).
     pub events_processed: u64,
     /// Optional detailed access timeline (when configured).
     pub timeline: Option<Timeline>,

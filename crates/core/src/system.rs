@@ -1149,6 +1149,12 @@ mod tests {
         let cd = tiny(Design::Cd, OrgKind::DirectMapped);
         assert_eq!(cd.fill_bypasses, 0);
         assert_eq!(cd.cache_fills, cd.refill_requests);
+        assert!(
+            r.cache_fills < cd.cache_fills,
+            "the gate must cut fills below CD's ({} !< {})",
+            r.cache_fills,
+            cd.cache_fills
+        );
     }
 
     #[test]

@@ -95,14 +95,6 @@ pub const SIM_CRATES: &[&str] = &[
 /// Files allowed to read the wall clock, with the reason why (D02).
 pub const D02_ALLOW: &[(&str, &str)] = &[
     (
-        "crates/criterion-shim/src/lib.rs",
-        "bench harness shim measures wall time by design",
-    ),
-    (
-        "crates/bench/src/bin/perf_smoke.rs",
-        "perf smoke exists to measure wall clock",
-    ),
-    (
         "crates/bench/src/bin/figures.rs",
         "CLI reports sweep wall-clock timings",
     ),

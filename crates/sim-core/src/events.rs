@@ -14,9 +14,9 @@
 //!   against unrelated events. Buckets stay `(time, seq)`-sorted via
 //!   ordered insertion, so the nondecreasing-time fast path is a plain
 //!   append and an out-of-order push pays only a small in-bucket insert.
-//! * [`BaselineEventQueue`] — the original `BinaryHeap` engine, kept for
-//!   A/B determinism checks and as the reference in the `perf_smoke`
-//!   harness (`BENCH_engine.json` reports both).
+//! * [`BaselineEventQueue`] — the original `BinaryHeap` engine, kept as
+//!   the reference the A/B determinism tests compare the calendar queue
+//!   against.
 //!
 //! The sequence tiebreak is what guarantees reproducibility: two events
 //! scheduled for the same instant always pop in the order they were
@@ -159,10 +159,10 @@ impl<E> EventQueue<E> {
     /// An empty queue whose calendar slots are `1 << slot_shift` ps wide.
     ///
     /// Delivery order is identical for every shift — only the constant
-    /// factors move. The `event_clustered_*` / `event_rolling_window_*`
-    /// microbenches bracket the two failure modes: too-wide slots force
-    /// sorted in-bucket inserts under event clustering, too-narrow slots
-    /// lengthen the empty-bucket scan between sparse events.
+    /// factors move. Two failure modes bracket the choice: too-wide
+    /// slots force sorted in-bucket inserts under event clustering,
+    /// too-narrow slots lengthen the empty-bucket scan between sparse
+    /// events.
     ///
     /// # Panics
     /// Panics if `slot_shift` exceeds [`MAX_SLOT_SHIFT`].

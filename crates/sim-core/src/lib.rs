@@ -59,9 +59,9 @@
 //!    banks are all busy touches no entry. Iteration is *not* age
 //!    ordered; arbiters carry age explicitly as `(enqueued_at, id)`.
 //!
-//! The `perf_smoke` binary in `dca-bench` measures the end-to-end effect
-//! (simulated cycles/sec and events/sec, calendar vs. heap) and writes
-//! `BENCH_engine.json` so every PR leaves a perf trajectory.
+//! The repository benchmark (`perfbench/`, declared in `BENCHMARK.json`)
+//! measures the end-to-end effect; its `--trace 1` mode also reports
+//! this queue's cost per operation (`sim_core.events.ns_per_op`).
 //!
 //! ## Determinism & codec rules (enforced by `dca-lint`)
 //!

@@ -1,6 +1,7 @@
 //! The paper's headline shapes, asserted at reduced scale. These are the
 //! acceptance tests of the reproduction: who wins, in which order, and
-//! roughly by how much (see EXPERIMENTS.md for the measured factors).
+//! roughly by how much (each test's assertion states its margin;
+//! `figures` renders the full tables under `results/`).
 //!
 //! These run 4-core simulations and are the slowest tests in the suite;
 //! they use throughput (sum-of-IPC) speedups at a fixed mix set, which

@@ -47,33 +47,39 @@ fn restored_runs_match_cold_runs_for_all_designs_and_orgs() {
 
 #[test]
 fn cycle_main_memory_restored_runs_match_cold_runs() {
-    // The cycle-level main-memory backend is a pure timing-phase device:
-    // a warm state captured under the *flat* backend must drive a
-    // cycle-backend run to a byte-identical report vs a cold run — in
-    // memory and through the on-disk codec — for every design.
+    // The cycle-level main-memory backends are pure timing-phase
+    // devices: a warm state captured under the *flat* backend must drive
+    // a DDR4 or a 3DXPoint run to a byte-identical report vs a cold run
+    // — in memory and through the on-disk codec — for every design.
+    use dca_mem_hier::MainMemConfig;
     let benches = mix(3).benches;
     let flat_cfg = cfg(Design::Cd, OrgKind::DirectMapped);
     let warm = System::capture_warm(flat_cfg, &benches);
     let decoded = WarmState::decode(&warm.encode()).expect("decode");
-    for design in Design::ALL {
-        let mut c = cfg(design, OrgKind::DirectMapped);
-        c.main_mem = dca_mem_hier::MainMemConfig::ddr4();
-        let cold = System::new(c, &benches).run();
-        assert_eq!(cold.main_mem.backend, "cycle");
-        let restored = System::from_warm(c, &benches, &warm).run();
-        assert_eq!(
-            report_bytes(&cold),
-            report_bytes(&restored),
-            "{} cycle-mem restored run diverged from cold",
-            design.label()
-        );
-        let redecoded = System::from_warm(c, &benches, &decoded).run();
-        assert_eq!(
-            report_bytes(&cold),
-            report_bytes(&redecoded),
-            "{} cycle-mem codec-restored run diverged from cold",
-            design.label()
-        );
+    for (backend, main_mem) in [
+        ("ddr4", MainMemConfig::ddr4()),
+        ("xpoint", MainMemConfig::xpoint()),
+    ] {
+        for design in Design::ALL {
+            let mut c = cfg(design, OrgKind::DirectMapped);
+            c.main_mem = main_mem;
+            let cold = System::new(c, &benches).run();
+            assert_eq!(cold.main_mem.backend, "cycle");
+            let restored = System::from_warm(c, &benches, &warm).run();
+            assert_eq!(
+                report_bytes(&cold),
+                report_bytes(&restored),
+                "{} {backend} restored run diverged from cold",
+                design.label()
+            );
+            let redecoded = System::from_warm(c, &benches, &decoded).run();
+            assert_eq!(
+                report_bytes(&cold),
+                report_bytes(&redecoded),
+                "{} {backend} codec-restored run diverged from cold",
+                design.label()
+            );
+        }
     }
 }
 
