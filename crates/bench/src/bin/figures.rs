@@ -9,47 +9,36 @@
 //!
 //! Output goes to stdout and `results/<figure>.{md,csv,json}`.
 //!
-//! ## Sharded mode
+//! ## One runner
 //!
-//! `--jobs N` runs the requested figures through a **persistent pool**
-//! of `N` supervised `figures --worker --serve` subprocesses: figures
-//! are decomposed into deterministically named jobs (see
-//! `dca_bench::shard`), each worker keeps its in-process warm cache
-//! hot across jobs and writes one JSON partial per job under
-//! `results/partials/`, and the supervisor merges the partials into
-//! the same figure files a serial run writes — bit-identical, which
-//! `crates/bench/tests/shard.rs` and `tests/pool.rs` lock. Partials
-//! that already validate on disk are reused (resume after a crash or
-//! Ctrl-C), stale partials from an older plan are pruned, and a job
-//! that keeps failing is quarantined (`results/partials/
-//! quarantine.json`) instead of sinking the sweep — its cells render
-//! as `—` and the run exits degraded. See `shard::pool` for the wire
-//! protocol and `shard::supervisor` for deadlines, retry/backoff and
-//! the drain semantics. `--chunk M` sets the mixes (and alone
-//! benchmarks) per job.
-//!
-//! One job can be re-run by hand through the same worker protocol:
-//!
-//! ```text
-//! printf 'RUN 0 <job id>\n' | figures --worker --serve
-//! ```
+//! The simulated figures are decomposed into deterministically named
+//! jobs (see `dca_bench::shard`) and run by `shard::run_jobs` on
+//! `--jobs N` threads (default: the available cores). Each job writes a
+//! JSON partial under `results/partials/` as soon as it finishes;
+//! partials that still validate are reused, and partials no job of the
+//! current plan names are pruned. The figure files are byte-identical
+//! whatever the thread count and however many partials were reused,
+//! which `crates/bench/tests/shard.rs` locks. To re-run one job, delete
+//! its partial and re-run the figure.
 //!
 //! ## Exit codes
 //!
 //! | code | meaning |
 //! |------|---------|
 //! | 0    | success — every requested figure written |
-//! | 1    | hard error (bad environment, unwritable results) |
+//! | 1    | error — bad environment, unwritable results, or a panicked job |
 //! | 2    | usage error |
-//! | 3    | degraded — quarantined jobs; affected figure cells render as `—` |
-//! | 130  | interrupted — in-flight jobs drained and flushed; re-run to resume |
+//!
+//! A panicked job is named on stderr (`figures: error: job <id>
+//! panicked: <message>`) after every other job has finished and
+//! written its partial, so a re-run runs only the failed jobs. Ctrl-C
+//! ends the process (the shell reports 130); the partials already
+//! written make a re-run of the same command resume.
 
 use std::fs;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
-
-use std::collections::HashSet;
 
 use dca::{Design, System, SystemConfig};
 use dca_bench::shard::{self, FigurePlan, PartialStore, DEFAULT_CHUNK};
@@ -85,29 +74,22 @@ const FIGURE_FLAGS: &[&str] = &[
 
 fn usage() -> String {
     format!(
-        "usage: figures [--all] [{}] [--jobs N] [--chunk M]\n\
-         \x20      figures --worker --serve\n\
+        "usage: figures [--all] [{}] [--jobs N]\n\
          \n\
          \x20 --all          regenerate everything (default with no figure flags)\n\
-         \x20 --jobs N       run through a persistent pool of N supervised workers\n\
-         \x20 --chunk M      mixes per sharded job (default {DEFAULT_CHUNK})\n\
-         \x20 --worker --serve\n\
-         \x20                pool worker: RUN/EXIT over stdin, frames over stdout\n\
-         \x20                (re-run one job by hand: printf 'RUN 0 <id>\\n' | ...)\n\
+         \x20 --jobs N       run the simulations on N threads (default: available cores)\n\
+         \n\
+         Each simulation job writes results/partials/<job>.json when it finishes;\n\
+         a re-run reuses those, so an interrupted run resumes. To re-run one job,\n\
+         delete its partial and re-run the figure.\n\
          \n\
          exit codes:\n\
          \x20   0  ok — every requested figure written\n\
-         \x20   1  hard error (bad environment, unwritable results)\n\
+         \x20   1  error (bad environment, unwritable results, a job panicked)\n\
          \x20   2  usage\n\
-         \x20   3  degraded — quarantined jobs (see results/partials/\n\
-         \x20      quarantine.json); affected cells render as \"—\"\n\
-         \x20 130  interrupted — in-flight jobs drained and flushed; re-run the\n\
-         \x20      same command to resume\n\
          \n\
-         environment: DCA_FULL, DCA_INSTS, DCA_MIXES, DCA_WARMUP, DCA_WARM*,\n\
-         \x20 DCA_JOB_TIMEOUT_MS, DCA_JOB_ATTEMPTS, DCA_RETRY_BACKOFF_MS,\n\
-         \x20 DCA_HEARTBEAT_MS, DCA_HEARTBEAT_TIMEOUT_MS, DCA_POOL_INFLIGHT,\n\
-         \x20 DCA_FAULT_PLAN",
+         environment: DCA_FULL, DCA_INSTS, DCA_MIXES, DCA_WARMUP, DCA_WARM,\n\
+         \x20 DCA_WARM_CAP, DCA_WARM_PERSIST, DCA_WARM_DIR",
         FIGURE_FLAGS.join("] [")
     )
 }
@@ -115,43 +97,24 @@ fn usage() -> String {
 struct Cli {
     /// Selected figure flags (without `--`); empty means all.
     figures: Vec<String>,
-    /// Pool worker count; `None` is the serial in-process path.
-    jobs: Option<usize>,
-    /// Mixes per sharded job.
-    chunk: usize,
-    /// Pool-worker serve loop (`--worker --serve`).
-    serve: bool,
+    /// Runner threads.
+    jobs: usize,
 }
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         figures: Vec::new(),
-        jobs: None,
-        chunk: DEFAULT_CHUNK,
-        serve: false,
+        jobs: std::thread::available_parallelism().map_or(1, usize::from),
     };
     let mut all = false;
-    let mut worker = false;
-    let mut chunk = None;
     let mut it = args.iter();
-    let value_of = |it: &mut std::slice::Iter<String>,
-                    flag: &str,
-                    inline: Option<&str>|
-     -> Result<String, String> {
-        if let Some(v) = inline {
-            return Ok(v.to_string());
-        }
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
     while let Some(arg) = it.next() {
         let (flag, inline) = match arg.split_once('=') {
             Some((f, v)) => (f, Some(v)),
             None => (arg.as_str(), None),
         };
-        // Only --jobs/--chunk take a value; an inline `=value` on any
-        // other flag is a typo'd invocation, not a selection.
+        // Only --jobs takes a value; an inline `=value` on any other
+        // flag is a typo'd invocation, not a selection.
         let no_value = |flag: &str| -> Result<(), String> {
             match inline {
                 Some(v) => Err(format!("{flag} takes no value, got {flag}={v:?}")),
@@ -163,31 +126,16 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 no_value("--all")?;
                 all = true;
             }
-            "--worker" => {
-                no_value("--worker")?;
-                worker = true;
-            }
-            "--serve" => {
-                no_value("--serve")?;
-                cli.serve = true;
-            }
             "--jobs" => {
-                let v = value_of(&mut it, "--jobs", inline)?;
-                let n: usize = v
+                let v = match inline {
+                    Some(v) => v.to_string(),
+                    None => it.next().cloned().ok_or("--jobs needs a value")?,
+                };
+                cli.jobs = v
                     .parse()
                     .ok()
                     .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--jobs wants a worker count >= 1, got {v:?}"))?;
-                cli.jobs = Some(n);
-            }
-            "--chunk" => {
-                let v = value_of(&mut it, "--chunk", inline)?;
-                let n: usize = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--chunk wants a size >= 1, got {v:?}"))?;
-                chunk = Some(n);
+                    .ok_or_else(|| format!("--jobs wants a thread count >= 1, got {v:?}"))?;
             }
             f if FIGURE_FLAGS.contains(&f) => {
                 no_value(f)?;
@@ -195,15 +143,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             }
             f => return Err(format!("unrecognized flag {f:?}")),
         }
-    }
-    if worker != cli.serve {
-        return Err("--worker and --serve go together (the pool worker mode)".to_string());
-    }
-    if worker && (all || !cli.figures.is_empty() || cli.jobs.is_some() || chunk.is_some()) {
-        return Err("--worker --serve takes no figure selection, --jobs or --chunk".to_string());
-    }
-    if let Some(n) = chunk {
-        cli.chunk = n;
     }
     if all {
         cli.figures.clear();
@@ -381,42 +320,12 @@ fn fig18(scale: &Scale) {
     );
 }
 
-/// Cell builder that renders a missing value as an explicit hole
-/// (`—`) and counts it, so a degraded run shows exactly which numbers
-/// a quarantined job took with it.
-struct Holes(usize);
-
-impl Holes {
-    fn cell(&mut self, v: Option<String>) -> String {
-        v.unwrap_or_else(|| {
-            self.0 += 1;
-            "—".to_string()
-        })
-    }
-}
-
-/// Render one planned (shardable) figure from the merged store,
-/// returning how many cells had to be rendered as holes. The unit
-/// layouts here mirror `shard::figure_plan` exactly.
-///
-/// With `degraded` unset (the serial path, or a pool run with nothing
-/// quarantined) a missing summary is a hard error — it can only mean a
-/// planner/renderer mismatch, and silence would hide the bug. With
-/// `degraded` set, missing summaries become holes.
-fn render(
-    plan: &FigurePlan,
-    store: &PartialStore,
-    chunk: usize,
-    degraded: bool,
-) -> Result<usize, String> {
-    let sm = |i: usize| -> Result<Option<dca_bench::DesignSummary>, String> {
-        match store.summary(&plan.units[i], &plan.mixes, chunk) {
-            Ok(s) => Ok(Some(s)),
-            Err(_) if degraded => Ok(None),
-            Err(e) => Err(e),
-        }
-    };
-    let mut h = Holes(0);
+/// Render one planned (shardable) figure from the merged store. The
+/// unit layouts here mirror `shard::figure_plan` exactly; a missing
+/// summary can only mean a planner/renderer mismatch, so it is an
+/// error.
+fn render(plan: &FigurePlan, store: &PartialStore) -> Result<(), String> {
+    let sm = |i: usize| store.summary(&plan.units[i], &plan.mixes, DEFAULT_CHUNK);
     match plan.name {
         "fig8" | "fig9" => {
             // Per org: [CD-base, then one unit per Design::ALL entry].
@@ -429,13 +338,7 @@ fn render(
                 let mut cells = vec![plan.units[oi * stride].spec.org.label().to_string()];
                 for d in 0..Design::ALL.len() {
                     let x = sm(oi * stride + 1 + d)?;
-                    cells.push(
-                        h.cell(
-                            base.as_ref()
-                                .zip(x.as_ref())
-                                .map(|(b, x)| fmt(x.ws_geomean() / b.ws_geomean())),
-                        ),
-                    );
+                    cells.push(fmt(x.ws_geomean() / base.ws_geomean()));
                 }
                 t.row(cells);
             }
@@ -455,14 +358,7 @@ fn render(
             for (i, &mid) in plan.mixes.iter().enumerate() {
                 let mut row = vec![mix(mid).name()];
                 for x in &summaries {
-                    row.push(
-                        h.cell(
-                            summaries[0]
-                                .as_ref()
-                                .zip(x.as_ref())
-                                .map(|(b, x)| fmt(x.ws[i] / b.ws[i])),
-                        ),
-                    );
+                    row.push(fmt(x.ws[i] / summaries[0].ws[i]));
                 }
                 t.row(row);
             }
@@ -485,12 +381,8 @@ fn render(
                 let x = sm(i)?;
                 t.row(vec![
                     plan.units[i].label.clone(),
-                    h.cell(x.as_ref().map(|x| format!("{:.1}", x.mean_latency()))),
-                    h.cell(
-                        base.as_ref()
-                            .zip(x.as_ref())
-                            .map(|(b, x)| fmt(b.mean_latency() / x.mean_latency())),
-                    ),
+                    format!("{:.1}", x.mean_latency()),
+                    fmt(base.mean_latency() / x.mean_latency()),
                 ]);
             }
             let title = if plan.name == "fig12" {
@@ -506,7 +398,7 @@ fn render(
                 let x = sm(i)?;
                 t.row(vec![
                     plan.units[i].label.clone(),
-                    h.cell(x.as_ref().map(|x| format!("{:.2}", x.mean_apt()))),
+                    format!("{:.2}", x.mean_apt()),
                 ]);
             }
             let title = if plan.name == "fig14" {
@@ -524,8 +416,8 @@ fn render(
                 let remap = sm(pair * 2 + 1)?;
                 t.row(vec![
                     plan.units[pair * 2].label.clone(),
-                    h.cell(plain.as_ref().map(|p| fmt(p.mean_row_hit()))),
-                    h.cell(remap.as_ref().map(|r| fmt(r.mean_row_hit()))),
+                    fmt(plain.mean_row_hit()),
+                    fmt(remap.mean_row_hit()),
                 ]);
             }
             let title = if plan.name == "fig16" {
@@ -544,11 +436,7 @@ fn render(
                 let x = sm(i)?;
                 t.row(vec![
                     plan.units[i].label.clone(),
-                    h.cell(
-                        base.as_ref()
-                            .zip(x.as_ref())
-                            .map(|(b, x)| fmt(x.ws_geomean() / b.ws_geomean())),
-                    ),
+                    fmt(x.ws_geomean() / base.ws_geomean()),
                 ]);
             }
             out(
@@ -565,11 +453,7 @@ fn render(
                 let x = sm(i)?;
                 t.row(vec![
                     plan.units[i].label.clone(),
-                    h.cell(
-                        base.as_ref()
-                            .zip(x.as_ref())
-                            .map(|(b, x)| fmt(x.ws_geomean() / b.ws_geomean())),
-                    ),
+                    fmt(x.ws_geomean() / base.ws_geomean()),
                 ]);
             }
             out(
@@ -603,15 +487,11 @@ fn render(
                     .to_string();
                 t.row(vec![
                     backend,
-                    h.cell(cd.as_ref().map(|c| fmt(c.ws_geomean()))),
-                    h.cell(dca.as_ref().map(|d| fmt(d.ws_geomean()))),
-                    h.cell(
-                        cd.as_ref()
-                            .zip(dca.as_ref())
-                            .map(|(c, d)| fmt(d.ws_geomean() / c.ws_geomean())),
-                    ),
-                    h.cell(cd.as_ref().map(|c| format!("{:.1}", c.mean_latency()))),
-                    h.cell(dca.as_ref().map(|d| format!("{:.1}", d.mean_latency()))),
+                    fmt(cd.ws_geomean()),
+                    fmt(dca.ws_geomean()),
+                    fmt(dca.ws_geomean() / cd.ws_geomean()),
+                    format!("{:.1}", cd.mean_latency()),
+                    format!("{:.1}", dca.mean_latency()),
                 ]);
             }
             out(
@@ -638,24 +518,12 @@ fn render(
                     .collect::<Result<_, _>>()?;
                 let mut row = vec![backend, policy];
                 for x in &designs {
-                    row.push(h.cell(x.as_ref().map(|x| fmt(x.ws_geomean()))));
+                    row.push(fmt(x.ws_geomean()));
                 }
-                let dca = designs
-                    .iter()
-                    .zip(&plan.units[block * n..(block + 1) * n])
-                    .find(|(_, u)| u.label.ends_with("+DCA"))
-                    .and_then(|(s, _)| s.as_ref());
-                let ban = designs
-                    .iter()
-                    .zip(&plan.units[block * n..(block + 1) * n])
-                    .find(|(_, u)| u.label.ends_with("+BAN"))
-                    .and_then(|(s, _)| s.as_ref());
-                row.push(
-                    h.cell(
-                        dca.zip(ban)
-                            .map(|(d, b)| fmt(b.ws_geomean() / d.ws_geomean())),
-                    ),
-                );
+                let of = |design| &designs[Design::ALL.iter().position(|&d| d == design).unwrap()];
+                row.push(fmt(
+                    of(Design::Banshee).ws_geomean() / of(Design::Dca).ws_geomean()
+                ));
                 t.row(row);
             }
             out(
@@ -667,7 +535,7 @@ fn render(
         }
         other => return Err(format!("no renderer for figure {other:?}")),
     }
-    Ok(h.0)
+    Ok(())
 }
 
 /// Which shardable figures a selection pulls in, in `--all` order.
@@ -697,12 +565,6 @@ fn main() {
         }
     };
 
-    // Pool-worker mode: serve RUN/EXIT commands forever (never
-    // returns).
-    if cli.serve {
-        shard::pool::serve();
-    }
-
     // A malformed scale is a bad environment: refuse it before any
     // output or simulation rather than run a scale nobody asked for.
     let scale = Scale::from_env().unwrap_or_else(|e| {
@@ -721,8 +583,8 @@ fn main() {
     eprintln!(
         "figures: insts/core={}, warmup/core={}, mixes={:?} (set DCA_FULL=1 for paper scale; \
          DCA_WARM=0 for cold warm-ups; DCA_WARM_PERSIST=1 to persist under results/warm/; \
-         --jobs N to shard across processes)",
-        scale.insts, scale.warmup, scale.mixes
+         --jobs N to set the thread count, now {})",
+        scale.insts, scale.warmup, scale.mixes, cli.jobs
     );
     let t0 = Instant::now();
 
@@ -740,10 +602,10 @@ fn main() {
         fig18(&scale);
     }
 
-    // Shardable figures: plan → execute (inline or across workers) →
-    // merge → render, one shared pipeline for both modes. A name that
-    // neither plans nor appears in the local list above is a wiring
-    // bug — fail loudly rather than silently rendering nothing.
+    // Shardable figures: plan → run (reusing valid partials) → merge →
+    // render. A name that neither plans nor appears in the local list
+    // above is a wiring bug — fail loudly rather than silently
+    // rendering nothing.
     const LOCAL_FIGURES: &[&str] = &["table1", "table2", "fig7", "fig18"];
     let mut plans: Vec<FigurePlan> = Vec::new();
     for name in planned_figures(&cli) {
@@ -755,65 +617,24 @@ fn main() {
             ),
         }
     }
-    let mut degraded = false;
     if !plans.is_empty() {
-        let jobs = shard::plan_jobs(&plans, cli.chunk);
-        let store = if let Some(workers) = cli.jobs {
-            shard::supervisor::install_signal_handlers();
-            // Partials left by an *older plan* (different scale,
-            // chunking, or figure set) would linger forever; prune
-            // anything the current plan cannot consume.
-            let valid: HashSet<String> = jobs.iter().map(|j| j.id.clone()).collect();
-            let pruned = shard::prune_orphans(&valid);
-            if pruned > 0 {
-                eprintln!("figures: pruned {pruned} orphan partial(s) left by a previous plan");
+        let jobs = shard::plan_jobs(&plans, DEFAULT_CHUNK);
+        let outcome = shard::run_jobs(&jobs, cli.jobs, &shard::partials_dir());
+        eprintln!(
+            "figures: {} jobs run, {} reused from prior partials, {} threads",
+            outcome.run, outcome.reused, cli.jobs
+        );
+        if !outcome.failed.is_empty() {
+            for (id, message) in &outcome.failed {
+                eprintln!("figures: error: job {id} panicked: {message}");
             }
-            match shard::supervisor::Supervisor::new(workers).run(&jobs) {
-                Ok(outcome) => {
-                    let s = outcome.stats;
-                    eprintln!(
-                        "figures: pool: {} jobs run, {} reused from prior partials, \
-                         {} retried, {} quarantined, {} worker respawns, {workers} workers",
-                        s.run, s.reused, s.retried, s.quarantined, s.respawns
-                    );
-                    if outcome.drained {
-                        eprintln!(
-                            "figures: interrupted; in-flight jobs were finished and \
-                             flushed — re-run the same command to resume"
-                        );
-                        std::process::exit(130);
-                    }
-                    if !outcome.quarantined.is_empty() {
-                        degraded = true;
-                        eprintln!(
-                            "figures: error: {} job(s) quarantined after repeated \
-                             failures (details in {}); affected cells render as \"—\"",
-                            outcome.quarantined.len(),
-                            shard::quarantine_path().display()
-                        );
-                    }
-                    outcome.store
-                }
-                Err(e) => {
-                    eprintln!("figures: error: {e}");
-                    std::process::exit(1);
-                }
-            }
-        } else {
-            shard::execute_inline(&jobs)
-        };
-        let mut holes = 0;
-        for plan in &plans {
-            match render(plan, &store, cli.chunk, degraded) {
-                Ok(n) => holes += n,
-                Err(e) => {
-                    eprintln!("figures: error: {e}");
-                    std::process::exit(1);
-                }
-            }
+            std::process::exit(1);
         }
-        if holes > 0 {
-            eprintln!("figures: {holes} cell(s) rendered as holes due to quarantined jobs");
+        for plan in &plans {
+            if let Err(e) = render(plan, &outcome.store) {
+                eprintln!("figures: error: {e}");
+                std::process::exit(1);
+            }
         }
     }
 
@@ -824,19 +645,15 @@ fn main() {
     // `bench.warm.{builds,hits}`.)
     let s = WarmCache::global().stats();
     eprintln!(
-        "figures: wall-clock {:.1}s; warm cache: {} warm-ups built, {} reused, {} disk-loaded, \
-         {} lock-waits ({} warm-ups avoided vs cold harness)",
+        "figures: wall-clock {:.1}s; warm cache: {} warm-ups built, {} reused, {} disk-loaded \
+         ({} warm-ups avoided vs cold harness)",
         t0.elapsed().as_secs_f64(),
         s.builds,
         s.hits,
         s.disk_loads,
-        s.lock_waits,
         s.hits + s.disk_loads
     );
     if WRITE_FAILED.load(Ordering::Relaxed) {
         std::process::exit(1);
-    }
-    if degraded {
-        std::process::exit(3);
     }
 }

@@ -25,33 +25,30 @@
 //! A malformed value is an error naming the variable (see
 //! [`Scale::from_env`]), which `figures` reports with exit code 1.
 //!
-//! ## Process sharding
+//! ## Running a figure sweep
 //!
-//! The `figures` binary can split a figure run across worker
-//! *subprocesses* (`figures --jobs N`): the run is decomposed into
-//! deterministically named jobs, a supervised pool of persistent
-//! workers (`figures --worker --serve`, one spawn per worker, not per
-//! job) executes them and flushes machine-readable JSON partials under
-//! `results/partials/`, and the supervisor merges them into the same
-//! per-figure outputs a single-process run writes — bit-identical, by
-//! construction and by test, including under injected crashes, hangs,
-//! and protocol garbage (`DCA_FAULT_PLAN`). Jobs that keep failing are
-//! quarantined rather than aborting the sweep. See [`shard`] for the
-//! job model, the partial schema, and the crash-safety rules,
-//! [`shard::pool`] for the worker wire protocol and fault injection,
-//! [`shard::supervisor`] for deadlines/retry/quarantine policy, and
-//! [`warm`] for how concurrent workers coordinate warm-ups through the
-//! shared `DCA_WARM_DIR`.
+//! `figures` decomposes the requested figures into deterministically
+//! named jobs ([`shard::figure_plan`] → [`shard::plan_jobs`]) and hands
+//! the list to one runner, [`shard::run_jobs`], in one process. The
+//! runner reuses every JSON partial under `results/partials/` that
+//! still validates, runs the rest on `--jobs N` threads (default: the
+//! available cores) grouped by shared warm state, and writes each
+//! partial atomically as soon as its job finishes. So a run that was
+//! interrupted, or that lost a job to a panic, resumes by running the
+//! same command again. See [`shard`] for the job model, the partial
+//! schema and the runner, and [`warm`] for how jobs share functional
+//! warm-ups and when the runner releases them.
 //!
 //! ## `figures` exit-code contract
 //!
 //! | code | meaning |
 //! |------|---------|
 //! | 0    | success — every requested figure written |
-//! | 1    | hard error (bad environment, unwritable `results/`) |
+//! | 1    | error — bad environment, unwritable `results/`, or a job panicked (every other job's partial is flushed; a re-run runs only the failed jobs) |
 //! | 2    | usage error |
-//! | 3    | degraded — quarantined jobs; affected cells render as `—` |
-//! | 130  | interrupted — in-flight jobs drained and flushed; re-running the same command resumes |
+//!
+//! Ctrl-C ends the process; the shell reports 130. Finished partials
+//! are already on disk, so re-running the same command resumes.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -109,33 +106,14 @@ impl MainMemKind {
         }
     }
 
-    /// Job-id token (`mmf` / `mmd<slow>` / `mmx`), kept here so the
-    /// shard grammar and this type cannot drift apart.
+    /// Job-id token (`mmf` / `mmd<slow>` / `mmx`): the backend's field
+    /// in a shard job id.
     pub fn token(self) -> String {
         match self {
             MainMemKind::Flat => "mmf".to_string(),
             MainMemKind::Ddr4 { slow } => format!("mmd{slow}"),
             MainMemKind::Xpoint => "mmx".to_string(),
         }
-    }
-
-    /// Inverse of [`MainMemKind::token`].
-    pub fn parse_token(t: &str) -> Result<MainMemKind, String> {
-        if t == "mmf" {
-            return Ok(MainMemKind::Flat);
-        }
-        if t == "mmx" {
-            return Ok(MainMemKind::Xpoint);
-        }
-        if let Some(slow) = t.strip_prefix("mmd") {
-            let slow: u8 = slow
-                .parse()
-                .ok()
-                .filter(|&s| s >= 1)
-                .ok_or_else(|| format!("bad main-mem token {t:?}"))?;
-            return Ok(MainMemKind::Ddr4 { slow });
-        }
-        Err(format!("bad main-mem token {t:?}"))
     }
 }
 
@@ -317,7 +295,7 @@ fn positive_env(name: &str) -> Result<Option<u64>, String> {
         .transpose()
 }
 
-/// Run `f` over `items` with bounded std::thread parallelism, preserving
+/// Run `f` over `items` on at most `threads` std threads, preserving
 /// input order in the result.
 ///
 /// A panic inside `f` is re-raised on the calling thread with its
@@ -330,12 +308,11 @@ fn positive_env(name: &str) -> Result<Option<u64>, String> {
 /// Work distribution is chunked and atomic: items are pre-split into
 /// small index-tagged chunks, workers claim chunks through one
 /// `fetch_add` counter, and each worker accumulates `(index, result)`
-/// pairs privately, merged once at join. No per-item mutex on either
-/// side (the old design paid one `Mutex<Option<R>>` per result and a
-/// LIFO work stack), items are processed in roughly input order (better
-/// warm-cache locality), and chunks stay small enough that uneven item
-/// costs — one slow mix — still balance across workers.
-pub fn run_parallel<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+/// pairs privately, merged once at join. Items are processed in roughly
+/// input order (which is what lets [`shard::run_jobs`] keep a warm
+/// group's jobs together), and chunks stay small enough that uneven
+/// item costs — one slow mix — still balance across workers.
+pub fn run_parallel<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
@@ -345,10 +322,7 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let threads = std::thread::available_parallelism()
-        .map(|t| t.get())
-        .unwrap_or(4)
-        .min(n);
+    let threads = threads.clamp(1, n);
     if threads == 1 {
         return items.into_iter().map(f).collect();
     }
@@ -423,9 +397,9 @@ where
 }
 
 /// The raw, serialisable measurement one mix contributes to a figure:
-/// everything a worker must report so the coordinator can finish the
-/// figure math (weighted speedups need the alone-IPC table, which lives
-/// in separate jobs, so workers ship per-core IPCs instead of WS).
+/// everything a job must record so the renderer can finish the figure
+/// math (weighted speedups need the alone-IPC table, which lives in
+/// separate jobs, so a job records per-core IPCs instead of WS).
 #[derive(Clone, Debug, PartialEq)]
 pub struct MixPoint {
     /// Mix id the point was measured on.
@@ -441,10 +415,8 @@ pub struct MixPoint {
 }
 
 impl MixPoint {
-    /// Measure one mix under `spec` (warm-cached like
-    /// [`RunSpec::run_mix`]).
-    pub fn measure(spec: &RunSpec, mix_id: u32) -> MixPoint {
-        let r = spec.run_mix(mix_id);
+    /// The point mix `mix_id`'s shared run `r` contributes.
+    pub fn from_report(mix_id: u32, r: &SystemReport) -> MixPoint {
         MixPoint {
             mix: mix_id,
             core_ipc: r.cores.iter().map(|c| c.ipc).collect(),
@@ -457,10 +429,10 @@ impl MixPoint {
 
 /// Fold measured [`MixPoint`]s into a [`DesignSummary`], resolving each
 /// benchmark's alone IPC through `alone` (a lookup into the merged
-/// partial store). Serial and pool runs fill that store with the same
-/// partials, and this fold runs the same float operations in the same
-/// order on both, which is what makes pool output bit-identical to
-/// serial output.
+/// partial store). Fresh and reused partials carry the same bits, and
+/// this fold runs the same float operations in the same order whatever
+/// the thread count, which is what makes every run's figure files
+/// bit-identical.
 pub fn summarize<F>(label: &str, org: OrgKind, points: &[MixPoint], alone: F) -> DesignSummary
 where
     F: Fn(Benchmark, OrgKind) -> f64,
@@ -529,20 +501,26 @@ mod tests {
 
     #[test]
     fn run_parallel_preserves_order() {
-        let out = run_parallel((0..32).collect::<Vec<i32>>(), |x| x * 2);
+        let out = run_parallel((0..32).collect::<Vec<i32>>(), 4, |x| x * 2);
         assert_eq!(out, (0..32).map(|x| x * 2).collect::<Vec<i32>>());
     }
 
     #[test]
     fn run_parallel_handles_edge_sizes() {
-        assert_eq!(run_parallel(Vec::<u32>::new(), |x| x), Vec::<u32>::new());
-        assert_eq!(run_parallel(vec![7], |x| x + 1), vec![8]);
+        assert_eq!(run_parallel(Vec::<u32>::new(), 4, |x| x), Vec::<u32>::new());
+        assert_eq!(run_parallel(vec![7], 4, |x| x + 1), vec![8]);
         // Sizes that don't divide evenly into chunks, across a span
         // bigger than any plausible thread count.
         for n in [2usize, 3, 5, 17, 63, 64, 65, 257] {
-            let input: Vec<usize> = (0..n).collect();
-            let out = run_parallel(input, |x| x * x);
-            assert_eq!(out, (0..n).map(|x| x * x).collect::<Vec<usize>>(), "n={n}");
+            for threads in [1, 2, 3, 8] {
+                let input: Vec<usize> = (0..n).collect();
+                let out = run_parallel(input, threads, |x| x * x);
+                assert_eq!(
+                    out,
+                    (0..n).map(|x| x * x).collect::<Vec<usize>>(),
+                    "n={n} threads={threads}"
+                );
+            }
         }
     }
 
@@ -551,7 +529,7 @@ mod tests {
         // One pathologically slow item must not serialise the rest:
         // a correctness-only check, but it exercises the chunk-claim
         // path under real contention.
-        let out = run_parallel((0..100u64).collect(), |x| {
+        let out = run_parallel((0..100u64).collect(), 4, |x| {
             if x == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(20));
             }
@@ -565,7 +543,7 @@ mod tests {
     fn run_parallel_propagates_the_original_panic_payload() {
         // The payload must surface verbatim on the caller — not as a
         // "worker panicked" join error or a poisoned-lock unwrap.
-        run_parallel((0..64u64).collect(), |x| {
+        run_parallel((0..64u64).collect(), 4, |x| {
             if x == 13 {
                 panic!("simulated worker failure on item {x}");
             }
@@ -577,7 +555,7 @@ mod tests {
     #[should_panic(expected = "simulated worker failure")]
     fn run_parallel_propagates_panics_from_multiple_workers() {
         // Several failing items: still a clean, original-payload panic.
-        run_parallel((0..64u64).collect(), |x| {
+        run_parallel((0..64u64).collect(), 4, |x| {
             if x % 2 == 0 {
                 panic!("simulated worker failure on item {x}");
             }

@@ -1,16 +1,14 @@
-//! Process-sharded figure runs: jobs, JSON partials, and the
-//! coordinator/worker protocol behind `figures --jobs N`.
+//! Figure runs as jobs: the job model, JSON partials, and the one
+//! runner behind `figures`.
 //!
 //! ## Model
 //!
 //! A figure run decomposes into independent **jobs**, one per
 //! `(design, org, remap, lee, ff, mix-chunk)` evaluation unit plus one
-//! per `(org, benchmark-chunk)` alone-IPC unit. Jobs are **named
-//! deterministically and self-describingly**: the id encodes the full
-//! payload (spec fields, scale, seed, mix/bench list), so a worker
-//! reconstructs its work from the id alone — no side-channel job file,
-//! and a job can be re-run by hand through the worker protocol with
-//! `printf 'RUN 0 <id>\n' | figures --worker --serve`. The grammar:
+//! per `(org, benchmark-chunk)` alone-IPC unit. Each job has a
+//! **canonical id** derived from its payload (spec fields, scale, seed,
+//! mix/bench list). The id is only a key: the file name of the job's
+//! partial and the `job` field [`decode_partial`] checks. The grammar:
 //!
 //! ```text
 //! ev_<org>_<design>_x<0|1>_l<0|1>_ff<n>_p<policy>_i<insts>_w<warmup>_s<seed hex>_<mm>_m<mix>.<mix>...
@@ -30,9 +28,9 @@
 //!
 //! ## Partials
 //!
-//! A worker writes one machine-readable JSON **partial** per job to
+//! The runner writes one machine-readable JSON **partial** per job to
 //! `results/partials/<job>.json` (staged + atomically renamed, so a
-//! killed worker never leaves a torn file that parses). Schema
+//! killed run never leaves a torn file that parses). Schema
 //! (version [`PARTIAL_SCHEMA`]):
 //!
 //! ```json
@@ -46,75 +44,83 @@
 //! ```
 //!
 //! Every float is carried twice: `*_bits` is the authoritative IEEE-754
-//! bit pattern (`f64::to_bits`, exact round-trip — the reason sharded
-//! figure output is *bit-identical* to serial output), the plain field
-//! is a lossy human-readable mirror for debugging.
+//! bit pattern (`f64::to_bits`, exact round-trip — the reason a figure
+//! rendered from reused partials is *bit-identical* to a fresh one),
+//! the plain field is a lossy human-readable mirror for debugging.
 //!
-//! ## Supervisor and worker pool
+//! ## The runner
 //!
-//! `figures --jobs N` runs the job list on a **persistent worker
-//! pool**: `N` long-lived `figures --worker --serve` subprocesses that
-//! pull job ids over stdin and stream status frames back over stdout,
-//! keeping their in-process warm cache hot across jobs (spawn-per-batch
-//! paid process start + warm rebuild per batch and was a net slowdown).
-//! The coordinator side lives in [`supervisor`] — dispatch with
-//! warm-group affinity, per-job progress-aware deadlines, heartbeat
-//! liveness, kill-and-respawn, bounded retry with deterministic
-//! backoff, poison-job quarantine and graceful signal drain. The worker
-//! side (wire protocol grammar, heartbeat cadence, deterministic fault
-//! injection via `DCA_FAULT_PLAN`) lives in [`pool`]. Jobs whose
-//! partial already exists and validates are skipped (crash-safe
-//! resume — a killed run loses at most the in-flight jobs).
+//! [`run_jobs`] runs every job list `figures` plans, on `--jobs N`
+//! threads of one process:
 //!
-//! The serial path (`figures` without `--jobs`) executes the *same*
-//! job list in-process ([`execute_inline`]) and merges through the
-//! same [`PartialStore`], so both modes share one code path from raw
-//! reports to rendered tables — the bit-identity guarantee the tests
-//! lock holds under every injected fault.
-
-pub mod pool;
-pub mod supervisor;
+//! 1. **Build stamp.** [`BUILD_STAMP`] records the digest of the
+//!    executable that wrote the partials beside it. Another build may
+//!    compute different numbers, so on a mismatch every partial there
+//!    is discarded (one warning names the count) and the stamp is
+//!    rewritten.
+//! 2. **Reuse and prune.** Each partial that validates against its job
+//!    is reused. A harness partial (an `ev_`/`al_` file) that no job of
+//!    the current plan names is an orphan and is removed; other files
+//!    are left alone.
+//! 3. **Run.** The remaining jobs run in [`warm_group`] order on
+//!    [`run_parallel`] threads, and each writes its partial the moment
+//!    it finishes. Ctrl-C simply ends the process: a re-run of the same
+//!    command reuses every partial already written.
+//! 4. **Release.** Before any job starts, the runner counts how many
+//!    pending jobs request each warm state, from the same simulations
+//!    [`execute_job`] runs, and evicts a state from the
+//!    [`WarmCache`] once the last of them has finished. Residency
+//!    follows the jobs in flight, and no warm-up is built twice.
+//! 5. **Isolate panics.** A job that panics is reported in
+//!    [`RunOutcome::failed`] while every other job finishes and
+//!    flushes, so a re-run runs only the failed jobs.
+//!
+//! Reused and fresh results merge into one [`PartialStore`], which the
+//! renderers read; the figure math downstream of it is the same whatever
+//! the thread count or the share of reused partials.
 
 use std::collections::{HashMap, HashSet};
-use std::path::PathBuf;
+use std::panic::AssertUnwindSafe;
+use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
-use dca::Design;
+use dca::{Design, WarmState};
 use dca_cpu::{mix, Benchmark};
 use dca_dram_cache::{OrgKind, ReplacementPolicy};
+use dca_sim_core::digest64;
 
-use crate::{run_parallel, summarize, DesignSummary, MainMemKind, MixPoint, RunSpec, Scale};
+use crate::{
+    run_parallel, summarize, DesignSummary, MainMemKind, MixPoint, RunSpec, Scale, WarmCache,
+};
 
 /// Version tag every partial carries; a mismatch invalidates the file.
 pub const PARTIAL_SCHEMA: u64 = 1;
 
 /// Default mixes (and alone benchmarks) per job. Small enough that a
 /// figure at the default 8-mix scale yields several jobs per unit for
-/// the queue to balance, large enough that process spawn cost stays
-/// noise.
+/// the threads to balance, large enough that one job amortises its
+/// partial write.
 pub const DEFAULT_CHUNK: usize = 4;
 
-/// Directory the partials (and the quarantine record) live under,
-/// relative to the harness working directory.
+/// File, beside the partials, naming the build that wrote them.
+pub const BUILD_STAMP: &str = "build.stamp";
+
+/// Directory the partials live under, relative to the harness working
+/// directory.
 pub fn partials_dir() -> PathBuf {
     PathBuf::from("results").join("partials")
-}
-
-/// File the supervisor records poison jobs in (under [`partials_dir`]).
-pub fn quarantine_path() -> PathBuf {
-    partials_dir().join("quarantine.json")
 }
 
 // ---------------------------------------------------------------------
 // Job model
 // ---------------------------------------------------------------------
 
-/// What one worker computes.
+/// What one job computes.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JobPayload {
     /// Evaluate `spec` over a chunk of mixes.
     Eval {
-        /// Full run specification (self-contained: scale + seed ride
-        /// along in the job id).
+        /// Full run specification (scale and seed included).
         spec: RunSpec,
         /// Mix ids, in order.
         mixes: Vec<u32>,
@@ -141,9 +147,9 @@ pub enum JobPayload {
 /// A deterministically named unit of work.
 #[derive(Clone, Debug)]
 pub struct Job {
-    /// Self-describing id (see module docs for the grammar).
+    /// Canonical id (see module docs for the grammar).
     pub id: String,
-    /// The decoded payload (always `== parse_job_id(&id)`).
+    /// What the job computes; `id` is derived from it.
     pub payload: JobPayload,
 }
 
@@ -164,19 +170,6 @@ fn org_token(org: OrgKind) -> String {
     }
 }
 
-fn parse_org_token(t: &str) -> Result<OrgKind, String> {
-    if t == "dm" {
-        return Ok(OrgKind::DirectMapped);
-    }
-    if let Some(ways) = t.strip_prefix("sa") {
-        let ways: u16 = ways
-            .parse()
-            .map_err(|_| format!("bad org token {t:?} in job id"))?;
-        return Ok(OrgKind::SetAssoc { ways });
-    }
-    Err(format!("bad org token {t:?} in job id"))
-}
-
 fn design_token(d: Design) -> &'static str {
     match d {
         Design::Cd => "cd",
@@ -184,23 +177,6 @@ fn design_token(d: Design) -> &'static str {
         Design::Dca => "dca",
         Design::Banshee => "ban",
     }
-}
-
-fn parse_design_token(t: &str) -> Result<Design, String> {
-    match t {
-        "cd" => Ok(Design::Cd),
-        "rod" => Ok(Design::Rod),
-        "dca" => Ok(Design::Dca),
-        "ban" => Ok(Design::Banshee),
-        _ => Err(format!("bad design token {t:?} in job id")),
-    }
-}
-
-fn parse_policy_token(t: &str) -> Result<ReplacementPolicy, String> {
-    ReplacementPolicy::ALL
-        .into_iter()
-        .find(|p| p.label() == t)
-        .ok_or_else(|| format!("bad replacement-policy token {t:?} in job id"))
 }
 
 /// Canonical id for a payload (see the module-docs grammar).
@@ -245,106 +221,6 @@ pub fn encode_job_id(payload: &JobPayload) -> String {
     }
 }
 
-fn field<'a>(tokens: &'a [&'a str], idx: usize, what: &str) -> Result<&'a str, String> {
-    tokens
-        .get(idx)
-        .copied()
-        .ok_or_else(|| format!("job id is missing its {what} field"))
-}
-
-fn tagged<'a>(tok: &'a str, tag: &str) -> Result<&'a str, String> {
-    tok.strip_prefix(tag)
-        .ok_or_else(|| format!("expected a {tag}-prefixed token, got {tok:?}"))
-}
-
-/// Decode a job id back into its payload. Inverse of
-/// [`encode_job_id`]; round-tripping is test-locked.
-pub fn parse_job_id(id: &str) -> Result<JobPayload, String> {
-    if let Some(rest) = id.strip_prefix("ev_") {
-        let t: Vec<&str> = rest.split('_').collect();
-        if t.len() != 11 {
-            return Err(format!("eval job id has {} fields, expected 11", t.len()));
-        }
-        let org = parse_org_token(field(&t, 0, "org")?)?;
-        let design = parse_design_token(field(&t, 1, "design")?)?;
-        let remap = tagged(field(&t, 2, "remap")?, "x")? == "1";
-        let lee = tagged(field(&t, 3, "lee")?, "l")? == "1";
-        let ff: u8 = tagged(field(&t, 4, "flushing factor")?, "ff")?
-            .parse()
-            .map_err(|_| "bad flushing factor".to_string())?;
-        let policy = parse_policy_token(tagged(field(&t, 5, "replacement policy")?, "p")?)?;
-        let insts: u64 = tagged(field(&t, 6, "insts")?, "i")?
-            .parse()
-            .map_err(|_| "bad insts".to_string())?;
-        let warmup: u64 = tagged(field(&t, 7, "warmup")?, "w")?
-            .parse()
-            .map_err(|_| "bad warmup".to_string())?;
-        let seed = u64::from_str_radix(tagged(field(&t, 8, "seed")?, "s")?, 16)
-            .map_err(|_| "bad seed".to_string())?;
-        let main_mem = MainMemKind::parse_token(field(&t, 9, "main memory")?)?;
-        let mixes: Vec<u32> = tagged(field(&t, 10, "mixes")?, "m")?
-            .split('.')
-            .map(|m| m.parse().map_err(|_| format!("bad mix id {m:?}")))
-            .collect::<Result<_, _>>()?;
-        if mixes.is_empty() {
-            return Err("eval job carries no mixes".to_string());
-        }
-        Ok(JobPayload::Eval {
-            spec: RunSpec {
-                design,
-                org,
-                remap,
-                lee,
-                flushing_factor: ff,
-                policy,
-                main_mem,
-                insts,
-                warmup,
-                seed,
-            },
-            mixes,
-        })
-    } else if let Some(rest) = id.strip_prefix("al_") {
-        let t: Vec<&str> = rest.split('_').collect();
-        if t.len() != 6 {
-            // Also catches benchmark names containing '_' (registered
-            // trace stems), which the grammar cannot carry.
-            return Err(format!("alone job id has {} fields, expected 6", t.len()));
-        }
-        let org = parse_org_token(field(&t, 0, "org")?)?;
-        let insts: u64 = tagged(field(&t, 1, "insts")?, "i")?
-            .parse()
-            .map_err(|_| "bad insts".to_string())?;
-        let warmup: u64 = tagged(field(&t, 2, "warmup")?, "w")?
-            .parse()
-            .map_err(|_| "bad warmup".to_string())?;
-        let seed = u64::from_str_radix(tagged(field(&t, 3, "seed")?, "s")?, 16)
-            .map_err(|_| "bad seed".to_string())?;
-        let main_mem = MainMemKind::parse_token(field(&t, 4, "main memory")?)?;
-        let benches: Vec<Benchmark> = tagged(field(&t, 5, "benches")?, "b")?
-            .split('.')
-            .map(|n| {
-                Benchmark::from_name(n).ok_or_else(|| format!("unknown benchmark {n:?} in job id"))
-            })
-            .collect::<Result<_, _>>()?;
-        if benches.is_empty() {
-            return Err("alone job carries no benchmarks".to_string());
-        }
-        Ok(JobPayload::Alone {
-            org,
-            insts,
-            warmup,
-            seed,
-            main_mem,
-            benches,
-        })
-    } else {
-        Err(format!(
-            "job id {id:?} has neither an ev_ nor an al_ prefix"
-        ))
-    }
-}
-
 // ---------------------------------------------------------------------
 // Figure planning
 // ---------------------------------------------------------------------
@@ -380,8 +256,8 @@ pub struct FigurePlan {
 }
 
 /// The shardable figures, in `--all` order. (`table1/2`, `fig7` and
-/// `fig18` are cheap or structurally different and stay local to the
-/// coordinator.)
+/// `fig18` are cheap or structurally different and `figures` renders
+/// them directly.)
 pub const SHARDED_FIGURES: &[&str] = &[
     "fig8",
     "fig9",
@@ -588,19 +464,19 @@ pub fn plan_jobs(plans: &[FigurePlan], chunk: usize) -> Vec<Job> {
         }
     };
     for plan in plans {
-        // Trace mixes/workloads are registered per process, so a worker
-        // subprocess could never resolve them — and registered trace
-        // names (file stems with '_') don't fit the id grammar. Refuse
-        // loudly at planning time instead of garbling a job id.
+        // Custom mix ids are assigned per process, so a persisted
+        // partial for mix 1000 could describe a different trace in the
+        // next session. Refuse loudly at planning time.
         for &id in &plan.mixes {
             assert!(
                 id < dca_cpu::CUSTOM_MIX_BASE,
-                "mix {id} is a runtime-registered (trace) mix; the trace registry is \
-                 process-local, so trace workloads cannot be sharded across worker processes"
+                "mix {id} is a runtime-registered (trace) mix; custom mix ids are assigned \
+                 per process, so a persisted partial for it could describe a different \
+                 trace in the next session"
             );
         }
         // Alone jobs first: the merge needs the full table anyway, and
-        // scheduling them early keeps workers busy with short runs
+        // scheduling them early keeps threads busy with short runs
         // while the 4-core evals stream in behind them. One alone table
         // per (org, main-memory backend) pair the plan's units touch.
         let mut keys: Vec<(OrgKind, MainMemKind)> = Vec::new();
@@ -651,15 +527,15 @@ pub enum JobResult {
     Alone(Vec<(Benchmark, f64)>),
 }
 
-/// Execute one job in-process, sequentially. Workers are the unit of
-/// parallelism in sharded mode, so a job deliberately does not spawn
-/// threads of its own; the inline (serial) path instead parallelises
-/// *across* jobs with [`run_parallel`].
-pub fn execute_job(payload: &JobPayload) -> JobResult {
+/// The simulations a job runs, in order: a spec and the benchmarks on
+/// its cores each. [`execute_job`] runs exactly these, and
+/// [`run_jobs`] counts the warm states they request from them.
+fn simulations(payload: &JobPayload) -> Vec<(RunSpec, Vec<Benchmark>)> {
     match payload {
-        JobPayload::Eval { spec, mixes } => {
-            JobResult::Eval(mixes.iter().map(|&m| MixPoint::measure(spec, m)).collect())
-        }
+        JobPayload::Eval { spec, mixes } => mixes
+            .iter()
+            .map(|&m| (*spec, mix(m).benches.to_vec()))
+            .collect(),
         JobPayload::Alone {
             org,
             insts,
@@ -680,13 +556,33 @@ pub fn execute_job(payload: &JobPayload) -> JobResult {
                 warmup: *warmup,
                 seed: *seed,
             };
-            JobResult::Alone(
-                benches
-                    .iter()
-                    .map(|&b| (b, spec.run_benches(&[b]).cores[0].ipc))
-                    .collect(),
-            )
+            benches.iter().map(|&b| (spec, vec![b])).collect()
         }
+    }
+}
+
+/// Execute one job in-process, sequentially. The runner's threads are
+/// the unit of parallelism, so a job deliberately does not spawn
+/// threads of its own.
+pub fn execute_job(payload: &JobPayload) -> JobResult {
+    let reports = simulations(payload)
+        .into_iter()
+        .map(|(spec, benches)| spec.run_benches(&benches));
+    match payload {
+        JobPayload::Eval { mixes, .. } => JobResult::Eval(
+            mixes
+                .iter()
+                .zip(reports)
+                .map(|(&m, r)| MixPoint::from_report(m, &r))
+                .collect(),
+        ),
+        JobPayload::Alone { benches, .. } => JobResult::Alone(
+            benches
+                .iter()
+                .zip(reports)
+                .map(|(&b, r)| (b, r.cores[0].ipc))
+                .collect(),
+        ),
     }
 }
 
@@ -737,9 +633,9 @@ pub fn encode_partial(job_id: &str, result: &JobResult) -> String {
 
 /// Parse and validate a partial against the job it must describe:
 /// schema version, job id, result kind, and exact mix/bench coverage
-/// all have to line up, or the partial is rejected (the coordinator
-/// then re-runs the job — a stale or foreign file can never leak into
-/// a figure).
+/// all have to line up, or the partial is rejected (the runner then
+/// re-runs the job — a stale or foreign file can never leak into a
+/// figure). Which build wrote it is the runner's [`BUILD_STAMP`] check.
 pub fn decode_partial(text: &str, job: &Job) -> Result<JobResult, String> {
     let v = json::parse(text)?;
     if v.get_u64("schema") != Some(PARTIAL_SCHEMA) {
@@ -799,31 +695,27 @@ pub fn decode_partial(text: &str, job: &Job) -> Result<JobResult, String> {
     }
 }
 
-/// Path of `job`'s partial.
+/// Path of `job`'s partial, relative to the harness working directory.
 pub fn partial_path(job_id: &str) -> PathBuf {
-    partials_dir().join(format!("{job_id}.json"))
+    partial_in(&partials_dir(), job_id)
 }
 
-pub(crate) fn write_partial_atomic(job_id: &str, text: &str) -> std::io::Result<()> {
-    let path = partial_path(job_id);
+/// Path of `job`'s partial under the partials directory `dir`.
+fn partial_in(dir: &Path, job_id: &str) -> PathBuf {
+    dir.join(format!("{job_id}.json"))
+}
+
+/// Write `text` to `path` through a staged temporary and a rename, so
+/// a killed run never leaves a torn file behind.
+fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
     }
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
     std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, &path).inspect_err(|_| {
+    std::fs::rename(&tmp, path).inspect_err(|_| {
         let _ = std::fs::remove_file(&tmp);
     })
-}
-
-/// Run one job for a `figures --worker --serve` worker (one `RUN`
-/// frame): decode the id, execute, and write the partial atomically.
-pub fn run_worker(job_id: &str) -> Result<(), String> {
-    let payload = parse_job_id(job_id)?;
-    let result = execute_job(&payload);
-    let text = encode_partial(job_id, &result);
-    write_partial_atomic(job_id, &text)
-        .map_err(|e| format!("cannot write partial for {job_id}: {e}"))
 }
 
 // ---------------------------------------------------------------------
@@ -831,8 +723,8 @@ pub fn run_worker(job_id: &str) -> Result<(), String> {
 // ---------------------------------------------------------------------
 
 /// All partial results of a run, merged and queryable by the figure
-/// renderers. Serial and sharded modes both build one of these, so the
-/// math downstream of it is shared — the heart of the bit-identity
+/// renderers. Reused and fresh partials land here alike, so the math
+/// downstream of it is shared — the heart of the bit-identity
 /// guarantee.
 #[derive(Default)]
 pub struct PartialStore {
@@ -856,32 +748,23 @@ impl PartialStore {
         }
     }
 
-    /// Alone IPC of `bench` under `org` × `main_mem`, if that run has
-    /// been merged (it can legitimately be missing when the supervisor
-    /// quarantined the alone job).
-    pub fn try_alone_ipc(
-        &self,
-        bench: Benchmark,
-        org: OrgKind,
-        main_mem: MainMemKind,
-    ) -> Option<f64> {
-        self.alone.get(&(bench, org.label(), main_mem)).copied()
-    }
-
     /// Alone IPC of `bench` under `org` × `main_mem`.
     ///
     /// # Panics
     /// Panics if the planner never scheduled that alone run — a plan
     /// bug, not a runtime condition.
     pub fn alone_ipc(&self, bench: Benchmark, org: OrgKind, main_mem: MainMemKind) -> f64 {
-        self.try_alone_ipc(bench, org, main_mem).unwrap_or_else(|| {
-            panic!(
-                "no alone IPC for {}/{}/{}",
-                bench.name(),
-                org.label(),
-                main_mem.label()
-            )
-        })
+        self.alone
+            .get(&(bench, org.label(), main_mem))
+            .copied()
+            .unwrap_or_else(|| {
+                panic!(
+                    "no alone IPC for {}/{}/{}",
+                    bench.name(),
+                    org.label(),
+                    main_mem.label()
+                )
+            })
     }
 
     /// Resolve one evaluation unit into a [`DesignSummary`] by
@@ -904,54 +787,22 @@ impl PartialStore {
                     .ok_or_else(|| format!("missing partial for job {id}"))?,
             );
         }
-        // A quarantined alone job leaves holes in the alone table;
-        // surface that as a missing summary (the renderer draws a
-        // hole), not a panic.
-        for &m in mixes {
-            for &b in &mix(m).benches {
-                if self
-                    .try_alone_ipc(b, unit.spec.org, unit.spec.main_mem)
-                    .is_none()
-                {
-                    return Err(format!(
-                        "missing alone IPC for {}/{} (quarantined or unplanned alone job)",
-                        b.name(),
-                        unit.spec.org.label()
-                    ));
-                }
-            }
-        }
         Ok(summarize(&unit.label, unit.spec.org, &points, |b, org| {
             self.alone_ipc(b, org, unit.spec.main_mem)
         }))
     }
 }
 
-/// Execute `jobs` in-process (the serial path), parallelising across
-/// jobs with [`run_parallel`]. Produces the same store a coordinator
-/// merge does.
-pub fn execute_inline(jobs: &[Job]) -> PartialStore {
-    let results = run_parallel(jobs.to_vec(), |job| {
-        let result = execute_job(&job.payload);
-        (job, result)
-    });
-    let mut store = PartialStore::default();
-    for (job, result) in results {
-        store.insert(&job, result);
-    }
-    store
-}
-
 // ---------------------------------------------------------------------
-// Warm groups, resume, and partial hygiene
+// Warm groups and the runner
 // ---------------------------------------------------------------------
 
 /// The **warm group** of a job: jobs in one group share warm-state
 /// fingerprints (warm-up is design-, remap-, lee-, ff- and
 /// main-memory-independent, but **policy-dependent** — warm-up evicts
-/// through the replacement policy), so the supervisor routes a group to
-/// one worker and that worker builds each warm state exactly once for
-/// the whole group. Eval groups key on
+/// through the replacement policy), so [`run_jobs`] runs a group's jobs
+/// back to back: the group's warm states are built once, resident
+/// together, and released together. Eval groups key on
 /// `(org, policy, scale, seed, mixes)`; alone groups on
 /// `(org, scale, seed, benches)` (alone runs are always SRRIP) — i.e.
 /// the job id minus the fields warm-up ignores.
@@ -987,9 +838,77 @@ pub fn warm_group(payload: &JobPayload) -> String {
     }
 }
 
-/// A valid on-disk partial for `job`, if one exists (crash resume).
-pub fn load_existing_partial(job: &Job) -> Option<JobResult> {
-    let path = partial_path(&job.id);
+/// Harness partials under `dir` (`ev_`/`al_` files ending in `.json`),
+/// as `(job id, path)`.
+fn harness_partials(dir: &Path) -> Vec<(String, PathBuf)> {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    entries
+        .flatten()
+        .filter_map(|entry| {
+            let path = entry.path();
+            let id = path
+                .file_name()?
+                .to_str()?
+                .strip_suffix(".json")?
+                .to_string();
+            (id.starts_with("ev_") || id.starts_with("al_")).then_some((id, path))
+        })
+        .collect()
+}
+
+/// Remove the partials under `dir` whose job id is not in `valid` —
+/// leftovers from an older plan or scale that would linger (and mislead
+/// a future resume) forever. Only harness partials (`ev_`/`al_` files)
+/// are touched; the build stamp, temporaries and foreign files stay.
+/// Returns how many files were pruned.
+pub fn prune_orphans(dir: &Path, valid: &HashSet<String>) -> usize {
+    harness_partials(dir)
+        .into_iter()
+        .filter(|(id, path)| !valid.contains(id) && std::fs::remove_file(path).is_ok())
+        .count()
+}
+
+/// Discard every partial under `dir` unless [`BUILD_STAMP`] there names
+/// the running executable, then stamp `dir` with it. Partials written
+/// by another build may hold numbers this build would not compute.
+fn check_build_stamp(dir: &Path) {
+    let stamp = dir.join(BUILD_STAMP);
+    let current = std::env::current_exe()
+        .and_then(std::fs::read)
+        .map(|exe| format!("{:016x}\n", digest64(&exe)));
+    let recorded = std::fs::read_to_string(&stamp).ok();
+    if matches!((&current, &recorded), (Ok(c), Some(r)) if c == r) {
+        return;
+    }
+    let discarded = harness_partials(dir)
+        .into_iter()
+        .filter(|(_, path)| std::fs::remove_file(path).is_ok())
+        .count();
+    if discarded > 0 {
+        eprintln!(
+            "figures: warning: discarded {discarded} partial(s) written by another build of figures"
+        );
+    }
+    let stamped = match current {
+        Ok(text) => write_atomic(&stamp, &text).map_err(|e| e.to_string()),
+        Err(e) => {
+            let _ = std::fs::remove_file(&stamp);
+            Err(format!("cannot read the running executable: {e}"))
+        }
+    };
+    if let Err(e) = stamped {
+        eprintln!(
+            "figures: warning: cannot stamp {} ({e}); this run's partials will not be reused",
+            dir.display()
+        );
+    }
+}
+
+/// A valid partial for `job` under `dir`, if one exists.
+fn load_partial(dir: &Path, job: &Job) -> Option<JobResult> {
+    let path = partial_in(dir, &job.id);
     let text = std::fs::read_to_string(&path).ok()?;
     match decode_partial(&text, job) {
         Ok(result) => Some(result),
@@ -1003,37 +922,120 @@ pub fn load_existing_partial(job: &Job) -> Option<JobResult> {
     }
 }
 
-/// Remove partials under [`partials_dir`] whose job id is not in
-/// `valid` — leftovers from an older plan or scale that would linger
-/// (and mislead a future resume) forever. The quarantine record and
-/// non-partial files (temporaries, locks) are never touched. Returns
-/// how many files were pruned.
-pub fn prune_orphans(valid: &HashSet<String>) -> usize {
-    let Ok(entries) = std::fs::read_dir(partials_dir()) else {
-        return 0;
-    };
-    let mut pruned = 0;
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        let Some(stem) = name.strip_suffix(".json") else {
-            continue; // temporaries (.tmp.<pid>) and anything foreign
-        };
-        if stem == "quarantine" {
-            continue;
-        }
-        // Only files that *are* partials of this harness are fair game:
-        // a stem that doesn't parse as a job id is not ours to delete.
-        if parse_job_id(stem).is_err() || valid.contains(stem) {
-            continue;
-        }
-        if std::fs::remove_file(&path).is_ok() {
-            pruned += 1;
+/// Run `f`, turning a panic into its message.
+fn guarded<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string())
+    })
+}
+
+/// What [`run_jobs`] did.
+pub struct RunOutcome {
+    /// Every job that finished, reused or run, merged.
+    pub store: PartialStore,
+    /// Jobs run in this call (every job without a valid partial).
+    pub run: usize,
+    /// Jobs served from a valid partial.
+    pub reused: usize,
+    /// Jobs that panicked, as `(job id, panic message)`.
+    pub failed: Vec<(String, String)>,
+}
+
+/// Run `jobs` on `threads` threads, keeping their partials under `dir`
+/// (see the module docs for the five steps). Jobs run in
+/// [`warm_group`] order; each writes its partial atomically as soon as
+/// it finishes, and a panicking job is reported in
+/// [`RunOutcome::failed`] instead of stopping the others.
+pub fn run_jobs(jobs: &[Job], threads: usize, dir: &Path) -> RunOutcome {
+    check_build_stamp(dir);
+    let valid: HashSet<String> = jobs.iter().map(|j| j.id.clone()).collect();
+    let pruned = prune_orphans(dir, &valid);
+    if pruned > 0 {
+        eprintln!("figures: pruned {pruned} orphan partial(s) left by a previous plan");
+    }
+    let mut store = PartialStore::default();
+    let mut pending: Vec<&Job> = Vec::new();
+    for job in jobs {
+        match load_partial(dir, job) {
+            Some(result) => store.insert(job, result),
+            None => pending.push(job),
         }
     }
-    pruned
+    let reused = jobs.len() - pending.len();
+    let run = pending.len();
+
+    // Groups in order of first appearance, each group's jobs together.
+    let mut rank: HashMap<String, usize> = HashMap::new();
+    for job in &pending {
+        let next = rank.len();
+        rank.entry(warm_group(&job.payload)).or_insert(next);
+    }
+    pending.sort_by_cached_key(|job| rank[&warm_group(&job.payload)]);
+
+    // How many pending jobs request each warm state. Listing a job's
+    // simulations can itself panic (an unknown mix id); such a job
+    // fails here, before anything runs.
+    let mut failed = Vec::new();
+    let mut uses: HashMap<u64, usize> = HashMap::new();
+    let mut runnable = Vec::with_capacity(pending.len());
+    for job in pending {
+        let fingerprints = guarded(|| {
+            simulations(&job.payload)
+                .iter()
+                .map(|(spec, benches)| WarmState::fingerprint_for(&spec.config(), benches))
+                .collect::<Vec<u64>>()
+        });
+        match fingerprints {
+            Ok(fps) => {
+                for &fp in &fps {
+                    *uses.entry(fp).or_default() += 1;
+                }
+                runnable.push((job, fps));
+            }
+            Err(message) => failed.push((job.id.clone(), message)),
+        }
+    }
+
+    let uses = Mutex::new(uses);
+    let results = run_parallel(runnable, threads, |(job, fps)| {
+        let result = guarded(|| execute_job(&job.payload));
+        if let Ok(r) = &result {
+            let path = partial_in(dir, &job.id);
+            if let Err(e) = write_atomic(&path, &encode_partial(&job.id, r)) {
+                eprintln!(
+                    "figures: warning: cannot write {} ({e}); a re-run repeats the job",
+                    path.display()
+                );
+            }
+        }
+        let mut uses = uses
+            .lock()
+            .expect("no thread panics while holding the use counts");
+        for fp in fps {
+            let left = uses.get_mut(&fp).expect("every fingerprint was counted");
+            *left -= 1;
+            if *left == 0 {
+                WarmCache::global().evict(fp);
+            }
+        }
+        (job, result)
+    });
+    for (job, result) in results {
+        match result {
+            Ok(r) => store.insert(job, r),
+            Err(message) => failed.push((job.id.clone(), message)),
+        }
+    }
+    RunOutcome {
+        store,
+        run,
+        reused,
+        failed,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1108,24 +1110,6 @@ pub mod json {
         pub fn get_f64_bits(&self, key: &str) -> Option<f64> {
             self.get_u64(key).map(f64::from_bits)
         }
-    }
-
-    /// Escape `s` for embedding in a JSON string literal (quotes not
-    /// included). Control bytes become `\u00XX`.
-    pub fn escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
     }
 
     /// Parse one JSON document (trailing garbage is an error).
@@ -1303,54 +1287,30 @@ mod tests {
 
     #[test]
     fn job_ids_round_trip() {
+        // The id is the partial's file name and the key decode_partial
+        // checks, so payload -> id -> payload must round-trip through
+        // every planned job (no two payloads share an id), and every id
+        // must be a filesystem-safe harness name prune_orphans knows.
         let scale = tiny_scale();
-        let mut payloads = Vec::new();
+        let mut by_id: HashMap<String, JobPayload> = HashMap::new();
         for name in SHARDED_FIGURES {
             let plan = figure_plan(name, &scale).expect("shardable");
-            for job in plan_jobs(&[plan], 1) {
-                payloads.push((job.id.clone(), job.payload));
+            for chunk in [1, DEFAULT_CHUNK] {
+                for job in plan_jobs(std::slice::from_ref(&plan), chunk) {
+                    let id = job.id.clone();
+                    assert!(id.starts_with("ev_") || id.starts_with("al_"), "{id}");
+                    assert!(
+                        id.chars().all(
+                            |c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-' | '+')
+                        ),
+                        "unsafe id {id}"
+                    );
+                    let payload = by_id.entry(id.clone()).or_insert(job.payload.clone());
+                    assert_eq!(*payload, job.payload, "{id} names two payloads");
+                }
             }
         }
-        assert!(!payloads.is_empty());
-        for (id, payload) in payloads {
-            assert_eq!(parse_job_id(&id).expect(&id), payload, "{id}");
-            // Ids must be filesystem-safe.
-            assert!(
-                id.chars()
-                    .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-' | '+')),
-                "unsafe id {id}"
-            );
-        }
-    }
-
-    #[test]
-    fn bad_job_ids_are_rejected() {
-        for id in [
-            "",
-            "zz_dm_cd",
-            "ev_dm",
-            "ev_qq_cd_x0_l0_ff4_psrrip_i1_w1_s0_mmf_m1",
-            "ev_dm_cd_x0_l0_ff4_psrrip_i1_w1_s0_mmf_m",
-            "al_dm_i1_w1_s0_bnosuchbench",
-            // Trailing fields (e.g. a trace stem with '_') must not be
-            // silently ignored.
-            "ev_dm_cd_x0_l0_ff4_psrrip_i1_w1_s0_mmf_m1_extra",
-            "al_dm_i1_w1_s0_mmf_bgcc_2800",
-            // Unknown / malformed tokens for the main-memory backend,
-            // the replacement policy, and the design.
-            "ev_dm_cd_x0_l0_ff4_psrrip_i1_w1_s0_mmq_m1",
-            "ev_dm_cd_x0_l0_ff4_psrrip_i1_w1_s0_mmd0_m1",
-            "ev_dm_cd_x0_l0_ff4_pfifo_i1_w1_s0_mmf_m1",
-            "ev_dm_ban2_x0_l0_ff4_psrrip_i1_w1_s0_mmf_m1",
-            "al_dm_i1_w1_s0_mmd_bgcc",
-            // Ids with a field too many or too few must not half-parse.
-            "ev_dm_cd_x0_l0_ff4_psrrip_i1_w1_s0_mmf_ecal_m1",
-            "ev_dm_cd_x0_l0_ff4_i1_w1_s0_mmf_m1",
-            "ev_dm_cd_x0_l0_ff4_i1_w1_s0_m1",
-            "al_dm_i1_w1_s0_bgcc",
-        ] {
-            assert!(parse_job_id(id).is_err(), "{id:?} should not parse");
-        }
+        assert!(!by_id.is_empty());
     }
 
     #[test]
@@ -1395,10 +1355,10 @@ mod tests {
 
     #[test]
     fn json_escape_round_trips_through_parser() {
-        let nasty = "a\"b\\c\nd\te\r\u{1}ü";
-        let doc = format!("{{\"k\": \"{}\"}}", json::escape(nasty));
-        let v = json::parse(&doc).expect("escaped string parses");
-        assert_eq!(v.get_str("k"), Some(nasty));
+        // Every escape the parser knows, plus a raw multi-byte char.
+        let doc = r#"{"k": "a\"b\\c\nd\te\r\u0001\/ü"}"#;
+        let v = json::parse(doc).expect("escaped string parses");
+        assert_eq!(v.get_str("k"), Some("a\"b\\c\nd\te\r\u{1}/ü"));
     }
 
     #[test]

@@ -5,11 +5,23 @@
 //! Lookup is keyed by [`WarmState::fingerprint_for`]; concurrent
 //! requests for the *same* key rendezvous on a per-key [`OnceLock`]
 //! (one thread warms, the rest block on that key only), while requests
-//! for different keys warm in parallel — exactly what
-//! [`run_parallel`](crate::run_parallel) sweeps need.
+//! for different keys warm in parallel — exactly what the threads of
+//! [`shard::run_jobs`](crate::shard::run_jobs) need.
 //!
-//! The cache is bounded (insertion-order eviction; a warm state for the
-//! default organisation is tens of MB) and optionally persisted:
+//! ## Residency
+//!
+//! A warm state for the default organisation is tens of MB, so states
+//! leave the cache two ways:
+//!
+//! * **Released by the sweep runner.** `shard::run_jobs` counts, before
+//!   it starts, how many pending jobs request each state, and calls
+//!   [`WarmCache::evict`] when the last of them finishes. Residency
+//!   therefore follows the jobs in flight, and no state is dropped
+//!   while a pending job still needs it, so no warm-up is built twice.
+//! * **The cap**, a backstop for callers that never release: at most
+//!   `DCA_WARM_CAP` states stay resident, evicted in insertion order.
+//!
+//! ## Knobs
 //!
 //! * `DCA_WARM=0` — disable warm reuse entirely; every run warms cold.
 //! * `DCA_WARM_CAP=n` — keep at most `n` states in memory (default 48,
@@ -30,70 +42,19 @@
 //! blob torn by a crashed writer — is logged as a warning and treated
 //! as a cache miss, falling back to a cold warm-up rather than an
 //! error. Writers stage into a uniquely named temp file and atomically
-//! rename it into place, so concurrent `run_parallel` workers (or
-//! whole processes) persisting the same fingerprint can never
-//! interleave partial writes into one visible blob — reuse can only
-//! ever be a cache hit of the exact bytes a cold warm-up would
-//! produce.
-//!
-//! ## Cross-process coordination
-//!
-//! When several *processes* share one `DCA_WARM_DIR` (the sharded
-//! figure harness, `figures --jobs N`), atomic renames alone still let
-//! two workers *build* the same warm-up concurrently — correct but
-//! wasted work. A coarse **advisory lock file** (`<fp>.lock`, created
-//! with `O_EXCL`) closes that hole: the first builder of a fingerprint
-//! takes the lock, everyone else polls the blob path (**read → verify
-//! → retry**) until the finished blob validates, the lock disappears
-//! (then whoever re-acquires proceeds), or a deadline passes
-//! (`DCA_WARM_LOCK_MS`, default 60 000) — at which point the waiter
-//! shrugs and builds locally, because the lock is advisory and a
-//! crashed holder must never wedge the sweep. Lock waits are counted
-//! in [`WarmCacheStats::lock_waits`].
-//!
-//! The lock file carries its **owner's pid**: a waiter that finds the
-//! owner dead (`/proc/<pid>` gone) reclaims the lock immediately
-//! instead of sleeping out the full deadline — a worker killed
-//! mid-warm-up costs the survivors one poll interval, not
-//! `DCA_WARM_LOCK_MS` per waiter. Reclaims are counted in
-//! [`WarmCacheStats::lock_reclaims`]; a lock whose content does not
-//! parse as a pid (or a live-but-hung owner) still falls back to the
-//! deadline. Waiters also bump a process-wide [`wait_ticks`] counter
-//! each poll, which pool workers fold into their heartbeat `progress`
-//! field — so a worker legitimately parked on another process's
-//! warm-up keeps its job deadline alive (see `shard::pool`).
-//!
-//! ## Per-host warm directories
-//!
-//! Both the lock protocol and the reclaim heuristic are **per-host by
-//! construction**: the warm directory is resolved against the process's
-//! own filesystem (`results/warm/` under its cwd, or `DCA_WARM_DIR`),
-//! and owner liveness is judged by the local `/proc` table — a pid is
-//! only meaningful on the machine that minted it. Pointing processes on
-//! two hosts at one network-shared `DCA_WARM_DIR` is therefore
-//! unsupported (the pid check would judge foreign owners with the local
-//! proc table); give each host its own directory.
+//! rename it into place, so two writers of the same fingerprint (two
+//! caches, or two runs sharing one `DCA_WARM_DIR`) can never interleave
+//! partial writes into one visible blob — reuse can only ever be a
+//! cache hit of the exact bytes a cold warm-up would produce.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
 
 use dca::{System, SystemConfig, WarmState};
 use dca_cpu::Benchmark;
 use dca_sim_core::FastHashMap;
-
-/// Process-wide count of advisory-lock poll iterations, across every
-/// cache instance. Strictly monotonic while a thread is *waiting* —
-/// which is exactly when a pool worker looks stalled from the outside —
-/// so `shard::pool` heartbeats report it as forward progress.
-static WAIT_TICKS: AtomicU64 = AtomicU64::new(0);
-
-/// Total warm-lock poll iterations this process has performed so far.
-pub fn wait_ticks() -> u64 {
-    WAIT_TICKS.load(Ordering::Relaxed)
-}
 
 /// Monotonic counters describing what the cache did so far.
 #[derive(Clone, Copy, Debug, Default)]
@@ -104,10 +65,6 @@ pub struct WarmCacheStats {
     pub hits: u64,
     /// States loaded from a valid on-disk blob.
     pub disk_loads: u64,
-    /// Times this cache waited on another process's advisory lock.
-    pub lock_waits: u64,
-    /// Stale locks reclaimed because their owner pid was dead.
-    pub lock_reclaims: u64,
 }
 
 /// One per-key rendezvous point: same-key builders serialise on the
@@ -123,14 +80,9 @@ pub struct WarmCache {
     /// `DCA_WARM` latched at construction: whether callers should reuse
     /// warm state at all.
     reuse: bool,
-    /// How long to wait on another process's advisory build lock before
-    /// giving up and building locally (`DCA_WARM_LOCK_MS`).
-    lock_timeout: Duration,
     builds: AtomicU64,
     hits: AtomicU64,
     disk_loads: AtomicU64,
-    lock_waits: AtomicU64,
-    lock_reclaims: AtomicU64,
 }
 
 impl Default for WarmCache {
@@ -139,19 +91,14 @@ impl Default for WarmCache {
     }
 }
 
-/// Default residency cap. Sized for the harness's worst working set:
-/// figure sweeps are *design-major* (every design re-walks all mixes in
-/// the same order), so the cap must cover one organisation's full
-/// paper-scale pass — 30 mixes + 11 alone-IPC single-bench states = 41
-/// keys — or a cyclic scan against a smaller FIFO yields zero reuse on
-/// the second and later designs. 48 leaves headroom; at ~30 MB per
-/// state that bounds residency near 1.4 GB at `DCA_FULL=1` (tune with
-/// `DCA_WARM_CAP`; the default 8-mix scale stays under ~600 MB).
+/// Default residency cap. Sized for the harness's worst working set
+/// when nothing releases states: figure sweeps are *design-major*
+/// (every design re-walks all mixes in the same order), so the cap must
+/// cover one organisation's full paper-scale pass — 30 mixes + 11
+/// alone-IPC single-bench states = 41 keys — or a cyclic scan against a
+/// smaller FIFO yields zero reuse on the second and later designs. 48
+/// leaves headroom; `shard::run_jobs` releases states long before it.
 const DEFAULT_CAP: usize = 48;
-
-/// Default advisory-lock wait (ms): generous against a slow builder,
-/// small against a whole sweep's wall clock.
-const DEFAULT_LOCK_MS: u64 = 60_000;
 
 impl WarmCache {
     /// A cache configured from the environment (see module docs). All
@@ -208,20 +155,7 @@ impl WarmCache {
             }
             Err(_) => true,
         };
-        let lock_ms = match std::env::var("DCA_WARM_LOCK_MS") {
-            Ok(v) => match v.parse::<u64>() {
-                Ok(ms) => ms,
-                Err(_) => {
-                    eprintln!(
-                        "warning: DCA_WARM_LOCK_MS={v:?} is not an integer; \
-                         using the default of {DEFAULT_LOCK_MS} ms"
-                    );
-                    DEFAULT_LOCK_MS
-                }
-            },
-            Err(_) => DEFAULT_LOCK_MS,
-        };
-        Self::with_policy(cap, disk_dir, reuse).with_lock_timeout(Duration::from_millis(lock_ms))
+        Self::with_policy(cap, disk_dir, reuse)
     }
 
     /// A cache with an explicit policy, bypassing the environment
@@ -233,19 +167,10 @@ impl WarmCache {
             cap: cap.max(1),
             disk_dir,
             reuse,
-            lock_timeout: Duration::from_millis(DEFAULT_LOCK_MS),
             builds: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             disk_loads: AtomicU64::new(0),
-            lock_waits: AtomicU64::new(0),
-            lock_reclaims: AtomicU64::new(0),
         }
-    }
-
-    /// Override the advisory-lock wait deadline (tests mostly).
-    pub fn with_lock_timeout(mut self, timeout: Duration) -> Self {
-        self.lock_timeout = timeout;
-        self
     }
 
     /// The process-wide shared instance. Environment knobs are latched
@@ -275,8 +200,6 @@ impl WarmCache {
             builds: self.builds.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
             disk_loads: self.disk_loads.load(Ordering::Relaxed),
-            lock_waits: self.lock_waits.load(Ordering::Relaxed),
-            lock_reclaims: self.lock_reclaims.load(Ordering::Relaxed),
         }
     }
 
@@ -304,93 +227,29 @@ impl WarmCache {
             }
         };
         slot.get_or_init(|| {
-            let guard = match self.disk_coordinate(fp) {
-                DiskOutcome::Loaded(state) => {
-                    self.disk_loads.fetch_add(1, Ordering::Relaxed);
-                    return Arc::new(state);
-                }
-                DiskOutcome::Build(guard) => guard,
-            };
+            if let Some(state) = self.try_disk_load(fp) {
+                self.disk_loads.fetch_add(1, Ordering::Relaxed);
+                return Arc::new(state);
+            }
             self.builds.fetch_add(1, Ordering::Relaxed);
             let state = System::capture_warm(*cfg, benches);
             self.try_disk_store(&state);
-            // Release the advisory lock only after the blob is visible,
-            // so a waiter that sees the lock vanish finds the result.
-            drop(guard);
             Arc::new(state)
         })
         .clone()
     }
 
-    /// Decide how to satisfy a miss when a disk pool is configured:
-    /// load an existing blob, wait out another process's build
-    /// (read → verify → retry under the advisory lock), or build
-    /// locally — holding the lock when we could get it, lock-free when
-    /// the wait deadline passed (the lock is advisory; a crashed
-    /// holder must never wedge the sweep).
-    fn disk_coordinate(&self, fp: u64) -> DiskOutcome {
-        let Some(path) = self.blob_path(fp) else {
-            return DiskOutcome::Build(None);
-        };
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        let lock_path = path.with_extension("lock");
-        let deadline = Instant::now() + self.lock_timeout;
-        let mut waited = false;
-        loop {
-            // quiet after the first pass: while polling, a not-yet-
-            // complete or not-yet-replaced blob is expected, not news.
-            if let Some(state) = self.try_disk_load_impl(fp, waited) {
-                return DiskOutcome::Loaded(state);
-            }
-            match LockGuard::try_acquire(&lock_path) {
-                Acquire::Held(guard) => {
-                    // We own the build — but re-check the blob once
-                    // more: the previous holder may have finished
-                    // storing between our read and our acquisition
-                    // (read-verify-retry).
-                    if let Some(state) = self.try_disk_load_impl(fp, true) {
-                        return DiskOutcome::Loaded(state);
-                    }
-                    return DiskOutcome::Build(Some(guard));
-                }
-                Acquire::Busy => {
-                    // A lock whose recorded owner is dead will never be
-                    // released; reclaim it now instead of sleeping out
-                    // the deadline. (A waiter could in principle read a
-                    // stale pid just as a new live owner re-creates the
-                    // file — the lock is advisory, so the worst case is
-                    // one duplicated warm-up, never corruption: blobs
-                    // land via exclusive-temp + atomic rename.)
-                    if lock_owner_is_dead(&lock_path) && std::fs::remove_file(&lock_path).is_ok() {
-                        self.lock_reclaims.fetch_add(1, Ordering::Relaxed);
-                        eprintln!(
-                            "warning: warm lock {} was held by a dead process; reclaimed it",
-                            lock_path.display()
-                        );
-                        continue;
-                    }
-                }
-                // An unusable warm dir must degrade to an immediate
-                // cold build, not a full lock-deadline sleep per key.
-                Acquire::Unavailable => return DiskOutcome::Build(None),
-            }
-            if !waited {
-                waited = true;
-                self.lock_waits.fetch_add(1, Ordering::Relaxed);
-            }
-            if Instant::now() >= deadline {
-                eprintln!(
-                    "warning: warm lock {} still held after {:?}; building locally \
-                     (the lock is advisory — a live-but-stuck holder cannot block this run)",
-                    lock_path.display(),
-                    self.lock_timeout
-                );
-                return DiskOutcome::Build(None);
-            }
-            WAIT_TICKS.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(Duration::from_millis(20));
+    /// Drop the state with `fingerprint` (a [`WarmState::fingerprint_for`]
+    /// value) from the cache, if resident. Runs still holding it keep
+    /// their `Arc`; the next request for it warms (or disk-loads) anew.
+    pub fn evict(&self, fingerprint: u64) {
+        let mut guard = self
+            .slots
+            .lock()
+            .expect("no thread panics while holding the slot map");
+        let (map, order) = &mut *guard;
+        if map.remove(&fingerprint).is_some() {
+            order.retain(|&fp| fp != fingerprint);
         }
     }
 
@@ -403,35 +262,30 @@ impl WarmCache {
     /// Load and fully validate an on-disk blob. A missing file is a
     /// silent miss; a file that *exists* but fails validation
     /// (truncated, bit-rotted, torn, or carrying the wrong
-    /// fingerprint) is a **logged** miss (unless `quiet`, used while
-    /// polling another process's in-flight build) — the caller falls
-    /// back to a cold warm-up instead of erroring, and the next store
-    /// replaces the bad blob.
-    fn try_disk_load_impl(&self, fp: u64, quiet: bool) -> Option<WarmState> {
+    /// fingerprint) is a **logged** miss — the caller falls back to a
+    /// cold warm-up instead of erroring, and the next store replaces
+    /// the bad blob.
+    fn try_disk_load(&self, fp: u64) -> Option<WarmState> {
         let path = self.blob_path(fp)?;
         let bytes = std::fs::read(&path).ok()?;
         match WarmState::decode(&bytes) {
             Ok(state) if state.fingerprint() == fp => Some(state),
             Ok(state) => {
-                if !quiet {
-                    eprintln!(
-                        "warning: warm blob {} carries fingerprint {:#018x}, expected {:#018x}; \
-                         ignoring it and warming cold",
-                        path.display(),
-                        state.fingerprint(),
-                        fp
-                    );
-                }
+                eprintln!(
+                    "warning: warm blob {} carries fingerprint {:#018x}, expected {:#018x}; \
+                     ignoring it and warming cold",
+                    path.display(),
+                    state.fingerprint(),
+                    fp
+                );
                 None
             }
             Err(e) => {
-                if !quiet {
-                    eprintln!(
-                        "warning: warm blob {} is truncated or corrupt ({e}); \
-                         ignoring it and warming cold",
-                        path.display()
-                    );
-                }
+                eprintln!(
+                    "warning: warm blob {} is truncated or corrupt ({e}); \
+                     ignoring it and warming cold",
+                    path.display()
+                );
                 None
             }
         }
@@ -448,10 +302,10 @@ impl WarmCache {
             }
         }
         // Exclusive staging + atomic rename: the temp name is unique
-        // per (process, store) so two workers — threads or whole
-        // processes — racing on the same fingerprint each write their
-        // own complete file, and whichever renames last wins with a
-        // whole blob. A reader can never observe a partial write.
+        // per (process, store) so two writers racing on the same
+        // fingerprint each write their own complete file, and whichever
+        // renames last wins with a whole blob. A reader can never
+        // observe a partial write.
         static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
         let tmp = path.with_extension(format!(
             "tmp.{}.{}",
@@ -466,81 +320,6 @@ impl WarmCache {
     }
 }
 
-/// How a disk-backed miss gets satisfied.
-enum DiskOutcome {
-    /// A valid blob was (eventually) read.
-    Loaded(WarmState),
-    /// Build locally; the guard (if any) is the held advisory lock,
-    /// released by the caller after the blob is stored.
-    Build(Option<LockGuard>),
-}
-
-/// Holder of one `<fp>.lock` advisory file; best-effort removal on
-/// drop. Creation uses `create_new` (O_EXCL), so exactly one process
-/// can hold a given lock at a time.
-struct LockGuard {
-    path: PathBuf,
-}
-
-/// Outcome of one lock-acquisition attempt.
-enum Acquire {
-    /// We hold the lock.
-    Held(LockGuard),
-    /// Someone else holds it (`EEXIST`) — waiting is meaningful.
-    Busy,
-    /// The lock file cannot be created at all (missing/read-only dir,
-    /// …) — waiting would spin until the deadline for nothing, so the
-    /// caller should build immediately.
-    Unavailable,
-}
-
-impl LockGuard {
-    fn try_acquire(path: &std::path::Path) -> Acquire {
-        use std::io::Write as _;
-        match std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(path)
-        {
-            Ok(mut f) => {
-                // Waiters parse this pid to reclaim the lock the moment
-                // its owner dies (see `lock_owner_is_dead`).
-                let _ = writeln!(f, "{}", std::process::id());
-                Acquire::Held(LockGuard {
-                    path: path.to_path_buf(),
-                })
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => Acquire::Busy,
-            Err(_) => Acquire::Unavailable,
-        }
-    }
-}
-
-impl Drop for LockGuard {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-/// Whether the pid recorded in a lock file belongs to a process that no
-/// longer exists. Errs on the side of *alive*: an unreadable lock, a
-/// pid that does not parse (older lock formats, torn writes), or a
-/// platform without `/proc` all return `false`, leaving the
-/// `DCA_WARM_LOCK_MS` deadline as the backstop.
-fn lock_owner_is_dead(lock_path: &std::path::Path) -> bool {
-    let Ok(text) = std::fs::read_to_string(lock_path) else {
-        return false;
-    };
-    let Ok(pid) = text.trim().parse::<u32>() else {
-        return false;
-    };
-    if cfg!(target_os = "linux") {
-        !std::path::Path::new(&format!("/proc/{pid}")).exists()
-    } else {
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,27 +330,6 @@ mod tests {
         let mut cfg = SystemConfig::paper(Design::Cd, OrgKind::DirectMapped).scaled(5_000, 10_000);
         cfg.seed = seed;
         cfg
-    }
-
-    #[test]
-    fn lock_owner_liveness_is_judged_by_the_local_proc_table() {
-        let dir = std::env::temp_dir().join(format!("dca_warm_lock_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let lock = dir.join("fp.lock");
-        // Our own pid is alive on this host.
-        std::fs::write(&lock, format!("{}\n", std::process::id())).unwrap();
-        assert!(!lock_owner_is_dead(&lock));
-        // A pid beyond any realistic pid_max is dead — but only where a
-        // /proc table exists to say so.
-        std::fs::write(&lock, "999999999\n").unwrap();
-        assert_eq!(lock_owner_is_dead(&lock), cfg!(target_os = "linux"));
-        // Unparseable content and a missing file both err alive,
-        // leaving the deadline as the backstop.
-        std::fs::write(&lock, "not-a-pid\n").unwrap();
-        assert!(!lock_owner_is_dead(&lock));
-        std::fs::remove_file(&lock).unwrap();
-        assert!(!lock_owner_is_dead(&lock));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -728,135 +486,39 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_caches_sharing_one_disk_dir_build_once() {
-        // Two *independent* cache instances (stand-ins for two worker
-        // processes) race on the same fingerprint in one DCA_WARM_DIR:
-        // the advisory lock must let exactly one build while the other
-        // waits and then loads the stored blob — no corruption, no
-        // double warm-up.
-        let dir = scratch_dir("advisory");
-        let cfg = tiny_cfg(30);
-        let benches = [Benchmark::Gcc];
-        let a = WarmCache::with_policy(4, Some(dir.clone()), true);
-        let b = WarmCache::with_policy(4, Some(dir.clone()), true);
-        let (fa, fb) = std::thread::scope(|scope| {
-            let ha = scope.spawn(|| a.get_or_build(&cfg, &benches).fingerprint());
-            let hb = scope.spawn(|| b.get_or_build(&cfg, &benches).fingerprint());
-            (ha.join().unwrap(), hb.join().unwrap())
-        });
-        assert_eq!(fa, fb, "both instances must resolve the same state");
-        let (sa, sb) = (a.stats(), b.stats());
-        assert_eq!(
-            sa.builds + sb.builds,
-            1,
-            "exactly one build across the two instances (a={sa:?}, b={sb:?})"
-        );
-        assert_eq!(
-            sa.disk_loads + sb.disk_loads,
-            1,
-            "the non-builder must load the builder's blob (a={sa:?}, b={sb:?})"
-        );
-        // The winning blob must be whole and reloadable.
-        let fresh = WarmCache::with_policy(4, Some(dir.clone()), true);
-        fresh.get_or_build(&cfg, &benches);
-        assert_eq!(fresh.stats().disk_loads, 1, "blob survived the race intact");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn unparseable_stale_lock_times_out_and_builds() {
-        // A lock whose content is not a pid (older format, torn write)
-        // cannot be liveness-checked, so it must fall back to the
-        // deadline: delay, never block.
-        let dir = scratch_dir("stale-lock");
-        let cfg = tiny_cfg(31);
-        let benches = [Benchmark::Gcc];
-        let fp = dca::WarmState::fingerprint_for(&cfg, &benches);
-        std::fs::write(dir.join(format!("{fp:016x}.lock")), b"not-a-pid\n")
-            .expect("plant stale lock");
-        let cache = WarmCache::with_policy(4, Some(dir.clone()), true)
-            .with_lock_timeout(Duration::from_millis(200));
-        let t0 = Instant::now();
-        let state = cache.get_or_build(&cfg, &benches);
-        assert_eq!(state.fingerprint(), fp);
-        let s = cache.stats();
-        assert_eq!(
-            (s.builds, s.lock_waits, s.lock_reclaims),
-            (1, 1, 0),
-            "waited, then built"
-        );
-        assert!(
-            t0.elapsed() >= Duration::from_millis(200),
-            "must actually have waited out the deadline"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    #[cfg(target_os = "linux")]
-    fn stale_lock_from_dead_process_is_reclaimed_immediately() {
-        // A worker killed mid-warm-up leaves its lock behind; because
-        // the lock records the owner pid, waiters must reclaim it as
-        // soon as they see the owner gone — NOT sleep out the (here:
-        // prohibitive) DCA_WARM_LOCK_MS deadline.
-        let dir = scratch_dir("dead-owner");
-        let cfg = tiny_cfg(33);
-        let benches = [Benchmark::Gcc];
-        let fp = dca::WarmState::fingerprint_for(&cfg, &benches);
-
-        // A real, genuinely dead pid: spawn a subprocess (this very
-        // test binary, told to run a test that does not exist, so it
-        // exits immediately) and reap it.
-        let exe = std::env::current_exe().expect("test binary path");
-        let child = std::process::Command::new(exe)
-            .args(["--exact", "no_such_test_anywhere", "--test-threads", "1"])
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null())
-            .spawn()
-            .expect("spawn short-lived subprocess");
-        let dead_pid = child.id();
-        child.wait_with_output().expect("reap subprocess");
-        assert!(
-            !std::path::Path::new(&format!("/proc/{dead_pid}")).exists(),
-            "subprocess must be fully reaped"
-        );
-
-        std::fs::write(dir.join(format!("{fp:016x}.lock")), format!("{dead_pid}\n"))
-            .expect("plant dead-owner lock");
-        let cache = WarmCache::with_policy(4, Some(dir.clone()), true)
-            .with_lock_timeout(Duration::from_secs(120));
-        let t0 = Instant::now();
-        let state = cache.get_or_build(&cfg, &benches);
-        assert_eq!(state.fingerprint(), fp);
-        let s = cache.stats();
-        assert_eq!(s.builds, 1, "reclaimed, then built");
-        assert_eq!(s.lock_reclaims, 1, "the dead owner's lock was reclaimed");
-        assert!(
-            t0.elapsed() < Duration::from_secs(60),
-            "reclaim must not wait toward the 120 s deadline"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn unusable_disk_dir_builds_immediately_without_lock_wait() {
         // A warm dir that cannot exist (a path *under a plain file*)
-        // must degrade to an immediate cold build — not spin out the
-        // whole lock deadline for every fingerprint.
+        // must degrade to an immediate cold build, not an error.
         let dir = scratch_dir("unusable");
         let blocker = dir.join("blocker");
         std::fs::write(&blocker, b"file, not dir").expect("blocker file");
-        let cache = WarmCache::with_policy(4, Some(blocker.join("warm")), true)
-            .with_lock_timeout(Duration::from_secs(60));
-        let t0 = Instant::now();
-        cache.get_or_build(&tiny_cfg(32), &[Benchmark::Gcc]);
-        let s = cache.stats();
-        assert_eq!((s.builds, s.lock_waits), (1, 0), "built cold, no wait");
-        assert!(
-            t0.elapsed() < Duration::from_secs(30),
-            "must not sleep toward the lock deadline"
+        let cache = WarmCache::with_policy(4, Some(blocker.join("warm")), true);
+        let cfg = tiny_cfg(32);
+        let state = cache.get_or_build(&cfg, &[Benchmark::Gcc]);
+        assert_eq!(
+            state.fingerprint(),
+            dca::WarmState::fingerprint_for(&cfg, &[Benchmark::Gcc])
         );
+        let s = cache.stats();
+        assert_eq!((s.builds, s.disk_loads), (1, 0), "built cold");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn evicted_state_stays_alive_for_its_holders_and_is_rebuilt_on_request() {
+        let cache = WarmCache::with_policy(4, None, true);
+        let cfg = tiny_cfg(6);
+        let benches = [Benchmark::Gcc];
+        let held = cache.get_or_build(&cfg, &benches);
+        cache.evict(held.fingerprint());
+        // Evicting an absent key is a no-op.
+        cache.evict(held.fingerprint());
+        // The holder's Arc is untouched; a new request warms anew.
+        let again = cache.get_or_build(&cfg, &benches);
+        assert!(!Arc::ptr_eq(&held, &again));
+        assert_eq!(held.encode(), again.encode());
+        let s = cache.stats();
+        assert_eq!((s.builds, s.hits), (2, 0));
     }
 
     #[test]

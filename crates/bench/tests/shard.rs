@@ -1,27 +1,32 @@
-//! End-to-end tests of the process-sharded figure harness: the
-//! `figures` binary is driven as a real subprocess (supervisor plus
-//! persistent pool workers) against scratch working directories, and
-//! its sharded output is compared byte-for-byte to the serial path.
-//! Fault injection is deterministic via `DCA_FAULT_PLAN` (see
-//! `dca_bench::shard::pool`); the full failure matrix lives in
-//! `tests/pool.rs`. Also covers the bench front-end behaviours:
-//! unknown flags exit 2 with a usage listing, an unwritable `results/`
-//! is a reported error, a malformed scale variable exits 1 before any
-//! simulation, and malformed `DCA_WARM*` knobs warn instead of silently
-//! falling back.
+//! End-to-end tests of the figure runner: the `figures` binary is
+//! driven as a real subprocess against scratch working directories, and
+//! its output with no flag, `--jobs 1` and `--jobs 2` is compared byte
+//! for byte. Covers partial reuse (resume, a corrupt partial, a second
+//! figure sharing jobs), a killed run that resumes, partials from
+//! another build, orphan pruning, and a panicking job (through
+//! `shard::run_jobs` directly). Also covers the bench front-end
+//! behaviours: unknown flags exit 2 with a usage listing, an unwritable
+//! `results/` is a reported error, a malformed scale variable exits 1
+//! before any simulation, and malformed `DCA_WARM*` knobs warn instead
+//! of silently falling back.
 
 use std::collections::HashSet;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
-use dca_bench::shard::{figure_plan, plan_jobs, JobPayload, DEFAULT_CHUNK};
-use dca_bench::Scale;
+use dca::Design;
+use dca_bench::shard::{
+    decode_partial, figure_plan, partial_path, plan_jobs, run_jobs, Job, JobPayload, BUILD_STAMP,
+    DEFAULT_CHUNK,
+};
+use dca_bench::{RunSpec, Scale};
+use dca_dram_cache::OrgKind;
 
 const FIGURES: &str = env!("CARGO_BIN_EXE_figures");
 
 /// The tiny scale every subprocess in this file runs at. Small enough
-/// for debug-mode CI, big enough that the three designs diverge.
+/// for debug-mode CI, big enough that the designs diverge.
 const INSTS: &str = "2000";
 const WARMUP: &str = "5000";
 const MIXES: &str = "1,2";
@@ -55,14 +60,7 @@ fn figures_cmd(dir: &Path) -> Command {
         .env_remove("DCA_WARM")
         .env_remove("DCA_WARM_CAP")
         .env_remove("DCA_WARM_PERSIST")
-        .env_remove("DCA_WARM_DIR")
-        .env_remove("DCA_FAULT_PLAN")
-        .env_remove("DCA_JOB_TIMEOUT_MS")
-        .env_remove("DCA_JOB_ATTEMPTS")
-        .env_remove("DCA_RETRY_BACKOFF_MS")
-        .env_remove("DCA_HEARTBEAT_MS")
-        .env_remove("DCA_HEARTBEAT_TIMEOUT_MS")
-        .env_remove("DCA_POOL_INFLIGHT");
+        .env_remove("DCA_WARM_DIR");
     cmd
 }
 
@@ -90,126 +88,318 @@ fn read_outputs(dir: &Path, fig: &str) -> Vec<(String, Vec<u8>)> {
         .collect()
 }
 
-/// The tentpole guarantee: a `--jobs 2` pool run produces byte-identical
-/// figure files to the serial in-process run, an injected worker crash
-/// is retried and reported, a re-run against the surviving partials
-/// reuses them all (crash-safe resume), and a second figure in the same
-/// directory runs only the jobs the first did not flush.
+fn jobs_of(fig: &str) -> Vec<Job> {
+    let plan = figure_plan(fig, &tiny_scale()).expect("a shardable figure");
+    plan_jobs(std::slice::from_ref(&plan), DEFAULT_CHUNK)
+}
+
+/// The runner's guarantee: the thread count never changes a byte of
+/// the figure files or builds a warm state twice, a re-run against the
+/// partials on disk runs nothing, a corrupt partial is re-run, and a
+/// second figure in the same directory runs only the jobs the first
+/// did not write.
 #[test]
-fn sharded_run_is_bit_identical_retries_crashes_and_resumes() {
-    // Serial reference.
-    let serial_dir = scratch("serial");
-    run_ok(figures_cmd(&serial_dir).arg("--fig14"));
-    let serial = read_outputs(&serial_dir, "fig14");
-
-    // Pick a real eval job id to crash, from the same plan the binary
-    // derives (same scale → same ids).
-    let plan = figure_plan("fig14", &tiny_scale()).expect("fig14 is shardable");
-    let jobs = plan_jobs(std::slice::from_ref(&plan), DEFAULT_CHUNK);
-    let crash_id = jobs
-        .iter()
-        .find(|j| matches!(j.payload, JobPayload::Eval { .. }))
-        .expect("an eval job")
-        .id
-        .clone();
-
-    // Pool run with one injected worker crash (first attempt only).
-    let shard_dir = scratch("jobs2");
-    let out = run_ok(
-        figures_cmd(&shard_dir)
-            .args(["--fig14", "--jobs", "2"])
-            .env("DCA_FAULT_PLAN", format!("crash:{crash_id}@0")),
+fn thread_counts_are_bit_identical_and_partials_resume() {
+    let runs: [(&str, &[&str]); 3] = [
+        ("default", &[]),
+        ("jobs1", &["--jobs", "1"]),
+        ("jobs2", &["--jobs", "2"]),
+    ];
+    let dirs: Vec<PathBuf> = runs.iter().map(|(tag, _)| scratch(tag)).collect();
+    let jobs = jobs_of("fig14");
+    // fig14 is one organisation and one policy: every design of a mix
+    // shares the mix's warm state, and each alone run has its own.
+    let mut keys = HashSet::new();
+    let mut requests = 0;
+    for job in &jobs {
+        match &job.payload {
+            JobPayload::Eval { mixes, .. } => {
+                requests += mixes.len();
+                keys.extend(mixes.iter().map(|m| format!("mix {m}")));
+            }
+            JobPayload::Alone { benches, .. } => {
+                requests += benches.len();
+                keys.extend(benches.iter().map(|b| b.name().to_string()));
+            }
+        }
+    }
+    let built_once = format!(
+        "{} warm-ups built, {} reused",
+        keys.len(),
+        requests - keys.len()
     );
+    for (dir, (_, flags)) in dirs.iter().zip(&runs) {
+        let out = run_ok(figures_cmd(dir).arg("--fig14").args(*flags));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&built_once),
+            "with {flags:?} each warm state must be built once ({built_once}):\n{stderr}"
+        );
+    }
+    let reference = read_outputs(&dirs[0], "fig14");
+    for (dir, (_, flags)) in dirs.iter().zip(&runs) {
+        assert_eq!(
+            reference,
+            read_outputs(dir, "fig14"),
+            "fig14 with {flags:?} must be byte-identical to the default run"
+        );
+    }
+
+    // Resume: every partial survived, so a re-run executes zero jobs
+    // and still renders identical files.
+    let dir = &dirs[2];
+    let out = run_ok(figures_cmd(dir).args(["--fig14", "--jobs", "2"]));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("retrying") && stderr.contains(&crash_id),
-        "supervisor must report the retried job:\n{stderr}"
-    );
-    assert!(
-        stderr.contains("1 retried"),
-        "exactly one retry expected:\n{stderr}"
-    );
-    assert_eq!(
-        serial,
-        read_outputs(&shard_dir, "fig14"),
-        "sharded figure files must be byte-identical to serial"
-    );
-
-    // Crash-safe resume: every partial survived, so a second sharded
-    // run executes zero jobs and still renders identical files.
-    let out = run_ok(figures_cmd(&shard_dir).args(["--fig14", "--jobs", "2"]));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("0 jobs run") && stderr.contains(&format!("{} reused", jobs.len())),
+        stderr.contains(&format!("0 jobs run, {} reused", jobs.len())),
         "resume must reuse all {} partials:\n{stderr}",
         jobs.len()
     );
-    assert_eq!(serial, read_outputs(&shard_dir, "fig14"));
+    assert_eq!(reference, read_outputs(dir, "fig14"));
 
     // A corrupted partial is detected, re-run, and heals.
-    let victim = dca_bench::shard::partial_path(&crash_id);
-    let victim = shard_dir.join(victim);
+    let victim = dir.join(partial_path(&jobs[jobs.len() - 1].id));
     std::fs::write(&victim, b"{\"schema\": 1, \"job\": \"torn").expect("corrupt partial");
-    let out = run_ok(figures_cmd(&shard_dir).args(["--fig14", "--jobs", "2"]));
+    let out = run_ok(figures_cmd(dir).args(["--fig14", "--jobs", "2"]));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("ignoring invalid partial") && stderr.contains("1 jobs run"),
         "corrupt partial must be re-run:\n{stderr}"
     );
-    assert_eq!(serial, read_outputs(&shard_dir, "fig14"));
+    assert_eq!(reference, read_outputs(dir, "fig14"));
 
-    // Partial reuse across figures: fig12 shares jobs with fig14, so the
-    // pool runs only fig12's own jobs and reuses every flushed one.
-    let fig12 = figure_plan("fig12", &tiny_scale()).expect("fig12 is shardable");
-    let fig12_jobs = plan_jobs(std::slice::from_ref(&fig12), DEFAULT_CHUNK);
-    let flushed: HashSet<&str> = jobs.iter().map(|j| j.id.as_str()).collect();
-    let reused = fig12_jobs
-        .iter()
-        .filter(|j| flushed.contains(j.id.as_str()))
-        .count();
+    // Partial reuse across figures: fig12 shares jobs with fig14, so a
+    // fig12 run after fig14 runs only fig12's own jobs, and its files
+    // are byte-identical whatever the thread count.
+    let fig14: HashSet<String> = jobs.iter().map(|j| j.id.clone()).collect();
+    let fig12_jobs = jobs_of("fig12");
+    let reused = fig12_jobs.iter().filter(|j| fig14.contains(&j.id)).count();
     let fresh = fig12_jobs.len() - reused;
-    assert!(
-        reused > 0 && fresh > 0,
-        "fig12 must share some jobs with fig14 and add some of its own"
+    assert_eq!((fresh, reused), (4, 6), "fig12's plan drifted");
+    for (dir, (_, flags)) in dirs.iter().zip(&runs) {
+        let out = run_ok(figures_cmd(dir).arg("--fig12").args(*flags));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{fresh} jobs run, {reused} reused")),
+            "fig12 with {flags:?} must run {fresh} jobs and reuse {reused}:\n{stderr}"
+        );
+        assert_eq!(
+            read_outputs(&dirs[0], "fig12"),
+            read_outputs(dir, "fig12"),
+            "fig12 with {flags:?} must be byte-identical to the default run"
+        );
+    }
+    for dir in &dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// A run killed outright (SIGKILL, so no handler can flush anything)
+/// keeps every partial it finished: a re-run reuses them and renders
+/// the same bytes as an uninterrupted run.
+#[test]
+fn killed_run_resumes_from_its_partials() {
+    // Eight mixes make enough jobs that the kill lands mid-run.
+    let mixes = "1,2,3,4,5,6,7,8";
+    let reference = scratch("kill-reference");
+    run_ok(
+        figures_cmd(&reference)
+            .arg("--fig14")
+            .env("DCA_MIXES", mixes),
     );
-    run_ok(figures_cmd(&serial_dir).arg("--fig12"));
-    let out = run_ok(figures_cmd(&shard_dir).args(["--fig12", "--jobs", "2"]));
+
+    let dir = scratch("killed");
+    let partials = dir.join("results").join("partials");
+    let mut child = figures_cmd(&dir)
+        .args(["--fig14", "--jobs", "2"])
+        .env("DCA_MIXES", mixes)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn figures");
+    let written = |dir: &Path| {
+        std::fs::read_dir(dir).map_or(0, |entries| {
+            entries
+                .flatten()
+                .filter(|e| e.file_name().to_string_lossy().ends_with(".json"))
+                .count()
+        })
+    };
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while written(&partials) == 0 {
+        assert!(Instant::now() < deadline, "no partial within 120 s");
+        assert!(
+            child.try_wait().expect("try_wait").is_none(),
+            "figures finished before it could be killed"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    child.kill().expect("SIGKILL figures");
+    let status = child.wait().expect("reap figures");
+    assert!(!status.success(), "the kill must interrupt the run");
+    let kept = written(&partials);
+
+    let out = run_ok(
+        figures_cmd(&dir)
+            .args(["--fig14", "--jobs", "2"])
+            .env("DCA_MIXES", mixes),
+    );
     let stderr = String::from_utf8_lossy(&out.stderr);
+    let reused: usize = stderr
+        .lines()
+        .find_map(|l| {
+            l.split(" jobs run, ")
+                .nth(1)?
+                .split(' ')
+                .next()?
+                .parse()
+                .ok()
+        })
+        .unwrap_or_else(|| panic!("no job count line:\n{stderr}"));
     assert!(
-        stderr.contains(&format!("{fresh} jobs run, {reused} reused")),
-        "fig12 must run {fresh} jobs and reuse {reused} fig14 partials:\n{stderr}"
+        reused >= 1 && reused <= kept,
+        "the re-run must reuse the {kept} partial(s) the killed run wrote:\n{stderr}"
     );
     assert_eq!(
-        read_outputs(&serial_dir, "fig12"),
-        read_outputs(&shard_dir, "fig12"),
-        "fig12 from reused partials must be byte-identical to serial"
+        read_outputs(&reference, "fig14"),
+        read_outputs(&dir, "fig14")
     );
+    let _ = std::fs::remove_dir_all(&reference);
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    let _ = std::fs::remove_dir_all(&serial_dir);
-    let _ = std::fs::remove_dir_all(&shard_dir);
+/// Partials stamped by another build are discarded, with one warning
+/// naming the count, and everything re-runs.
+#[test]
+fn partials_from_another_build_are_discarded() {
+    let reference = scratch("stamp-reference");
+    run_ok(figures_cmd(&reference).arg("--fig14"));
+    let jobs = jobs_of("fig14");
+    let dir = scratch("stamp");
+    run_ok(figures_cmd(&dir).arg("--fig14"));
+    let stamp = dir.join("results").join("partials").join(BUILD_STAMP);
+    assert!(stamp.exists(), "a run must stamp its partials");
+    std::fs::write(&stamp, "0123456789abcdef\n").expect("overwrite the stamp");
+    let out = run_ok(figures_cmd(&dir).arg("--fig14"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!(
+            "discarded {} partial(s) written by another build",
+            jobs.len()
+        )),
+        "the discard must be announced with its count:\n{stderr}"
+    );
+    assert!(
+        stderr.contains(&format!("{} jobs run, 0 reused", jobs.len())),
+        "every job must re-run:\n{stderr}"
+    );
+    assert_eq!(
+        read_outputs(&reference, "fig14"),
+        read_outputs(&dir, "fig14")
+    );
+    // The new stamp makes the next run reuse everything again.
+    let out = run_ok(figures_cmd(&dir).arg("--fig14"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("0 jobs run, {} reused", jobs.len())),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&reference);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Partials left by a *different* plan (another figure, scale, or
+/// chunking) are pruned before anything runs, with a count on stderr;
+/// files that are not job partials are left alone.
+#[test]
+fn orphan_partials_are_pruned_and_foreign_files_kept() {
+    let dir = scratch("prune");
+    run_ok(figures_cmd(&dir).arg("--fig14"));
+    let reference = read_outputs(&dir, "fig14");
+    let partials = dir.join("results").join("partials");
+
+    // A job id from a plan the current invocation does not include →
+    // orphan, must be pruned.
+    let fig14: HashSet<String> = jobs_of("fig14").into_iter().map(|j| j.id).collect();
+    let foreign_job = jobs_of("fig12")
+        .into_iter()
+        .map(|j| j.id)
+        .find(|id| !fig14.contains(id))
+        .expect("a fig12-only job id");
+    let orphan = partials.join(format!("{foreign_job}.json"));
+    std::fs::write(&orphan, b"{}").expect("plant orphan");
+    // Not a job partial at all → must survive untouched.
+    let notes = partials.join("notes.txt");
+    std::fs::write(&notes, b"keep me").expect("plant notes");
+
+    let out = run_ok(figures_cmd(&dir).arg("--fig14"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("pruned 1 orphan partial(s)"),
+        "the orphan count must be logged:\n{stderr}"
+    );
+    assert!(!orphan.exists(), "the stale partial must be removed");
+    assert_eq!(
+        std::fs::read(&notes).expect("notes survive"),
+        b"keep me",
+        "foreign files must not be touched"
+    );
+    assert_eq!(reference, read_outputs(&dir, "fig14"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job that panics is named with its message, every other job still
+/// writes a valid partial, and a re-run runs only the failed job.
+#[test]
+fn a_panicking_job_is_isolated() {
+    let mut jobs = jobs_of("fig14");
+    // `dca_cpu::mix` panics on mix 31.
+    let bad = Job::new(JobPayload::Eval {
+        spec: RunSpec::at_scale(Design::Dca, OrgKind::DirectMapped, &tiny_scale()),
+        mixes: vec![31],
+    });
+    jobs.insert(1, bad.clone());
+    let dir = scratch("panic").join("partials");
+
+    let outcome = run_jobs(&jobs, 2, &dir);
+    assert_eq!((outcome.run, outcome.reused), (jobs.len(), 0));
+    assert_eq!(outcome.failed.len(), 1, "{:?}", outcome.failed);
+    let (id, message) = &outcome.failed[0];
+    assert_eq!(*id, bad.id);
+    assert!(message.contains("got 31"), "{message}");
+    for job in jobs.iter().filter(|j| j.id != bad.id) {
+        let text = std::fs::read_to_string(dir.join(format!("{}.json", job.id)))
+            .unwrap_or_else(|e| panic!("{} must have a partial: {e}", job.id));
+        decode_partial(&text, job).expect("the partial validates");
+    }
+    assert!(!dir.join(format!("{}.json", bad.id)).exists());
+
+    let again = run_jobs(&jobs, 2, &dir);
+    assert_eq!((again.run, again.reused), (1, jobs.len() - 1));
+    assert_eq!(again.failed.len(), 1);
+    let _ = std::fs::remove_dir_all(dir.parent().expect("scratch root"));
 }
 
 /// Unknown flags exit 2 with a usage listing instead of silently
-/// producing nothing. `--serve` outside `--worker` is a usage error, as
-/// are options `figures` does not have, a value after `--serve`, and
-/// pool options given to a worker.
+/// producing nothing — including the flags of modes `figures` no longer
+/// has, a bad thread count, and a value on a flag that takes none.
 #[test]
 fn unknown_flags_exit_2_with_usage() {
     for bad in [
         &["--fig99"][..],
         &["--figs"],
         &["--jobs", "zero"],
+        &["--jobs", "0"],
+        &["--jobs"],
         &["--fig14=2"],
         &["--all=x"],
         &["--batch", "3"],
+        &["--chunk", "3"],
+        &["--worker"],
         &["--serve"],
+        &["--worker", "--serve"],
         &["--serve", "127.0.0.1:1"],
         &["--agent", "127.0.0.1:1"],
-        &["--worker", "--serve", "--job", "x"],
-        &["--worker", "--job", "x"],
-        &["--worker", "--serve", "--chunk", "3"],
-        &["--worker", "--serve", "--jobs", "2"],
-        &["--worker"],
         &["--job", "x"],
     ] {
         let dir = scratch("badflag");
@@ -345,87 +535,5 @@ fn malformed_warm_knobs_warn_on_stderr() {
         stderr.contains("DCA_WARM_CAP=\"0\" must be a positive integer"),
         "zero-cap warning missing:\n{stderr}"
     );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Drive one `figures --worker --serve` process through the pool's
-/// wire protocol: one `RUN 0 <id>` frame per job, then stdin EOF, which
-/// the worker answers with `BYE` and exit 0. Returns the stdout frames.
-fn serve_jobs(dir: &Path, ids: &[&str]) -> Vec<String> {
-    let mut child = figures_cmd(dir)
-        .args(["--worker", "--serve"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn worker");
-    let mut stdin = child.stdin.take().expect("worker stdin");
-    for id in ids {
-        writeln!(stdin, "RUN 0 {id}").expect("write RUN frame");
-    }
-    drop(stdin);
-    let out = child.wait_with_output().expect("worker output");
-    assert!(
-        out.status.success(),
-        "worker failed ({}):\n--- stderr ---\n{}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8_lossy(&out.stdout)
-        .lines()
-        .map(str::to_string)
-        .collect()
-}
-
-/// One worker process drains several jobs in order, answering `OK <id>`
-/// for each and writing one valid partial per job.
-#[test]
-fn batched_workers_drain_multiple_jobs() {
-    let plan = figure_plan("fig14", &tiny_scale()).expect("plan");
-    let jobs = plan_jobs(std::slice::from_ref(&plan), DEFAULT_CHUNK);
-    assert!(jobs.len() >= 2, "need at least two jobs to batch");
-    let dir = scratch("batch-hand");
-    let frames = serve_jobs(&dir, &[&jobs[0].id, &jobs[1].id]);
-    let oks: Vec<&str> = frames
-        .iter()
-        .filter_map(|f| f.strip_prefix("OK "))
-        .collect();
-    assert_eq!(
-        oks,
-        [jobs[0].id.as_str(), jobs[1].id.as_str()],
-        "{frames:?}"
-    );
-    assert_eq!(frames.last().map(String::as_str), Some("BYE"), "{frames:?}");
-    for job in &jobs[..2] {
-        let text = std::fs::read_to_string(dir.join(dca_bench::shard::partial_path(&job.id)))
-            .unwrap_or_else(|e| panic!("the worker must write {}: {e}", job.id));
-        dca_bench::shard::decode_partial(&text, job).expect("partial validates");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A job id re-run by hand through the worker protocol produces a
-/// partial the supervisor would accept, and a malformed id is an `ERR`
-/// frame that leaves the worker serving.
-#[test]
-fn worker_mode_writes_a_valid_partial() {
-    let dir = scratch("worker");
-    let plan = figure_plan("fig14", &tiny_scale()).expect("plan");
-    let job = plan_jobs(std::slice::from_ref(&plan), DEFAULT_CHUNK)
-        .into_iter()
-        .find(|j| matches!(j.payload, JobPayload::Alone { .. }))
-        .expect("an alone job");
-    let frames = serve_jobs(&dir, &["ev_bogus", &job.id]);
-    assert!(
-        frames.iter().any(|f| f.starts_with("ERR ev_bogus ")),
-        "a malformed id must be an ERR frame: {frames:?}"
-    );
-    assert!(
-        frames.iter().any(|f| *f == format!("OK {}", job.id)),
-        "the worker must keep serving after an ERR: {frames:?}"
-    );
-    let text = std::fs::read_to_string(dir.join(dca_bench::shard::partial_path(&job.id)))
-        .expect("partial written");
-    dca_bench::shard::decode_partial(&text, &job).expect("partial validates");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,7 +1,7 @@
 //! `dca-lint` — a workspace-wide determinism & robustness linter.
 //!
 //! Everything this reproduction promises — paper figures byte-identical
-//! across engines, warm restores, serial vs worker pool — rests on
+//! across engines, warm restores, thread counts and reused partials — rests on
 //! invariants that runtime bit-identity tests only catch *after* a
 //! violation slips in. This crate enforces them statically, at the source
 //! level, with zero dependencies (a hand-rolled line/token scanner; no
@@ -15,7 +15,6 @@
 //! | D02  | all crates, non-test | no `Instant::now`/`SystemTime` outside the bench-timing allowlist ([`D02_ALLOW`]) — wall-clock reads in sim code leak host timing into results. |
 //! | D03  | sim crates, non-test | no unsorted iteration (`.iter()`, `.keys()`, `for .. in &map`, …) over hash maps — order leaks into event order and reports. Collect & sort, or use `BTreeMap`. |
 //! | C01  | all crates, non-test | codec coverage: a struct with `fn encode` must mention every named field somewhere in its `encode`/`decode` bodies — catches the "added a field, forgot the codec" class that forced the `WarmState` v2→v3→v4 bumps. |
-//! | R01  | `shard::{supervisor,pool}`, non-test | no `unwrap`/`expect`/`panic!` — the worker pool exists to survive worker crashes, hangs and protocol garbage, so its paths must degrade (retry, respawn, quarantine) through error values instead of aborting the sweep. |
 //! | P01  | everywhere | a `dca-lint:` pragma that names an unknown rule or carries no reason is itself a finding. |
 //!
 //! "Non-test" means: not under a `tests/` or `benches/` directory, and not
@@ -72,10 +71,6 @@ pub const RULES: &[(&str, &str)] = &[
         "C01",
         "struct with fn encode whose encode/decode bodies do not mention every field",
     ),
-    (
-        "R01",
-        "unwrap/expect/panic! in crash-recoverable shard code",
-    ),
     ("P01", "malformed dca-lint allow pragma"),
 ];
 
@@ -93,27 +88,10 @@ pub const SIM_CRATES: &[&str] = &[
 ];
 
 /// Files allowed to read the wall clock, with the reason why (D02).
-pub const D02_ALLOW: &[(&str, &str)] = &[
-    (
-        "crates/bench/src/bin/figures.rs",
-        "CLI reports sweep wall-clock timings",
-    ),
-    (
-        "crates/bench/src/warm.rs",
-        "stale warm-dir lock reclaim keys off wall-clock age",
-    ),
-    (
-        "crates/bench/src/shard/supervisor.rs",
-        "job deadlines and heartbeat liveness need a clock",
-    ),
-];
-
-/// Modules where panicking is forbidden (R01): the worker pool's
-/// crash-recoverable paths, supervisor and worker side.
-pub const R01_FILES: &[&str] = &[
-    "crates/bench/src/shard/supervisor.rs",
-    "crates/bench/src/shard/pool.rs",
-];
+pub const D02_ALLOW: &[(&str, &str)] = &[(
+    "crates/bench/src/bin/figures.rs",
+    "CLI reports sweep wall-clock timings",
+)];
 
 /// A single lint violation at `path:line`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -447,7 +425,6 @@ fn collect_pragmas(path: &str, pragma_lines: &[&str], masked_lines: &[&str]) -> 
 /// Classification of one file, derived from its root-relative path.
 struct FileCtx {
     sim_crate: bool,
-    r01: bool,
     d02_allowed: bool,
 }
 
@@ -458,7 +435,6 @@ impl FileCtx {
             .and_then(|r| r.split('/').next());
         FileCtx {
             sim_crate: crate_name.is_some_and(|c| SIM_CRATES.contains(&c)),
-            r01: R01_FILES.contains(&rel),
             d02_allowed: D02_ALLOW.iter().any(|(p, _)| *p == rel),
         }
     }
@@ -544,34 +520,6 @@ pub fn scan_file(rel: &str, src: &str) -> (Vec<Finding>, Vec<AllowPragma>) {
                         line,
                         message: format!(
                             "wall-clock read ({what}) outside the bench-timing allowlist: host timing must not reach sim code"
-                        ),
-                    },
-                    &pragmas.suppress,
-                );
-            }
-        }
-        if ctx.r01 {
-            let mut hits: Vec<&str> = Vec::new();
-            for m in ["unwrap", "expect"] {
-                for at in ident_positions(ml, m) {
-                    if ml[..at].trim_end().ends_with('.') {
-                        hits.push(m);
-                    }
-                }
-            }
-            for at in ident_positions(ml, "panic") {
-                if ml[at + "panic".len()..].starts_with('!') {
-                    hits.push("panic!");
-                }
-            }
-            for what in hits {
-                push(
-                    Finding {
-                        rule: "R01",
-                        path: rel.into(),
-                        line,
-                        message: format!(
-                            "{what} in crash-recoverable shard code: degrade via retry/quarantine, do not abort"
                         ),
                     },
                     &pragmas.suppress,

@@ -26,7 +26,7 @@
 //! and determinism is a correctness requirement for the experiment
 //! harness (identical seeds must yield identical figures). Parallelism
 //! lives one level up: a figure sweep runs its independent simulations
-//! on the `figures --jobs N` worker pool in `dca-bench`.
+//! on the `figures --jobs N` threads of `dca-bench`'s one runner.
 //!
 //! ## Engine architecture (hot paths)
 //!
@@ -65,9 +65,9 @@
 //!
 //! ## Determinism & codec rules (enforced by `dca-lint`)
 //!
-//! Bit-identical figures across engines, warm restores, and the
-//! serial and worker-pool execution paths are a correctness requirement,
-//! not an aspiration. The `dca-lint` crate enforces the source-level
+//! Bit-identical figures across engines, warm restores, thread counts
+//! and reused partials are a correctness requirement, not an
+//! aspiration. The `dca-lint` crate enforces the source-level
 //! invariants behind that statically (CI runs it before anything builds):
 //!
 //! * **No std hash maps in sim code (D01).** `std::collections::HashMap`
@@ -75,8 +75,8 @@
 //!   from it — differs run to run. Sim crates use [`hash::FastHashMap`]
 //!   (unkeyed, stable) or `BTreeMap`.
 //! * **No wall clock in sim code (D02).** `Instant::now`/`SystemTime`
-//!   belong only to the bench-timing layer (perf smoke, supervisor
-//!   deadlines). Simulated time is [`time::SimTime`], advanced
+//!   belong only to the bench-timing layer (the `figures` wall-clock
+//!   report). Simulated time is [`time::SimTime`], advanced
 //!   exclusively by the event queue.
 //! * **No hash-order iteration (D03).** Even a stable hasher's iteration
 //!   order is an accident of insertion; iterating a map into event order
@@ -87,10 +87,6 @@
 //!   "added a field, forgot the codec" class that forced the `WarmState`
 //!   v2→v3→v4 bumps now fails the lint instead of corrupting warm
 //!   restores.
-//! * **No panics on crash-recoverable paths (R01).** The worker pool
-//!   (`shard::{supervisor,pool}` in `dca-bench`) exists to survive
-//!   worker crashes, hangs and protocol garbage; it degrades through
-//!   error values and its retry/quarantine machinery, never aborts.
 //!
 //! Violations carry a `// dca-lint: allow(<rule>) <reason>` escape hatch,
 //! but every pragma is pinned by the linter's workspace self-test — see
