@@ -88,8 +88,7 @@ fn usage() -> String {
          \x20   1  error (bad environment, unwritable results, a job panicked)\n\
          \x20   2  usage\n\
          \n\
-         environment: DCA_FULL, DCA_INSTS, DCA_MIXES, DCA_WARMUP, DCA_WARM,\n\
-         \x20 DCA_WARM_CAP, DCA_WARM_PERSIST, DCA_WARM_DIR",
+         environment: DCA_FULL, DCA_INSTS, DCA_MIXES, DCA_WARMUP, DCA_WARM_CAP",
         FIGURE_FLAGS.join("] [")
     )
 }
@@ -582,7 +581,6 @@ fn main() {
 
     eprintln!(
         "figures: insts/core={}, warmup/core={}, mixes={:?} (set DCA_FULL=1 for paper scale; \
-         DCA_WARM=0 for cold warm-ups; DCA_WARM_PERSIST=1 to persist under results/warm/; \
          --jobs N to set the thread count, now {})",
         scale.insts, scale.warmup, scale.mixes, cli.jobs
     );
@@ -645,13 +643,10 @@ fn main() {
     // `bench.warm.{builds,hits}`.)
     let s = WarmCache::global().stats();
     eprintln!(
-        "figures: wall-clock {:.1}s; warm cache: {} warm-ups built, {} reused, {} disk-loaded \
-         ({} warm-ups avoided vs cold harness)",
+        "figures: wall-clock {:.1}s; warm cache: {} warm-ups built, {} reused",
         t0.elapsed().as_secs_f64(),
         s.builds,
-        s.hits,
-        s.disk_loads,
-        s.hits + s.disk_loads
+        s.hits
     );
     if WRITE_FAILED.load(Ordering::Relaxed) {
         std::process::exit(1);

@@ -203,33 +203,18 @@ impl RunSpec {
     /// Run one Table I mix under this spec, sharing the functional
     /// warm-up with every other design/remap variant of the same
     /// `(mix, org, warmup, seed)` tuple through the global [`WarmCache`]
-    /// (bit-for-bit identical to a cold run; `DCA_WARM=0` opts out).
+    /// (bit-for-bit identical to a cold run).
     pub fn run_mix(&self, mix_id: u32) -> SystemReport {
         let m = mix(mix_id);
         self.run_benches(&m.benches)
-    }
-
-    /// Run one Table I mix with a fresh, uncached warm-up.
-    pub fn run_mix_cold(&self, mix_id: u32) -> SystemReport {
-        let m = mix(mix_id);
-        self.run_benches_cold(&m.benches)
     }
 
     /// Run an explicit benchmark list (1–4 cores), warm-cached like
     /// [`RunSpec::run_mix`].
     pub fn run_benches(&self, benches: &[Benchmark]) -> SystemReport {
         let cfg = self.config();
-        if WarmCache::enabled() {
-            let warm = WarmCache::global().get_or_build(&cfg, benches);
-            System::from_warm(cfg, benches, &warm).run()
-        } else {
-            System::new(cfg, benches).run()
-        }
-    }
-
-    /// Run an explicit benchmark list with a fresh, uncached warm-up.
-    pub fn run_benches_cold(&self, benches: &[Benchmark]) -> SystemReport {
-        System::new(self.config(), benches).run()
+        let warm = WarmCache::global().get_or_build(&cfg, benches);
+        System::from_warm(cfg, benches, &warm).run()
     }
 }
 

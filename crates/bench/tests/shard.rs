@@ -7,7 +7,7 @@
 //! `shard::run_jobs` directly). Also covers the bench front-end
 //! behaviours: unknown flags exit 2 with a usage listing, an unwritable
 //! `results/` is a reported error, a malformed scale variable exits 1
-//! before any simulation, and malformed `DCA_WARM*` knobs warn instead
+//! before any simulation, and a malformed `DCA_WARM_CAP` warns instead
 //! of silently falling back.
 
 use std::collections::HashSet;
@@ -57,10 +57,7 @@ fn figures_cmd(dir: &Path) -> Command {
         .env("DCA_WARMUP", WARMUP)
         .env("DCA_MIXES", MIXES)
         .env_remove("DCA_FULL")
-        .env_remove("DCA_WARM")
-        .env_remove("DCA_WARM_CAP")
-        .env_remove("DCA_WARM_PERSIST")
-        .env_remove("DCA_WARM_DIR");
+        .env_remove("DCA_WARM_CAP");
     cmd
 }
 
@@ -269,18 +266,42 @@ fn killed_run_resumes_from_its_partials() {
 }
 
 /// Partials stamped by another build are discarded, with one warning
-/// naming the count, and everything re-runs.
+/// naming the count, and everything re-runs — warm-ups included: no
+/// warm state outlives the process that built it, even where the
+/// variables that once persisted warm states are still set.
 #[test]
 fn partials_from_another_build_are_discarded() {
     let reference = scratch("stamp-reference");
     run_ok(figures_cmd(&reference).arg("--fig14"));
     let jobs = jobs_of("fig14");
     let dir = scratch("stamp");
-    run_ok(figures_cmd(&dir).arg("--fig14"));
+    let warm_dir = dir.join("warm");
+    let fig14 = || {
+        let mut cmd = figures_cmd(&dir);
+        cmd.arg("--fig14")
+            .env("DCA_WARM_PERSIST", "1")
+            .env("DCA_WARM_DIR", &warm_dir);
+        cmd
+    };
+    let warm_builds = |stderr: &str| -> usize {
+        stderr
+            .lines()
+            .find_map(|l| {
+                l.split_once(" warm-ups built")?
+                    .0
+                    .rsplit(' ')
+                    .next()?
+                    .parse()
+                    .ok()
+            })
+            .unwrap_or_else(|| panic!("no warm-cache line:\n{stderr}"))
+    };
+    let out = run_ok(&mut fig14());
+    let built = warm_builds(&String::from_utf8_lossy(&out.stderr));
     let stamp = dir.join("results").join("partials").join(BUILD_STAMP);
     assert!(stamp.exists(), "a run must stamp its partials");
     std::fs::write(&stamp, "0123456789abcdef\n").expect("overwrite the stamp");
-    let out = run_ok(figures_cmd(&dir).arg("--fig14"));
+    let out = run_ok(&mut fig14());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains(&format!(
@@ -294,16 +315,23 @@ fn partials_from_another_build_are_discarded() {
         "every job must re-run:\n{stderr}"
     );
     assert_eq!(
+        warm_builds(&stderr),
+        built,
+        "the re-run must build every warm state afresh:\n{stderr}"
+    );
+    assert_eq!(
         read_outputs(&reference, "fig14"),
         read_outputs(&dir, "fig14")
     );
     // The new stamp makes the next run reuse everything again.
-    let out = run_ok(figures_cmd(&dir).arg("--fig14"));
+    let out = run_ok(&mut fig14());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains(&format!("0 jobs run, {} reused", jobs.len())),
         "{stderr}"
     );
+    assert!(!warm_dir.exists(), "no warm state may be written to disk");
+    assert!(!dir.join("results").join("warm").exists());
     let _ = std::fs::remove_dir_all(&reference);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -500,30 +528,16 @@ fn malformed_scale_exits_1_before_any_simulation() {
     }
 }
 
-/// Satellite bugfix: malformed `DCA_WARM*` knobs warn (naming the
-/// value and the fallback) instead of silently using defaults.
+/// A malformed `DCA_WARM_CAP` warns (naming the value and the
+/// fallback) instead of silently using the default.
 #[test]
 fn malformed_warm_knobs_warn_on_stderr() {
     let dir = scratch("knobs");
-    let out = run_ok(
-        figures_cmd(&dir)
-            .arg("--table1")
-            .env("DCA_WARM_CAP", "abc")
-            .env("DCA_WARM_PERSIST", "yes")
-            .env("DCA_WARM", "2"),
-    );
+    let out = run_ok(figures_cmd(&dir).arg("--table1").env("DCA_WARM_CAP", "abc"));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("DCA_WARM_CAP=\"abc\" is not an integer"),
         "cap warning missing:\n{stderr}"
-    );
-    assert!(
-        stderr.contains("DCA_WARM_PERSIST=\"yes\""),
-        "persist warning missing:\n{stderr}"
-    );
-    assert!(
-        stderr.contains("DCA_WARM=\"2\""),
-        "reuse warning missing:\n{stderr}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 

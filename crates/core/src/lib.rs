@@ -81,14 +81,14 @@
 //!   keyed by a
 //!   fingerprint of exactly the inputs warm-up depends on (benchmarks,
 //!   cache/DRAM geometry, `warmup_ops`, seed — see the [`warm`] module
-//!   docs for the scheme, the invalidation rules and the on-disk
-//!   format).
+//!   docs for the scheme and the state's canonical byte image).
 //! * [`System::from_warm`] builds a runnable system directly from a
 //!   `WarmState`, skipping warm-up; the run is bit-for-bit identical to
 //!   a cold [`System::new`] (asserted by
 //!   `tests/warm_checkpoint_equivalence.rs` on every CI run).
 //!
-//! The `dca-bench` crate layers a process-wide, optionally disk-backed
+//! A warm state lives only in the memory of the process that captured
+//! it. The `dca-bench` crate layers a process-wide, in-memory
 //! `WarmCache` on top so the whole figure harness shares warm-ups
 //! transparently.
 //!

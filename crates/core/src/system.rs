@@ -451,9 +451,9 @@ impl System {
     ///
     /// # Panics
     /// Panics if `warm` was captured for a different warm-up — i.e. its
-    /// fingerprint does not match `(cfg, benches)` — or if its component
-    /// shapes disagree with the configured geometry (possible only for a
-    /// hand-altered on-disk blob, since the fingerprint covers geometry).
+    /// fingerprint does not match `(cfg, benches)` — or if its core
+    /// count or tag geometry disagrees with `(cfg, benches)` (a
+    /// backstop: the fingerprint already covers both).
     pub fn from_warm(cfg: SystemConfig, benches: &[Benchmark], warm: &WarmState) -> Self {
         assert!(
             warm.matches(&cfg, benches),

@@ -20,11 +20,11 @@
 //! * [`WARM_FORMAT_VERSION`] (schema changes invalidate old state),
 //! * the workloads, in core order. For a synthetic benchmark that is
 //!   its id *and* every generator parameter (pattern, fractions,
-//!   working set, gap, reuse), so a retuned profile invalidates
-//!   persisted state by content, not by a remembered version bump. For
-//!   a trace workload it is the trace file's **content digest** — an
-//!   edited trace yields a new digest and therefore misses every stale
-//!   checkpoint by construction (paths and mtimes are never consulted),
+//!   working set, gap, reuse), so a retuned profile gets a new key by
+//!   content, not by a remembered version bump. For a trace workload it
+//!   is the trace file's **content digest** — an edited trace yields a
+//!   new digest and therefore misses every stale checkpoint by
+//!   construction (paths and mtimes are never consulted),
 //! * the cache organisation (`OrgKind` discriminant + associativity)
 //!   and the replacement policy (warm-up drives the tag array through
 //!   [`TagArray::insert`], whose victim choice is policy-dependent),
@@ -42,60 +42,35 @@
 //! — a stale fingerprint silently reusing wrong state is the one bug
 //! this scheme must never allow, so when in doubt, include the field.
 //!
-//! ## On-disk format
+//! ## Byte image
 //!
-//! [`WarmState::encode`] produces a standalone little-endian blob:
-//! an 8-byte magic (`"DCAWARM\0"`), a `u32` format version, the `u64`
-//! fingerprint, the component payloads (per-core [`SramCache`] L1s,
-//! the L2, the [`TagArray`], the [`MapI`] table, and one tagged
-//! [`OpStream`] cursor per core — a [`dca_cpu::TraceGen`] generator or
-//! a [`dca_cpu::TraceReader`] replay position) via each component's
-//! own `encode`/`decode` pair, and a trailing `u64` digest over
-//! everything before it.
-//! [`WarmState::decode`] validates the digest first, then magic,
-//! version, every component's invariants, and that the buffer is fully
-//! consumed — per-field range checks alone cannot catch a bit flip
-//! that lands inside a legal value, and a silently altered warm state
-//! is the one failure this subsystem must never allow.
-//! **Invalidation rules**: a reader must discard a blob whose digest,
-//! magic or version don't check out ([`WarmState::decode`] enforces
-//! these) or whose fingerprint is not the one it derived from its own
-//! configuration (the caller checks, e.g. `dca_bench::WarmCache`) — so
-//! bit rot, renamed benchmarks, retuned profiles behind the same id,
-//! or geometry changes all fall back to a fresh warm-up rather than
-//! corrupt a run.
+//! A warm state lives only in the memory of the process that captured
+//! it; nothing writes it to disk or reads it back. [`WarmState::encode`]
+//! is its canonical byte image: an 8-byte magic (`"DCAWARM\0"`), a
+//! `u32` format version, the `u64` fingerprint, the component payloads
+//! (per-core [`SramCache`] L1s, the L2, the [`TagArray`], the [`MapI`]
+//! table, and one tagged [`OpStream`] cursor per core) via each
+//! component's own `encode`, and a trailing `u64` digest over
+//! everything before it. perfbench's warm-up replay rebuilds these
+//! bytes on its own and compares them against `encode`, and
+//! `tests/digest_goldens.rs` pins their digest, so a change to the
+//! layout or to what warm-up computes shows up in both.
 //!
-//! The [`MapI`] table rides along for checkpoint completeness even
-//! though today's warm-up never trains it (it is always the pristine
-//! paper table); if warm-up ever does, the format already carries it.
+//! The [`MapI`] table is part of the image even though today's warm-up
+//! never trains it (it is always the pristine paper table).
 
 use dca_cpu::{tracefile, Benchmark, OpStream, Pattern};
 use dca_dram_cache::{MapI, OrgKind, TagArray};
 use dca_mem_hier::SramCache;
-use dca_sim_core::{digest64, ByteReader, ByteWriter, CodecError};
+use dca_sim_core::{digest64, ByteWriter};
 
 use crate::config::SystemConfig;
 
-/// Version of the checkpoint schema (fingerprint inputs + byte layout).
-/// Bump on any change to either; old state then misses cleanly.
-/// (v2: per-core workload cursors are kind-tagged [`OpStream`]s so
-/// trace replays checkpoint alongside synthetic generators.
-/// v3: the main-memory tier became a configurable device
-/// ([`SystemConfig::main_mem`]); the cursor payload is unchanged, but
-/// the bump retires every pre-refactor pool so cross-refactor state is
-/// never trusted. A v2 blob is **cleanly rejected** by
-/// [`WarmState::decode`] with a version error — consumers such as
-/// `dca_bench::WarmCache` log a warning and fall back to a cold
-/// warm-up; nothing panics. The backend choice itself is deliberately
-/// *excluded* from the fingerprint: warm-up is timing-free, so one
-/// warm-up legally serves every main-memory backend of a sensitivity
-/// sweep.
-/// v4: the tag array grew a pluggable replacement policy — the codec
-/// carries a policy byte and the fingerprint folds the policy in (the
-/// warmed tag contents depend on it). A v3 blob is rejected with the
-/// same clean version error as v2; consumers warm cold. The *design*
-/// — including the Banshee fill gate, which is a timing-phase refill
-/// filter — and the main-memory backend remain excluded.)
+/// Version of the warm-state schema (fingerprint inputs + byte layout),
+/// folded into every fingerprint and written into the
+/// [`WarmState::encode`] header. Bump on any change to either. (v4: the
+/// tag array grew a pluggable replacement policy — the tag payload
+/// carries a policy byte and the fingerprint folds the policy in.)
 pub const WARM_FORMAT_VERSION: u32 = 4;
 
 /// Magic prefix of an encoded [`WarmState`].
@@ -154,11 +129,6 @@ impl WarmState {
     /// The checkpoint's key.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// Number of cores the checkpoint was captured for.
-    pub fn cores(&self) -> usize {
-        self.gens.len()
     }
 
     /// Fingerprint of the warm-up a `(cfg, benches)` pair implies. See
@@ -233,7 +203,7 @@ impl WarmState {
         self.fingerprint == Self::fingerprint_for(cfg, benches)
     }
 
-    /// Serialise to the standalone on-disk blob (see module docs).
+    /// The canonical byte image (see module docs).
     pub fn encode(&self) -> Vec<u8> {
         // Dominated by the tag array (~6 B/entry); size the buffer once.
         let approx = 64
@@ -258,62 +228,6 @@ impl WarmState {
         let d = digest64(&blob);
         blob.extend_from_slice(&d.to_le_bytes());
         blob
-    }
-
-    /// Rebuild a checkpoint from an [`WarmState::encode`] blob,
-    /// validating magic, version, every component invariant, and full
-    /// consumption of the buffer.
-    pub fn decode(bytes: &[u8]) -> Result<WarmState, CodecError> {
-        // Integrity first: the trailing digest must match everything
-        // before it, or a flipped bit inside a legal field value would
-        // decode into a silently different warm state.
-        let Some(payload_len) = bytes.len().checked_sub(8) else {
-            return Err(CodecError::new("truncated input"));
-        };
-        let (payload, stored) = bytes.split_at(payload_len);
-        if digest64(payload) != u64::from_le_bytes(stored.try_into().expect("8B")) {
-            return Err(CodecError::new("digest mismatch"));
-        }
-        let mut r = ByteReader::new(payload);
-        if r.bytes(MAGIC.len())? != MAGIC {
-            return Err(CodecError::new("bad magic"));
-        }
-        let version = r.u32()?;
-        if version != WARM_FORMAT_VERSION {
-            // Old pools predate either the tier-generic main-memory
-            // refactor (v2 and earlier) or the policy-aware tag codec
-            // (v3): reject cleanly so callers re-warm.
-            return Err(CodecError::new("unsupported warm-state version"));
-        }
-        let fingerprint = r.u64()?;
-        let n_l1 = r.u32()? as usize;
-        if n_l1 == 0 || n_l1 > 4 {
-            return Err(CodecError::new("implausible core count"));
-        }
-        let mut l1 = Vec::with_capacity(n_l1);
-        for _ in 0..n_l1 {
-            l1.push(SramCache::decode(&mut r)?);
-        }
-        let l2 = SramCache::decode(&mut r)?;
-        let tags = TagArray::decode(&mut r)?;
-        let predictor = MapI::decode(&mut r)?;
-        let n_gens = r.u32()? as usize;
-        if n_gens != n_l1 {
-            return Err(CodecError::new("generator/core count mismatch"));
-        }
-        let mut gens = Vec::with_capacity(n_gens);
-        for _ in 0..n_gens {
-            gens.push(OpStream::decode(&mut r)?);
-        }
-        r.finish()?;
-        Ok(WarmState {
-            fingerprint,
-            l1,
-            l2,
-            tags,
-            predictor,
-            gens,
-        })
     }
 }
 
@@ -433,76 +347,5 @@ mod tests {
             }
         }
         assert_eq!(fps[0], WarmState::fingerprint_for(&base, &BENCHES));
-    }
-
-    #[test]
-    fn decode_rejects_v3_blobs_cleanly() {
-        // A pre-policy-layer (v3) pool must be refused the same way v2
-        // is: a clean version error, then a cold re-warm. Forge a
-        // v3-stamped blob with a valid digest so only the version check
-        // can reject it.
-        let c = cfg(OrgKind::DirectMapped);
-        let blob = crate::System::capture_warm(c, &BENCHES).encode();
-        let mut old = blob[..blob.len() - 8].to_vec();
-        old[8..12].copy_from_slice(&3u32.to_le_bytes()); // version field
-        let d = dca_sim_core::digest64(&old);
-        old.extend_from_slice(&d.to_le_bytes());
-        let err = WarmState::decode(&old).expect_err("v3 must be rejected");
-        assert!(
-            format!("{err}").contains("version"),
-            "error should name the version mismatch, got: {err}"
-        );
-    }
-
-    #[test]
-    fn decode_rejects_v2_blobs_cleanly() {
-        // A pre-refactor (v2) pool must be refused with an error —
-        // never a panic, never a silently trusted decode. Forge a
-        // v2-stamped blob with a valid digest so only the version check
-        // can reject it.
-        let c = cfg(OrgKind::DirectMapped);
-        let blob = crate::System::capture_warm(c, &BENCHES).encode();
-        let mut old = blob[..blob.len() - 8].to_vec();
-        old[8..12].copy_from_slice(&2u32.to_le_bytes()); // version field
-        let d = dca_sim_core::digest64(&old);
-        old.extend_from_slice(&d.to_le_bytes());
-        let err = WarmState::decode(&old).expect_err("v2 must be rejected");
-        assert!(
-            format!("{err}").contains("version"),
-            "error should name the version mismatch, got: {err}"
-        );
-    }
-
-    #[test]
-    fn encode_decode_round_trips() {
-        let c = cfg(OrgKind::DirectMapped);
-        let warm = crate::System::capture_warm(c, &BENCHES);
-        let blob = warm.encode();
-        let back = WarmState::decode(&blob).expect("decode");
-        assert_eq!(back.fingerprint(), warm.fingerprint());
-        assert_eq!(back.cores(), warm.cores());
-        // Bit-exact payload: re-encoding must reproduce the blob.
-        assert_eq!(back.encode(), blob);
-    }
-
-    #[test]
-    fn decode_rejects_corruption() {
-        let c = cfg(OrgKind::DirectMapped);
-        let blob = crate::System::capture_warm(c, &BENCHES).encode();
-        assert!(WarmState::decode(&blob[..blob.len() - 1]).is_err());
-        let mut bad = blob.clone();
-        bad[0] ^= 0xFF;
-        assert!(WarmState::decode(&bad).is_err(), "bad magic");
-        let mut bad = blob.clone();
-        bad[8] = 0xEE; // version byte
-        assert!(WarmState::decode(&bad).is_err(), "bad version");
-        // A single mid-payload bit flip — almost certainly landing
-        // inside a legal field value — must be caught by the digest,
-        // not silently decoded into a different warm state.
-        for at in [blob.len() / 3, blob.len() / 2, blob.len() - 9] {
-            let mut bad = blob.clone();
-            bad[at] ^= 0x10;
-            assert!(WarmState::decode(&bad).is_err(), "bit flip at {at}");
-        }
     }
 }

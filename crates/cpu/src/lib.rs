@@ -21,9 +21,8 @@
 //!   traces (or `tracegen-dump` captures of synthetic runs) drive the
 //!   identical core/hierarchy path as the generators.
 //! * [`stream`] — [`OpStream`], the single op source a core executes:
-//!   generator or trace replay, with one
-//!   `snapshot`/`restore`/`encode`/`decode` surface so both workload
-//!   kinds participate in warm-state checkpointing.
+//!   generator or trace replay, so both workload kinds participate in
+//!   warm-state checkpointing.
 //! * [`core`] — an out-of-order-approximating core: 192-entry ROB,
 //!   8-wide issue/retire at 4 GHz (Table II), bounded memory-level
 //!   parallelism, dependent loads serialise, stores retire into the

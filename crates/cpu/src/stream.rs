@@ -1,16 +1,16 @@
 //! [`OpStream`] — the one op source a [`Core`](crate::core::Core)
 //! executes, unifying the synthetic generators ([`TraceGen`]) and the
 //! trace-file replayers ([`TraceReader`]) behind a single
-//! `next_op`/`snapshot`/`restore`/`encode`/`decode` surface.
+//! `next_op`/`encode` surface.
 //!
 //! Everything above this module (the core model, the system warm-up,
 //! warm-state checkpoints) is agnostic to where ops come from; this
 //! enum is the only place that dispatches. The encoded form is a
-//! one-byte kind tag followed by the variant's own payload, so a
-//! checkpoint written for a synthetic workload can never be misread as
-//! a trace replay cursor or vice versa.
+//! one-byte kind tag followed by the variant's own payload, so the
+//! byte image of a synthetic workload's cursor can never equal a trace
+//! replay cursor's.
 
-use dca_sim_core::{ByteReader, ByteWriter, CodecError};
+use dca_sim_core::ByteWriter;
 
 use crate::profile::Benchmark;
 use crate::trace::{TraceGen, TraceOp};
@@ -66,26 +66,7 @@ impl OpStream {
         }
     }
 
-    /// Capture the stream mid-flight as an owned checkpoint.
-    pub fn snapshot(&self) -> OpStream {
-        self.clone()
-    }
-
-    /// Overwrite this stream's state with a previously captured
-    /// snapshot.
-    ///
-    /// # Panics
-    /// Panics if the snapshot drives a different workload kind,
-    /// benchmark or region.
-    pub fn restore(&mut self, snap: &OpStream) {
-        match (self, snap) {
-            (OpStream::Gen(g), OpStream::Gen(s)) => g.restore(s),
-            (OpStream::Replay(r), OpStream::Replay(s)) => r.restore(s),
-            _ => panic!("snapshot workload identity mismatch: generator vs trace replay"),
-        }
-    }
-
-    /// Serialise the stream state (checkpoint-file payload).
+    /// Serialise the stream state (part of the warm-state byte image).
     pub fn encode(&self, w: &mut ByteWriter) {
         match self {
             OpStream::Gen(g) => {
@@ -96,15 +77,6 @@ impl OpStream {
                 w.put_u8(KIND_REPLAY);
                 r.encode(w);
             }
-        }
-    }
-
-    /// Rebuild a stream from an [`OpStream::encode`] payload.
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<OpStream, CodecError> {
-        match r.u8()? {
-            KIND_GEN => Ok(OpStream::Gen(TraceGen::decode(r)?)),
-            KIND_REPLAY => Ok(OpStream::Replay(TraceReader::decode(r)?)),
-            _ => Err(CodecError::new("unknown op-stream kind")),
         }
     }
 }
@@ -141,15 +113,6 @@ mod tests {
         .expect("register")
     }
 
-    fn ops_equal(a: &TraceOp, b: &TraceOp) -> bool {
-        a.block == b.block
-            && a.is_store == b.is_store
-            && a.gap == b.gap
-            && a.pc == b.pc
-            && a.dependent == b.dependent
-            && a.chain == b.chain
-    }
-
     #[test]
     fn dispatches_by_bench_kind() {
         let syn = OpStream::for_bench(Benchmark::Gcc, 1 << 26, 9);
@@ -159,40 +122,5 @@ mod tests {
         let rep = OpStream::for_bench(tb, 2 << 26, 9);
         assert!(matches!(rep, OpStream::Replay(_)));
         assert_eq!(rep.bench(), tb);
-    }
-
-    #[test]
-    fn codec_round_trips_both_kinds_mid_stream() {
-        for bench in [Benchmark::Mcf, trace_bench()] {
-            let mut s = OpStream::for_bench(bench, 1 << 26, 5);
-            for _ in 0..321 {
-                s.next_op();
-            }
-            let mut w = ByteWriter::new();
-            s.encode(&mut w);
-            let buf = w.into_vec();
-            let mut r = ByteReader::new(&buf);
-            let mut back = OpStream::decode(&mut r).expect("decode");
-            r.finish().expect("fully consumed");
-            assert_eq!(back.generated(), s.generated());
-            for _ in 0..500 {
-                let (a, b) = (s.next_op(), back.next_op());
-                assert!(ops_equal(&a, &b), "{bench:?} diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn unknown_kind_byte_rejected() {
-        let buf = [9u8, 0, 0, 0];
-        assert!(OpStream::decode(&mut ByteReader::new(&buf)).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "identity mismatch")]
-    fn restore_rejects_cross_kind_snapshot() {
-        let mut syn = OpStream::for_bench(Benchmark::Gcc, 1 << 26, 9);
-        let rep = OpStream::for_bench(trace_bench(), 1 << 26, 9);
-        syn.restore(&rep.snapshot());
     }
 }

@@ -1,14 +1,13 @@
 //! Synthetic instruction-stream generators.
 //!
 //! Each core runs one infinite, deterministic op stream derived from its
-//! benchmark's [`Profile`](crate::profile::Profile). Ops carry the
-//! compute-gap preceding them, so the core model never materialises
-//! individual compute instructions.
+//! benchmark's [`Profile`]. Ops carry the compute-gap preceding them, so
+//! the core model never materialises individual compute instructions.
 
 use dca_sim_core::rng::Prng;
-use dca_sim_core::{ByteReader, ByteWriter, CodecError};
+use dca_sim_core::ByteWriter;
 
-use crate::profile::{Benchmark, Pattern, Profile};
+use crate::profile::{Pattern, Profile};
 
 /// One memory operation in a core's instruction stream.
 #[derive(Clone, Copy, Debug)]
@@ -115,33 +114,10 @@ impl TraceGen {
         &self.profile
     }
 
-    /// Capture the generator mid-stream — RNG state, stream/chase
-    /// cursors, reuse history and op count — as an owned checkpoint.
-    /// Restoring resumes the op stream at exactly the next op.
-    pub fn snapshot(&self) -> TraceGen {
-        self.clone()
-    }
-
-    /// Overwrite this generator's state with a previously captured
-    /// snapshot.
-    ///
-    /// # Panics
-    /// Panics if the snapshot drives a different benchmark or region —
-    /// that would splice one workload's cursors into another's stream.
-    pub fn restore(&mut self, snap: &TraceGen) {
-        assert_eq!(
-            (self.profile.bench, self.base),
-            (snap.profile.bench, snap.base),
-            "snapshot workload identity mismatch"
-        );
-        *self = snap.clone();
-    }
-
-    /// Serialise the full generator state into `w` (checkpoint-file
-    /// payload). The profile itself is not stored — only the benchmark
-    /// id, from which [`TraceGen::decode`] rebuilds it — so profile
-    /// tuning changes naturally invalidate nothing (the warm-state
-    /// fingerprint, not this payload, is what must change then).
+    /// Serialise the full generator state into `w` (part of the
+    /// warm-state byte image). The profile itself is not stored — only
+    /// the benchmark id — so a retuned profile changes the warm-state
+    /// fingerprint, not this payload.
     pub fn encode(&self, w: &mut ByteWriter) {
         w.put_u32(self.profile.bench.id());
         w.put_u64(self.base);
@@ -155,51 +131,6 @@ impl TraceGen {
         w.put_u64(self.hist_slot as u64);
         w.put_u64(self.pick);
         w.put_u64(self.count);
-    }
-
-    /// Rebuild a generator from a [`TraceGen::encode`] payload.
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<TraceGen, CodecError> {
-        let id = r.u32()? as usize;
-        let bench = *Benchmark::ALL
-            .get(id)
-            .ok_or(CodecError::new("unknown benchmark id"))?;
-        let base = r.u64()?;
-        let rng_state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-        if rng_state == [0; 4] {
-            return Err(CodecError::new("all-zero RNG state"));
-        }
-        let seg_len = r.u64()?;
-        let streams = r.u64_vec()?;
-        let chains = r.u64_vec()?;
-        let history = r.u64_vec()?;
-        let hist_slot = r.u64()? as usize;
-        if history.len() > HISTORY || (hist_slot >= HISTORY && !history.is_empty()) {
-            return Err(CodecError::new("history ring out of bounds"));
-        }
-        // Cursor counts are fixed by the benchmark's pattern; a blob
-        // that disagrees would panic deep in `next_op` (`pick % len`),
-        // so reject it here instead.
-        let profile = bench.profile();
-        let (want_streams, want_chains) = match profile.pattern {
-            Pattern::Stream { streams } => (streams as usize, 0),
-            Pattern::Mixed { .. } => (2, 0),
-            Pattern::Chase { chains } => (0, chains as usize),
-        };
-        if streams.len() != want_streams || chains.len() != want_chains {
-            return Err(CodecError::new("cursor counts do not match benchmark"));
-        }
-        Ok(TraceGen {
-            profile,
-            rng: Prng::from_state(rng_state),
-            base,
-            streams,
-            seg_len,
-            chains,
-            history,
-            hist_slot,
-            pick: r.u64()?,
-            count: r.u64()?,
-        })
     }
 
     /// Ops generated so far.
@@ -485,86 +416,6 @@ mod tests {
         let mean = total as f64 / 20_000.0;
         let want = Benchmark::Gcc.profile().mean_gap as f64;
         assert!((mean - want).abs() < 0.2, "got {mean}, want ~{want}");
-    }
-
-    fn ops_equal(a: &TraceOp, b: &TraceOp) -> bool {
-        a.block == b.block
-            && a.is_store == b.is_store
-            && a.gap == b.gap
-            && a.pc == b.pc
-            && a.dependent == b.dependent
-            && a.chain == b.chain
-    }
-
-    #[test]
-    fn snapshot_restore_resumes_the_stream_exactly() {
-        for bench in [Benchmark::Libquantum, Benchmark::Mcf, Benchmark::Milc] {
-            let mut g = gen_for(bench, 11);
-            for _ in 0..5_000 {
-                g.next_op();
-            }
-            let snap = g.snapshot();
-            let reference: Vec<TraceOp> = (0..2_000).map(|_| g.next_op()).collect();
-            // Diverge further, then rewind.
-            for _ in 0..777 {
-                g.next_op();
-            }
-            g.restore(&snap);
-            for want in &reference {
-                let got = g.next_op();
-                assert!(ops_equal(&got, want), "{bench:?} diverged after restore");
-            }
-        }
-    }
-
-    #[test]
-    fn encode_decode_round_trips_mid_stream() {
-        for bench in Benchmark::ALL {
-            let mut g = TraceGen::new(bench.profile(), 3 << 26, 23);
-            for _ in 0..3_000 {
-                g.next_op();
-            }
-            let mut w = dca_sim_core::ByteWriter::new();
-            g.encode(&mut w);
-            let buf = w.into_vec();
-            let mut r = dca_sim_core::ByteReader::new(&buf);
-            let mut decoded = TraceGen::decode(&mut r).expect("decode");
-            r.finish().expect("fully consumed");
-            assert_eq!(decoded.generated(), g.generated());
-            for _ in 0..2_000 {
-                let (a, b) = (g.next_op(), decoded.next_op());
-                assert!(ops_equal(&a, &b), "{bench:?} codec round trip diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn decode_rejects_unknown_bench_and_truncation() {
-        let mut g = gen_for(Benchmark::Gcc, 3);
-        g.next_op();
-        let mut w = dca_sim_core::ByteWriter::new();
-        g.encode(&mut w);
-        let mut buf = w.into_vec();
-        let mut r = dca_sim_core::ByteReader::new(&buf[..buf.len() - 3]);
-        assert!(TraceGen::decode(&mut r).is_err(), "truncated");
-        buf[0] = 0xFF; // benchmark id far out of range
-        let mut r = dca_sim_core::ByteReader::new(&buf);
-        assert!(TraceGen::decode(&mut r).is_err(), "unknown bench");
-        // Swap the id to a benchmark with a different pattern (gcc is
-        // Mixed with 2 stream cursors; mcf is Chase with 8 chains): the
-        // cursor counts no longer match and decode must reject, not
-        // hand back a generator that panics in next_op.
-        buf[0] = Benchmark::Mcf.id() as u8;
-        let mut r = dca_sim_core::ByteReader::new(&buf);
-        assert!(TraceGen::decode(&mut r).is_err(), "cursor count mismatch");
-    }
-
-    #[test]
-    #[should_panic(expected = "workload identity mismatch")]
-    fn restore_rejects_cross_benchmark_snapshot() {
-        let mcf = gen_for(Benchmark::Mcf, 1);
-        let mut gcc = gen_for(Benchmark::Gcc, 1);
-        gcc.restore(&mcf.snapshot());
     }
 
     #[test]

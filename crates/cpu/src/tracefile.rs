@@ -48,10 +48,9 @@
 //! carry a synthetic PC derived from the block address (traces carry no
 //! program counters; MAP-I still needs a stable, address-correlated
 //! index), and no dependence information — trace workloads expose full
-//! MLP. Like [`TraceGen`](crate::trace::TraceGen), the reader supports
-//! `snapshot`/`restore` and `encode`/`decode`, so trace workloads
-//! participate in warm-state checkpointing; the encoded form stores the
-//! content digest and is resolved back through the registry on decode.
+//! MLP. Like [`TraceGen`], the reader is cloned into warm-state
+//! checkpoints, and its `encode` adds the replay cursor to the
+//! warm-state byte image, naming the trace by its content digest.
 
 use dca_sim_core::hash::FastHashMap;
 use std::fmt;
@@ -132,8 +131,6 @@ pub enum TraceError {
     Malformed(CodecError),
     /// Bytes remain after the declared records.
     TrailingBytes(usize),
-    /// `TraceReader::decode` met a digest no registered trace has.
-    UnregisteredDigest(u64),
 }
 
 impl fmt::Display for TraceError {
@@ -162,9 +159,6 @@ impl fmt::Display for TraceError {
             TraceError::Malformed(e) => write!(f, "malformed trace records: {e}"),
             TraceError::TrailingBytes(n) => {
                 write!(f, "{n} trailing bytes after the declared records")
-            }
-            TraceError::UnregisteredDigest(d) => {
-                write!(f, "no registered trace has content digest {d:#018x}")
             }
         }
     }
@@ -322,8 +316,9 @@ pub fn dump_synthetic(bench: Benchmark, ops: u64, seed: u64) -> Vec<TraceRecord>
 
 /// Process-local handle of a registered trace (the payload of
 /// [`Benchmark::Trace`]). Ids are assigned in registration order and
-/// are **not** stable across processes — persistent formats must use
-/// the content digest instead (see [`TraceReader::encode`]).
+/// are **not** stable across processes — the warm-state fingerprint
+/// and byte image use the content digest instead (see
+/// [`TraceReader::encode`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TraceId(pub(crate) u16);
 
@@ -425,13 +420,6 @@ pub fn trace_data(id: TraceId) -> Arc<TraceData> {
         .clone()
 }
 
-/// Look up a registered trace by its content digest.
-pub fn find_trace_by_digest(digest: u64) -> Option<Arc<TraceData>> {
-    let reg = registry().lock().unwrap();
-    let id = *reg.by_digest.get(&digest)?;
-    Some(reg.traces[id.index()].clone())
-}
-
 /// Look up a registered trace by display name (latest registration
 /// wins when names collide).
 pub fn find_trace_by_name(name: &str) -> Option<Benchmark> {
@@ -444,7 +432,8 @@ pub fn find_trace_by_name(name: &str) -> Option<Benchmark> {
 }
 
 /// Deterministic replayer of a registered trace: drives the same
-/// [`MemPort`] as [`TraceGen`], wrapping at the end of the records.
+/// [`MemPort`](crate::port::MemPort) as [`TraceGen`], wrapping at the
+/// end of the records.
 #[derive(Clone, Debug)]
 pub struct TraceReader {
     data: Arc<TraceData>,
@@ -511,55 +500,14 @@ impl TraceReader {
         }
     }
 
-    /// Capture the replay cursor as an owned checkpoint.
-    pub fn snapshot(&self) -> TraceReader {
-        self.clone()
-    }
-
-    /// Rewind to a previously captured snapshot.
-    ///
-    /// # Panics
-    /// Panics if the snapshot replays a different trace or region.
-    pub fn restore(&mut self, snap: &TraceReader) {
-        assert_eq!(
-            (self.data.digest, self.base),
-            (snap.data.digest, snap.base),
-            "snapshot workload identity mismatch"
-        );
-        *self = snap.clone();
-    }
-
-    /// Serialise the replay state. The records themselves are not
-    /// stored — only the content digest, which [`TraceReader::decode`]
-    /// resolves through the registry — so checkpoints stay small and an
-    /// edited trace file can never silently satisfy a stale checkpoint.
+    /// Serialise the replay state (part of the warm-state byte image).
+    /// The records themselves are not stored — only their content
+    /// digest — so the image stays small.
     pub fn encode(&self, w: &mut ByteWriter) {
         w.put_u64(self.data.digest);
         w.put_u64(self.base);
         w.put_u64(self.pos);
         w.put_u64(self.count);
-    }
-
-    /// Rebuild a reader from a [`TraceReader::encode`] payload. The
-    /// trace must already be registered in this process (the caller
-    /// registers workloads before restoring checkpoints); an unknown
-    /// digest or out-of-range cursor is a [`CodecError`].
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<TraceReader, CodecError> {
-        let digest = r.u64()?;
-        let data = find_trace_by_digest(digest).ok_or(CodecError::new(
-            "trace digest not registered in this process",
-        ))?;
-        let base = r.u64()?;
-        let pos = r.u64()?;
-        if pos >= data.records.len() as u64 {
-            return Err(CodecError::new("trace cursor beyond record count"));
-        }
-        Ok(TraceReader {
-            data,
-            base,
-            pos,
-            count: r.u64()?,
-        })
     }
 }
 
@@ -740,64 +688,5 @@ mod tests {
             }
         }
         assert_eq!(reader.generated(), 3 * records.len() as u64);
-    }
-
-    #[test]
-    fn reader_snapshot_restore_and_codec_round_trip() {
-        let bytes = encode_trace(&sample_records(), TraceEncoding::Delta);
-        let Benchmark::Trace(id) = register_trace_bytes("snap-test", &bytes).unwrap() else {
-            panic!()
-        };
-        let mut reader = TraceReader::new(id, 1 << 26);
-        for _ in 0..777 {
-            reader.next_op();
-        }
-        let snap = reader.snapshot();
-        let mut w = ByteWriter::new();
-        reader.encode(&mut w);
-        let buf = w.into_vec();
-        let mut r = ByteReader::new(&buf);
-        let mut decoded = TraceReader::decode(&mut r).expect("decode");
-        r.finish().expect("fully consumed");
-
-        let reference: Vec<TraceOp> = (0..1500).map(|_| reader.next_op()).collect();
-        for want in &reference {
-            let got = decoded.next_op();
-            assert_eq!(
-                (got.block, got.gap, got.is_store),
-                (want.block, want.gap, want.is_store)
-            );
-        }
-        // Diverge, rewind, replay.
-        for _ in 0..99 {
-            reader.next_op();
-        }
-        reader.restore(&snap);
-        for want in &reference {
-            let got = reader.next_op();
-            assert_eq!(got.block, want.block);
-        }
-    }
-
-    #[test]
-    fn reader_decode_rejects_unknown_digest_and_bad_cursor() {
-        let bytes = encode_trace(&sample_records(), TraceEncoding::Delta);
-        let Benchmark::Trace(id) = register_trace_bytes("decode-reject", &bytes).unwrap() else {
-            panic!()
-        };
-        let reader = TraceReader::new(id, 0);
-        let mut w = ByteWriter::new();
-        reader.encode(&mut w);
-        let mut buf = w.into_vec();
-        buf[0] ^= 0xFF; // digest no longer matches any registration
-        assert!(TraceReader::decode(&mut ByteReader::new(&buf)).is_err());
-        // Cursor beyond the record count.
-        let mut w = ByteWriter::new();
-        w.put_u64(reader.data.digest);
-        w.put_u64(0);
-        w.put_u64(reader.len());
-        w.put_u64(0);
-        let buf = w.into_vec();
-        assert!(TraceReader::decode(&mut ByteReader::new(&buf)).is_err());
     }
 }

@@ -9,13 +9,12 @@
 //! behaviour is strongly instruction-correlated, so even a 256-entry
 //! table predicts well.
 
-use dca_sim_core::{ByteReader, ByteWriter, CodecError};
+use dca_sim_core::ByteWriter;
 
 /// Per-instruction hit/miss predictor.
 #[derive(Clone, Debug)]
 pub struct MapI {
     table: Vec<u8>,
-    mask: u32,
     predictions: u64,
     correct: u64,
 }
@@ -34,7 +33,6 @@ impl MapI {
         );
         MapI {
             table: vec![COUNTER_INIT; entries],
-            mask: (entries - 1) as u32,
             predictions: 0,
             correct: 0,
         }
@@ -49,7 +47,7 @@ impl MapI {
     fn index(&self, pc: u32) -> usize {
         // Cheap avalanche then mask; low bits of real PCs are mostly zero.
         let h = pc.wrapping_mul(0x9E37_79B9) >> 8;
-        (h & self.mask) as usize
+        h as usize & (self.table.len() - 1)
     }
 
     /// Predict whether the access by instruction `pc` will hit.
@@ -93,50 +91,13 @@ impl MapI {
         self.predictions
     }
 
-    /// Capture the counter table and accuracy bookkeeping as an owned
-    /// checkpoint.
-    pub fn snapshot(&self) -> MapI {
-        self.clone()
-    }
-
-    /// Overwrite this predictor's state with a previously captured
-    /// snapshot.
-    ///
-    /// # Panics
-    /// Panics if the snapshot's table size differs.
-    pub fn restore(&mut self, snap: &MapI) {
-        assert_eq!(
-            self.table.len(),
-            snap.table.len(),
-            "snapshot table size mismatch"
-        );
-        *self = snap.clone();
-    }
-
-    /// Serialise the full state into `w` (checkpoint-file payload).
+    /// Serialise the full state into `w` (part of the warm-state byte
+    /// image).
     pub fn encode(&self, w: &mut ByteWriter) {
         w.put_u32(self.table.len() as u32);
         w.put_bytes(&self.table);
         w.put_u64(self.predictions);
         w.put_u64(self.correct);
-    }
-
-    /// Rebuild a predictor from a [`MapI::encode`] payload.
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<MapI, CodecError> {
-        let entries = r.u32()? as usize;
-        if entries == 0 || !entries.is_power_of_two() {
-            return Err(CodecError::new("invalid predictor table size"));
-        }
-        let table = r.bytes(entries)?.to_vec();
-        if table.iter().any(|&c| c > COUNTER_MAX) {
-            return Err(CodecError::new("predictor counter out of range"));
-        }
-        Ok(MapI {
-            table,
-            mask: (entries - 1) as u32,
-            predictions: r.u64()?,
-            correct: r.u64()?,
-        })
     }
 }
 
@@ -207,46 +168,5 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_panics() {
         MapI::new(100);
-    }
-
-    #[test]
-    fn snapshot_and_codec_round_trip() {
-        let mut p = MapI::new(128);
-        for pc in 0..500u32 {
-            let pred = p.predict_hit(pc * 7);
-            p.update(pc * 7, pc % 3 == 0);
-            p.record_outcome(pred, pc % 3 == 0);
-        }
-        let snap = p.snapshot();
-        let mut w = dca_sim_core::ByteWriter::new();
-        snap.encode(&mut w);
-        let buf = w.into_vec();
-        let mut r = dca_sim_core::ByteReader::new(&buf);
-        let mut decoded = MapI::decode(&mut r).expect("decode");
-        r.finish().expect("fully consumed");
-
-        // Diverge, restore, then live/decoded must agree exactly.
-        for _ in 0..50 {
-            p.update(0x40, false);
-        }
-        p.restore(&snap);
-        assert_eq!(p.predictions(), decoded.predictions());
-        assert_eq!(p.accuracy(), decoded.accuracy());
-        for pc in 0..500u32 {
-            assert_eq!(p.predict_hit(pc * 13), decoded.predict_hit(pc * 13));
-            p.update(pc * 13, pc % 2 == 0);
-            decoded.update(pc * 13, pc % 2 == 0);
-        }
-    }
-
-    #[test]
-    fn decode_rejects_out_of_range_counter() {
-        let p = MapI::new(64);
-        let mut w = dca_sim_core::ByteWriter::new();
-        p.encode(&mut w);
-        let mut buf = w.into_vec();
-        buf[4] = COUNTER_MAX + 1; // first table byte, after the u32 size
-        let mut r = dca_sim_core::ByteReader::new(&buf);
-        assert!(MapI::decode(&mut r).is_err());
     }
 }

@@ -128,32 +128,6 @@ impl TagCache {
         };
     }
 
-    /// Capture the complete SRAM state (lines, LRU clock, stats) as an
-    /// owned checkpoint.
-    ///
-    /// Note: the tag cache is an *offline* study (Fig 18) driven
-    /// outside the simulated system — warm-up never touches it, so it
-    /// is deliberately not part of `dca::WarmState`. Snapshots exist
-    /// for the same reason as every other component's: so studies that
-    /// share a warmed prefix (e.g. branching a prefetch-degree sweep
-    /// off one streamed-in state) pay for it once.
-    pub fn snapshot(&self) -> TagCache {
-        self.clone()
-    }
-
-    /// Overwrite this cache's state with a previously captured snapshot.
-    ///
-    /// # Panics
-    /// Panics if the snapshot's geometry or prefetch degree differ.
-    pub fn restore(&mut self, snap: &TagCache) {
-        assert_eq!(
-            (self.sets, self.ways, self.prefetch_degree),
-            (snap.sets, snap.ways, snap.prefetch_degree),
-            "snapshot configuration mismatch"
-        );
-        *self = snap.clone();
-    }
-
     /// A demand access to the tag block of cache set `set_id`.
     ///
     /// `update` marks the access as modifying the tags (replacement-bit or
@@ -248,30 +222,6 @@ mod tests {
             ratio > 1.5,
             "prefetching must inflate tag traffic, got {ratio:.2}"
         );
-    }
-
-    #[test]
-    fn snapshot_restore_resumes_exactly() {
-        let mut tc = TagCache::new(16 * 1024, 2);
-        for i in 0..5_000u64 {
-            tc.access(i.wrapping_mul(2654435761) % 65_536, i % 5 == 0);
-        }
-        let snap = tc.snapshot();
-        let mut twin = TagCache::new(16 * 1024, 2);
-        twin.restore(&snap);
-        for _ in 0..1_000 {
-            tc.access(42, false);
-        }
-        tc.restore(&snap);
-        for i in 0..5_000u64 {
-            let set = i.wrapping_mul(2246822519) % 65_536;
-            tc.access(set, i % 3 == 0);
-            twin.access(set, i % 3 == 0);
-        }
-        assert_eq!(tc.stats().lookups, twin.stats().lookups);
-        assert_eq!(tc.stats().hits, twin.stats().hits);
-        assert_eq!(tc.stats().dram_tag_reads, twin.stats().dram_tag_reads);
-        assert_eq!(tc.stats().dram_tag_writes, twin.stats().dram_tag_writes);
     }
 
     #[test]

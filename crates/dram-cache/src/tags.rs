@@ -21,7 +21,7 @@
 //! For the direct-mapped organisation the set has one way and every
 //! policy degenerates to the same trivial replacement.
 
-use dca_sim_core::{ByteReader, ByteWriter, CodecError};
+use dca_sim_core::ByteWriter;
 
 /// Outcome of inserting a block into a set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -78,13 +78,6 @@ impl ReplacementPolicy {
             ReplacementPolicy::LruClean => 2,
             ReplacementPolicy::LruDirty => 3,
         }
-    }
-
-    /// Inverse of [`ReplacementPolicy::code`].
-    pub fn from_code(code: u8) -> Option<ReplacementPolicy> {
-        ReplacementPolicy::ALL
-            .into_iter()
-            .find(|p| p.code() == code)
     }
 }
 
@@ -340,32 +333,8 @@ impl TagArray {
         self.entries.iter().filter(|e| e.valid).count() as u64
     }
 
-    /// Capture the complete tag/dirty/replacement state as an owned
-    /// checkpoint (one flat clone).
-    pub fn snapshot(&self) -> TagArray {
-        self.clone()
-    }
-
-    /// Overwrite this array's state with a previously captured snapshot.
-    ///
-    /// # Panics
-    /// Panics on a geometry or policy mismatch.
-    pub fn restore(&mut self, snap: &TagArray) {
-        assert_eq!(
-            (self.sets, self.ways),
-            (snap.sets, snap.ways),
-            "snapshot geometry mismatch: {}x{} vs {}x{}",
-            snap.sets,
-            snap.ways,
-            self.sets,
-            self.ways
-        );
-        assert_eq!(self.policy, snap.policy, "snapshot policy mismatch");
-        *self = snap.clone();
-    }
-
-    /// Serialise the full state into `w` (checkpoint-file payload).
-    /// Layout: sets, ways, policy code, then one
+    /// Serialise the full state into `w` (part of the warm-state byte
+    /// image). Layout: sets, ways, policy code, then one
     /// `(tag, valid|dirty flags, state)` record per entry.
     pub fn encode(&self, w: &mut ByteWriter) {
         w.put_u64(self.sets);
@@ -376,51 +345,6 @@ impl TagArray {
             w.put_u8(e.valid as u8 | (e.dirty as u8) << 1);
             w.put_u8(e.state);
         }
-    }
-
-    /// Rebuild an array from a [`TagArray::encode`] payload.
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<TagArray, CodecError> {
-        let sets = r.u64()?;
-        let ways = r.u16()?;
-        if sets == 0 || ways == 0 {
-            return Err(CodecError::new("invalid tag array geometry"));
-        }
-        let policy = ReplacementPolicy::from_code(r.u8()?)
-            .ok_or(CodecError::new("unknown replacement policy code"))?;
-        let n = sets
-            .checked_mul(ways as u64)
-            .ok_or(CodecError::new("tag array entry count overflow"))? as usize;
-        // 6 bytes per entry follow; reject implausible counts from a
-        // corrupt header *before* allocating for them.
-        if r.remaining() < n.saturating_mul(6) {
-            return Err(CodecError::new("tag array entry count exceeds buffer"));
-        }
-        // Per-policy bound on the per-way state byte.
-        let state_ok = |s: u8| match policy {
-            ReplacementPolicy::Srrip => s <= RRPV_MAX,
-            _ => (s as u16) < ways,
-        };
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            let tag = r.u32()?;
-            let flags = r.u8()?;
-            let state = r.u8()?;
-            if flags > 0b11 || !state_ok(state) {
-                return Err(CodecError::new("invalid tag entry state"));
-            }
-            entries.push(TagEntry {
-                tag,
-                valid: flags & 1 != 0,
-                dirty: flags & 2 != 0,
-                state,
-            });
-        }
-        Ok(TagArray {
-            entries,
-            sets,
-            ways,
-            policy,
-        })
     }
 }
 
@@ -577,96 +501,6 @@ mod tests {
             assert_eq!(t.lookup(5, 2), Some(0));
             assert_eq!(t.lookup(5, 1), None);
         }
-    }
-
-    #[test]
-    fn snapshot_restore_and_codec_round_trip() {
-        for policy in ReplacementPolicy::ALL {
-            let mut t = TagArray::with_policy(64, 4, policy);
-            let mut x = 5u64;
-            for _ in 0..600 {
-                x = x.wrapping_mul(48271) % 0x7FFF_FFFF;
-                let (set, tag) = (x % 64, (x >> 8) as u32 & 0xFF);
-                match t.lookup(set, tag) {
-                    Some(w) => t.touch(set, w),
-                    None => {
-                        t.insert(set, tag, x & 1 == 0);
-                    }
-                }
-            }
-            let snap = t.snapshot();
-
-            // Codec round trip reproduces the snapshot bit-for-bit.
-            let mut w = dca_sim_core::ByteWriter::new();
-            snap.encode(&mut w);
-            let buf = w.into_vec();
-            let mut r = dca_sim_core::ByteReader::new(&buf);
-            let mut decoded = TagArray::decode(&mut r).expect("decode");
-            r.finish().expect("fully consumed");
-            assert_eq!(decoded.policy(), policy);
-
-            // Diverge, restore, then both must behave identically.
-            for s in 0..64 {
-                t.insert(s, 999, true);
-            }
-            t.restore(&snap);
-            for _ in 0..600 {
-                x = x.wrapping_mul(48271) % 0x7FFF_FFFF;
-                let (set, tag) = (x % 64, (x >> 8) as u32 & 0xFF);
-                assert_eq!(t.lookup(set, tag), decoded.lookup(set, tag));
-                assert_eq!(t.victim_way(set), decoded.victim_way(set));
-                assert_eq!(
-                    t.insert(set, tag, x & 1 == 0),
-                    decoded.insert(set, tag, x & 1 == 0)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn decode_rejects_invalid_state() {
-        for policy in [ReplacementPolicy::Srrip, ReplacementPolicy::Lru] {
-            let mut t = TagArray::with_policy(2, 1, policy);
-            t.insert(0, 1, false);
-            let mut w = dca_sim_core::ByteWriter::new();
-            t.encode(&mut w);
-            let mut buf = w.into_vec();
-            let last = buf.len() - 1; // state byte of the final entry
-            buf[last] = match policy {
-                ReplacementPolicy::Srrip => RRPV_MAX + 1,
-                _ => 1, // stack position must stay below ways (= 1)
-            };
-            let mut r = dca_sim_core::ByteReader::new(&buf);
-            assert!(TagArray::decode(&mut r).is_err(), "{policy:?}");
-        }
-    }
-
-    #[test]
-    fn decode_rejects_unknown_policy() {
-        let t = TagArray::new(2, 1);
-        let mut w = dca_sim_core::ByteWriter::new();
-        t.encode(&mut w);
-        let mut buf = w.into_vec();
-        buf[10] = 0xEE; // the policy byte follows sets (8) + ways (2)
-        let mut r = dca_sim_core::ByteReader::new(&buf);
-        let err = TagArray::decode(&mut r).unwrap_err();
-        assert!(err.to_string().contains("replacement policy"));
-    }
-
-    #[test]
-    #[should_panic(expected = "geometry mismatch")]
-    fn restore_rejects_wrong_geometry() {
-        let a = TagArray::new(4, 2);
-        let mut b = TagArray::new(8, 2);
-        b.restore(&a.snapshot());
-    }
-
-    #[test]
-    #[should_panic(expected = "policy mismatch")]
-    fn restore_rejects_wrong_policy() {
-        let a = TagArray::with_policy(4, 2, ReplacementPolicy::Lru);
-        let mut b = TagArray::new(4, 2);
-        b.restore(&a.snapshot());
     }
 
     #[test]

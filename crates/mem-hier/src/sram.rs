@@ -1,6 +1,6 @@
 //! Generic set-associative SRAM cache (L1 / L2 functional model).
 
-use dca_sim_core::{ByteReader, ByteWriter, CodecError, Counter};
+use dca_sim_core::{ByteWriter, Counter};
 
 /// Statistics for one SRAM cache.
 #[derive(Clone, Copy, Debug, Default)]
@@ -198,35 +198,9 @@ impl SramCache {
         evicted
     }
 
-    /// Capture the cache's complete functional state — lines, LRU clock
-    /// and statistics — as an owned checkpoint. One flat clone; no
-    /// structural transformation, so `snapshot` → [`SramCache::restore`]
-    /// is exact by construction.
-    pub fn snapshot(&self) -> SramCache {
-        self.clone()
-    }
-
-    /// Overwrite this cache's state with a previously captured snapshot.
-    ///
-    /// # Panics
-    /// Panics if the snapshot was taken from a cache of different
-    /// geometry — restoring across shapes is always a harness bug.
-    pub fn restore(&mut self, snap: &SramCache) {
-        assert_eq!(
-            (self.sets, self.ways),
-            (snap.sets, snap.ways),
-            "snapshot geometry mismatch: {}x{} vs {}x{}",
-            snap.sets,
-            snap.ways,
-            self.sets,
-            self.ways
-        );
-        *self = snap.clone();
-    }
-
-    /// Serialise the full state into `w` (checkpoint-file payload).
-    /// Layout: sets, ways, clock, the four statistics counters, then one
-    /// `(tag, valid|dirty flags, stamp)` record per line.
+    /// Serialise the full state into `w` (part of the warm-state byte
+    /// image). Layout: sets, ways, clock, the four statistics counters,
+    /// then one `(tag, valid|dirty flags, stamp)` record per line.
     pub fn encode(&self, w: &mut ByteWriter) {
         w.put_u64(self.sets);
         w.put_u16(self.ways);
@@ -244,51 +218,6 @@ impl SramCache {
             w.put_u8(line.valid as u8 | (line.dirty as u8) << 1);
             w.put_u64(line.stamp);
         }
-    }
-
-    /// Rebuild a cache from an [`SramCache::encode`] payload.
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<SramCache, CodecError> {
-        let sets = r.u64()?;
-        let ways = r.u16()?;
-        if ways == 0 || !sets.is_power_of_two() {
-            return Err(CodecError::new("invalid SRAM cache geometry"));
-        }
-        let clock = r.u64()?;
-        let stats = SramStats {
-            accesses: Counter(r.u64()?),
-            hits: Counter(r.u64()?),
-            misses: Counter(r.u64()?),
-            writebacks: Counter(r.u64()?),
-        };
-        let n = sets
-            .checked_mul(ways as u64)
-            .ok_or(CodecError::new("SRAM cache line count overflow"))? as usize;
-        // 17 bytes per line follow; reject implausible counts from a
-        // corrupt header *before* allocating for them.
-        if r.remaining() < n.saturating_mul(17) {
-            return Err(CodecError::new("SRAM cache line count exceeds buffer"));
-        }
-        let mut lines = Vec::with_capacity(n);
-        for _ in 0..n {
-            let tag = r.u64()?;
-            let flags = r.u8()?;
-            if flags > 0b11 {
-                return Err(CodecError::new("invalid SRAM line flags"));
-            }
-            lines.push(Line {
-                tag,
-                valid: flags & 1 != 0,
-                dirty: flags & 2 != 0,
-                stamp: r.u64()?,
-            });
-        }
-        Ok(SramCache {
-            lines,
-            sets,
-            ways,
-            clock,
-            stats,
-        })
     }
 
     /// Clear the dirty bit of `block` if present (used by the Lee eager
@@ -430,85 +359,5 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn bad_geometry_panics() {
         SramCache::new(3 * 64, 1);
-    }
-
-    /// Drive two caches with the same op stream and assert identical
-    /// observable behaviour (hit/miss, evictions, stats).
-    fn assert_same_behaviour(a: &mut SramCache, b: &mut SramCache, seed: u64) {
-        let mut x = seed;
-        for _ in 0..2000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let block = (x >> 33) % 512;
-            let is_write = x & 1 == 0;
-            assert_eq!(a.probe(block, is_write), b.probe(block, is_write));
-            if x & 2 == 0 {
-                assert_eq!(a.allocate(block, is_write), b.allocate(block, is_write));
-            }
-        }
-        assert_eq!(a.stats().accesses, b.stats().accesses);
-        assert_eq!(a.stats().writebacks, b.stats().writebacks);
-    }
-
-    #[test]
-    fn snapshot_restore_resumes_exactly() {
-        let mut c = SramCache::new(8 * 1024, 4);
-        let mut x = 99u64;
-        for _ in 0..500 {
-            x = x.wrapping_mul(48271) % 0x7FFF_FFFF;
-            c.probe(x % 300, x & 1 == 0);
-            c.allocate(x % 300, x & 1 == 0);
-        }
-        let snap = c.snapshot();
-        // Diverge the live cache, then restore.
-        for b in 0..200 {
-            c.allocate(b, true);
-        }
-        let mut fresh = SramCache::new(8 * 1024, 4);
-        fresh.restore(&snap);
-        c.restore(&snap);
-        assert_same_behaviour(&mut c, &mut fresh, 7);
-    }
-
-    #[test]
-    fn encode_decode_round_trips() {
-        let mut c = SramCache::new(4 * 1024, 2);
-        for b in 0..150u64 {
-            c.probe(b * 3, b % 2 == 0);
-            c.allocate(b * 3, b % 2 == 0);
-        }
-        let mut w = dca_sim_core::ByteWriter::new();
-        c.encode(&mut w);
-        let buf = w.into_vec();
-        let mut r = dca_sim_core::ByteReader::new(&buf);
-        let mut d = SramCache::decode(&mut r).expect("decode");
-        r.finish().expect("fully consumed");
-        assert_eq!(d.sets(), c.sets());
-        assert_eq!(d.ways(), c.ways());
-        assert_same_behaviour(&mut c, &mut d, 13);
-    }
-
-    #[test]
-    fn decode_rejects_truncation_and_bad_flags() {
-        let mut c = SramCache::new(1024, 1);
-        c.allocate(5, true);
-        let mut w = dca_sim_core::ByteWriter::new();
-        c.encode(&mut w);
-        let mut buf = w.into_vec();
-        let mut r = dca_sim_core::ByteReader::new(&buf[..buf.len() - 1]);
-        assert!(SramCache::decode(&mut r).is_err(), "truncated");
-        // Corrupt a flags byte (header is 8+2+8+32 bytes, then tag u64).
-        buf[50 + 8] = 0xFF;
-        let mut r = dca_sim_core::ByteReader::new(&buf);
-        assert!(SramCache::decode(&mut r).is_err(), "bad flags");
-    }
-
-    #[test]
-    #[should_panic(expected = "geometry mismatch")]
-    fn restore_rejects_wrong_geometry() {
-        let small = SramCache::new(1024, 1);
-        let mut big = SramCache::new(4096, 2);
-        big.restore(&small.snapshot());
     }
 }

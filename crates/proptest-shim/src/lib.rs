@@ -243,7 +243,7 @@ pub mod prop {
             VecStrategy { element, size }
         }
 
-        /// Output of [`vec`].
+        /// Output of [`vec()`].
         #[derive(Clone, Debug)]
         pub struct VecStrategy<S> {
             element: S,

@@ -1,12 +1,13 @@
-//! Minimal little-endian binary codec for checkpoint files.
+//! Minimal little-endian binary codec.
 //!
-//! The workspace is offline (no serde), so the warm-state checkpoint
-//! format is hand-rolled: every component that participates in a
-//! checkpoint writes its state through a [`ByteWriter`] and reads it back
-//! through a [`ByteReader`]. The encoding is deliberately dumb — fixed
-//! little-endian integers, length-prefixed sequences, no varints, no
-//! alignment — because checkpoints are bulk state (cache line arrays,
-//! history rings) where decode simplicity and auditability beat density.
+//! The workspace is offline (no serde), so the binary formats are
+//! hand-rolled. A [`ByteWriter`] builds the warm-state byte image (each
+//! component writes its own part), report digests and `.dcat` trace
+//! files; a [`ByteReader`] parses trace files back. The fixed-width
+//! encoding is deliberately dumb — little-endian integers,
+//! length-prefixed sequences, no alignment — because warm states are
+//! bulk state (cache line arrays, history rings) where auditability
+//! beats density; varints exist for the trace records.
 //!
 //! Versioning and validation (magic numbers, format versions,
 //! fingerprints) are the *caller's* responsibility: this module only
@@ -15,11 +16,11 @@
 
 use std::fmt;
 
-/// Decode failure: truncated input, a failed validation, or trailing
-/// garbage. Carries a static description of what the reader was doing.
+/// Decode failure: truncated input or a failed validation. Carries a
+/// static description of what the reader was doing.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CodecError {
-    /// What failed (e.g. `"truncated input"`, `"bad magic"`).
+    /// What failed (e.g. `"truncated input"`).
     pub context: &'static str,
 }
 
@@ -166,11 +167,6 @@ impl<'a> ByteReader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Read a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2B")))
-    }
-
     /// Read a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, CodecError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4B")))
@@ -181,38 +177,9 @@ impl<'a> ByteReader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8B")))
     }
 
-    /// Read a strict `0`/`1` boolean byte.
-    pub fn bool(&mut self) -> Result<bool, CodecError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CodecError::new("invalid boolean byte")),
-        }
-    }
-
-    /// Read an `f64` from its IEEE-754 bit pattern.
-    pub fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
     /// Read exactly `n` raw bytes.
     pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         self.take(n)
-    }
-
-    /// Read a length-prefixed `u64` sequence (see
-    /// [`ByteWriter::put_u64_slice`]). The length is sanity-checked
-    /// against the remaining buffer before allocating.
-    pub fn u64_vec(&mut self) -> Result<Vec<u64>, CodecError> {
-        let len = self.u64()? as usize;
-        if self.remaining() < len.saturating_mul(8) {
-            return Err(CodecError::new("sequence length exceeds buffer"));
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.u64()?);
-        }
-        Ok(out)
     }
 
     /// Read an LEB128 varint `u64` (see [`ByteWriter::put_varint`]).
@@ -241,16 +208,6 @@ impl<'a> ByteReader<'a> {
         let z = self.varint()?;
         Ok((z >> 1) as i64 ^ -((z & 1) as i64))
     }
-
-    /// Assert the buffer is fully consumed (catches trailing garbage and
-    /// reader/writer schema drift).
-    pub fn finish(&self) -> Result<(), CodecError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(CodecError::new("trailing bytes after decode"))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -271,14 +228,13 @@ mod tests {
         let buf = w.into_vec();
         let mut r = ByteReader::new(&buf);
         assert_eq!(r.u8().unwrap(), 0xAB);
-        assert_eq!(r.u16().unwrap(), 0xBEEF);
+        assert_eq!(r.bytes(2).unwrap(), 0xBEEFu16.to_le_bytes());
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), 0x0123_4567_89AB_CDEF);
-        assert!(r.bool().unwrap());
-        assert!(!r.bool().unwrap());
-        assert_eq!(r.f64().unwrap(), -1.5e300);
+        assert_eq!(r.bytes(2).unwrap(), [1, 0]);
+        assert_eq!(r.u64().unwrap(), (-1.5e300f64).to_bits());
         assert_eq!(r.bytes(4).unwrap(), b"DCAW");
-        r.finish().unwrap();
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
@@ -288,9 +244,10 @@ mod tests {
         w.put_u64_slice(&[]);
         let buf = w.into_vec();
         let mut r = ByteReader::new(&buf);
-        assert_eq!(r.u64_vec().unwrap(), vec![1, 2, 3, u64::MAX]);
-        assert_eq!(r.u64_vec().unwrap(), Vec::<u64>::new());
-        r.finish().unwrap();
+        for want in [4, 1, 2, 3, u64::MAX, 0] {
+            assert_eq!(r.u64().unwrap(), want);
+        }
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
@@ -315,7 +272,7 @@ mod tests {
         for &v in &values {
             assert_eq!(r.varint().unwrap(), v);
         }
-        r.finish().unwrap();
+        assert_eq!(r.remaining(), 0);
         // Small values really are one byte.
         let mut w = ByteWriter::new();
         w.put_varint(0x7F);
@@ -344,7 +301,7 @@ mod tests {
         for &v in &values {
             assert_eq!(r.varint_signed().unwrap(), v);
         }
-        r.finish().unwrap();
+        assert_eq!(r.remaining(), 0);
         // ±1 cost one byte under zigzag.
         let mut w = ByteWriter::new();
         w.put_varint_signed(-1);
@@ -371,31 +328,5 @@ mod tests {
         let buf = w.into_vec();
         let mut r = ByteReader::new(&buf[..5]);
         assert!(r.u64().is_err());
-    }
-
-    #[test]
-    fn oversized_sequence_length_rejected_before_allocation() {
-        let mut w = ByteWriter::new();
-        w.put_u64(u64::MAX); // claims ~2^64 items
-        let buf = w.into_vec();
-        let mut r = ByteReader::new(&buf);
-        assert!(r.u64_vec().is_err());
-    }
-
-    #[test]
-    fn invalid_bool_rejected() {
-        let buf = [2u8];
-        let mut r = ByteReader::new(&buf);
-        assert!(r.bool().is_err());
-    }
-
-    #[test]
-    fn trailing_bytes_detected() {
-        let buf = [0u8; 3];
-        let mut r = ByteReader::new(&buf);
-        r.u8().unwrap();
-        assert!(r.finish().is_err());
-        r.bytes(2).unwrap();
-        r.finish().unwrap();
     }
 }

@@ -84,10 +84,10 @@ impl Hasher for FastHasher {
 
 /// One-shot Fx-style digest of a byte blob (word-at-a-time multiply-xor
 /// with a length-salted tail, exactly [`FastHasher::write`]'s mixing but
-/// seeded so an empty blob is nonzero). Not cryptographic: it guards
-/// checkpoint and trace files against bit rot and torn writes, not
-/// adversaries, and must stay cheap enough to run over tens of MB on
-/// every load.
+/// seeded so an empty blob is nonzero). Not cryptographic: it detects
+/// accidental change (bit rot, torn writes, an edited trace, another
+/// build), not adversaries, and must stay cheap enough to run over tens
+/// of MB.
 pub fn digest64(bytes: &[u8]) -> u64 {
     let mut h = FastHasher {
         hash: 0x5DCA_2016_D16E_5700,

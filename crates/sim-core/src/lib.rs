@@ -13,8 +13,8 @@
 //! * [`hash`] — an Fx-style non-cryptographic hasher for the hot maps
 //!   that remain.
 //! * [`codec`] — a bounds-checked little-endian binary codec; the
-//!   substrate of the warm-state checkpoint files (the workspace is
-//!   offline, so no serde).
+//!   substrate of the warm-state byte image and the `.dcat` trace
+//!   format (the workspace is offline, so no serde).
 //! * [`stats`] — cheap statistics primitives (counters, running means,
 //!   fixed-bucket histograms) used by the device and controller models to
 //!   feed the paper's figures.
@@ -85,8 +85,8 @@
 //! * **Codec coverage (C01).** Every struct with `fn encode` must touch
 //!   each named field in its `encode`/`decode` bodies — the
 //!   "added a field, forgot the codec" class that forced the `WarmState`
-//!   v2→v3→v4 bumps now fails the lint instead of corrupting warm
-//!   restores.
+//!   v2→v3→v4 bumps now fails the lint instead of silently leaving the
+//!   field out of the warm-state byte image.
 //!
 //! Violations carry a `// dca-lint: allow(<rule>) <reason>` escape hatch,
 //! but every pragma is pinned by the linter's workspace self-test — see

@@ -137,20 +137,9 @@ impl Prng {
         Prng { s }
     }
 
-    /// The raw xoshiro256++ state, for checkpointing. Restoring via
-    /// [`Prng::from_state`] resumes the stream exactly where it left off.
+    /// The raw xoshiro256++ state (part of the warm-state byte image).
     pub fn state(&self) -> [u64; 4] {
         self.s
-    }
-
-    /// Rebuild a generator from a captured [`Prng::state`].
-    ///
-    /// # Panics
-    /// Panics on the all-zero state, which is outside xoshiro's period
-    /// and can never be produced by [`Prng::seed_from_u64`].
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(s != [0; 4], "all-zero xoshiro state is invalid");
-        Prng { s }
     }
 
     /// Next raw 64-bit output.
@@ -273,18 +262,6 @@ mod prng_tests {
         assert!((frac - 0.3).abs() < 0.01, "got {frac}");
         assert!(!Prng::seed_from_u64(3).gen_bool(0.0));
         assert!(Prng::seed_from_u64(3).gen_bool(1.0));
-    }
-
-    #[test]
-    fn state_round_trip_resumes_stream() {
-        let mut a = Prng::seed_from_u64(99);
-        for _ in 0..57 {
-            a.next_u64();
-        }
-        let mut b = Prng::from_state(a.state());
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
     }
 
     #[test]

@@ -192,7 +192,7 @@ impl Histogram {
     }
 
     /// Approximate quantile: returns the *upper bound* of the bucket that
-    /// contains the q-th sample (q in [0,1]). Log2 buckets make this a
+    /// contains the q-th sample (q in \[0,1\]). Log2 buckets make this a
     /// within-2x estimate, which is plenty for latency tail reporting.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.total == 0 {

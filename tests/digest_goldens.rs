@@ -1,19 +1,26 @@
 //! Pinned report digests: every design on both cache organisations and
-//! both main-memory models, plus DCA under FR-FCFS, at small scale.
+//! both main-memory models, plus DCA under FR-FCFS, at small scale —
+//! and the digest of each organisation's warm-state byte image.
 //!
 //! `SystemReport::digest` covers every statistic a run produces, so a
 //! change to arbitration, timing or bookkeeping that moves any counter —
 //! including the OFS, spill, ScheduleAll and Banshee fill counters that
-//! no hand-picked fingerprint compared — fails here. A deliberate
-//! behaviour change re-pins the table from the test's failure message.
+//! no hand-picked fingerprint compared — fails here. `WarmState::encode`
+//! covers everything functional warm-up leaves behind, and is the image
+//! perfbench's warm-up replay compares its own bytes against. A
+//! deliberate behaviour change re-pins the table from the test's
+//! failure message.
 
 use dca::{Arbiter, Design, System, SystemConfig};
 use dca_cpu::mix;
 use dca_dram_cache::OrgKind;
 use dca_mem_hier::MainMemConfig;
+use dca_sim_core::digest64;
 
+/// `warm/org digest` of each organisation's warm state, then
 /// `design/org/memory/arbiter digest` for every pinned configuration.
 const GOLDEN: &str = "\
+warm/DM ea9795727dddf1eb
 CD/DM/flat/Bliss 1f3f32e30657ac4d
 ROD/DM/flat/Bliss 100759554ce70184
 DCA/DM/flat/Bliss 8231b2b96fe85c0a
@@ -24,6 +31,7 @@ ROD/DM/xpoint/Bliss fadb4ea4ce59dcdf
 DCA/DM/xpoint/Bliss 30e5d4558c3180a4
 BAN/DM/xpoint/Bliss b62a5f7ce462b48c
 DCA/DM/xpoint/FrFcfs 301268e7d15c2dd2
+warm/SA 7c881ab89e2053f9
 CD/SA/flat/Bliss f66d20e3c0a3c435
 ROD/SA/flat/Bliss 0f5651afbf387b9e
 DCA/SA/flat/Bliss d6db60e935b0a103
@@ -47,6 +55,10 @@ fn report_digests_match_goldens() {
         let scaled = |design| SystemConfig::paper(design, org).scaled(30_000, 100_000);
         // Warm state is design- and backend-independent: one per org.
         let warm = System::capture_warm(scaled(Design::Cd), &benches);
+        got.push_str(&format!(
+            "warm/{org_label} {:016x}\n",
+            digest64(&warm.encode())
+        ));
         for (mem_label, mem) in [
             ("flat", MainMemConfig::paper_flat()),
             ("xpoint", MainMemConfig::xpoint()),

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use dca::Design;
+use dca::{Design, System};
 use dca_bench::{RunSpec, WarmCache};
 use dca_cpu::{
     decode_trace, dump_synthetic, encode_trace, mix, register_mix, register_trace_bytes,
@@ -68,10 +68,10 @@ fn trace_mix_runs_through_run_mix_with_warm_reuse() {
     let spec = harness_spec();
 
     // The real harness path: run_mix resolves the registered mix and
-    // (by default) shares the functional warm-up through the global
-    // WarmCache. Warm-cached and cold runs must be indistinguishable.
+    // shares the functional warm-up through the global WarmCache.
+    // Warm-cached and cold runs must be indistinguishable.
     let warm = spec.run_mix(m.id);
-    let cold = spec.run_mix_cold(m.id);
+    let cold = System::new(spec.config(), &mix(m.id).benches).run();
     assert_eq!(
         format!("{warm:?}"),
         format!("{cold:?}"),
@@ -92,7 +92,7 @@ fn trace_workloads_share_one_warmup_across_designs() {
     // (benches, org, warmup, seed) tuple pays for one warm-up.
     let trace = register_trace_file(FIXTURE).expect("register fixture");
     let benches = [trace, Benchmark::Mcf];
-    let cache = WarmCache::with_policy(4, None, true);
+    let cache = WarmCache::with_cap(4);
     let mut states = Vec::new();
     for design in Design::ALL {
         let mut spec = harness_spec();
@@ -107,7 +107,7 @@ fn trace_workloads_share_one_warmup_across_designs() {
 #[test]
 fn edited_trace_content_gets_a_fresh_warm_fingerprint() {
     // Warm-state keys hash the trace *content digest*: editing one
-    // record re-keys every checkpoint, so a stale blob can never
+    // record re-keys every checkpoint, so a stale warm state can never
     // satisfy the edited workload.
     let bytes = std::fs::read(FIXTURE).expect("fixture present");
     let original = register_trace_bytes("fp-edit-a", &bytes).expect("register");
