@@ -13,13 +13,21 @@
 //!
 //! The simulated figures are decomposed into deterministically named
 //! jobs (see `dca_bench::shard`) and run by `shard::run_jobs` on
-//! `--jobs N` threads (default: the available cores). Each job writes a
-//! JSON partial under `results/partials/` as soon as it finishes;
+//! `--jobs N` threads (default: the available cores). A thread takes a
+//! whole group of simulations that share one functional warm-up (every
+//! design of a mix and organisation), builds the warm state once and
+//! runs the group from it; the run ends with the counts, `N warm-ups
+//! built, M reused`. Each job writes a JSON partial under
+//! `results/partials/` as soon as its last simulation finishes;
 //! partials that still validate are reused, and partials no job of the
 //! current plan names are pruned. The figure files are byte-identical
 //! whatever the thread count and however many partials were reused,
 //! which `crates/bench/tests/shard.rs` locks. To re-run one job, delete
 //! its partial and re-run the figure.
+//!
+//! The scale comes from `DCA_FULL`, `DCA_INSTS`, `DCA_MIXES` and
+//! `DCA_WARMUP` (see `dca_bench::Scale::from_env`); a malformed value
+//! exits 1 before anything runs.
 //!
 //! ## Exit codes
 //!
@@ -42,7 +50,7 @@ use std::time::Instant;
 
 use dca::{Design, System, SystemConfig};
 use dca_bench::shard::{self, FigurePlan, PartialStore, DEFAULT_CHUNK};
-use dca_bench::{Scale, WarmCache};
+use dca_bench::Scale;
 use dca_cpu::{mix, Benchmark, TraceGen};
 use dca_dram_cache::{OrgKind, TagCache};
 use dca_metrics::Table;
@@ -88,7 +96,7 @@ fn usage() -> String {
          \x20   1  error (bad environment, unwritable results, a job panicked)\n\
          \x20   2  usage\n\
          \n\
-         environment: DCA_FULL, DCA_INSTS, DCA_MIXES, DCA_WARMUP, DCA_WARM_CAP",
+         environment: DCA_FULL, DCA_INSTS, DCA_MIXES, DCA_WARMUP",
         FIGURE_FLAGS.join("] [")
     )
 }
@@ -615,6 +623,7 @@ fn main() {
             ),
         }
     }
+    let mut warm = (0, 0);
     if !plans.is_empty() {
         let jobs = shard::plan_jobs(&plans, DEFAULT_CHUNK);
         let outcome = shard::run_jobs(&jobs, cli.jobs, &shard::partials_dir());
@@ -634,19 +643,19 @@ fn main() {
                 std::process::exit(1);
             }
         }
+        warm = (outcome.warm_built, outcome.warm_reused);
     }
 
     // Sweep wall-clock trajectory: how much warm-up sharing saved. Each
-    // cache *build* is a warm-up actually paid; each *hit* is one a cold
+    // warm-up *built* is one actually paid; each *reused* is one a cold
     // harness would have re-run. (The benchmark's `--trace 1` mode
     // reports the same two counts for an in-process figure run as
     // `bench.warm.{builds,hits}`.)
-    let s = WarmCache::global().stats();
     eprintln!(
         "figures: wall-clock {:.1}s; warm cache: {} warm-ups built, {} reused",
         t0.elapsed().as_secs_f64(),
-        s.builds,
-        s.hits
+        warm.0,
+        warm.1
     );
     if WRITE_FAILED.load(Ordering::Relaxed) {
         std::process::exit(1);

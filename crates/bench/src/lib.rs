@@ -31,13 +31,14 @@
 //! named jobs ([`shard::figure_plan`] → [`shard::plan_jobs`]) and hands
 //! the list to one runner, [`shard::run_jobs`], in one process. The
 //! runner reuses every JSON partial under `results/partials/` that
-//! still validates, runs the rest on `--jobs N` threads (default: the
-//! available cores) grouped by shared warm state, and writes each
-//! partial atomically as soon as its job finishes. So a run that was
-//! interrupted, or that lost a job to a panic, resumes by running the
-//! same command again. See [`shard`] for the job model, the partial
-//! schema and the runner, and [`warm`] for how jobs share functional
-//! warm-ups and when the runner releases them.
+//! still validates, groups the rest's simulations by the warm state
+//! they restore from, runs the groups on `--jobs N` threads (default:
+//! the available cores), and writes each job's partial atomically as
+//! soon as its last simulation finishes. So a run that was interrupted,
+//! or that lost a job to a panic, resumes by running the same command
+//! again. See [`shard`] for the job model, the partial schema and the
+//! runner. [`RunSpec::run_benches`] shares warm-ups through the
+//! process-wide [`warm`] cache instead.
 //!
 //! ## `figures` exit-code contract
 //!
@@ -290,13 +291,12 @@ fn positive_env(name: &str) -> Result<Option<u64>, String> {
 /// therefore surface to the caller exactly as they would single-
 /// threaded.
 ///
-/// Work distribution is chunked and atomic: items are pre-split into
-/// small index-tagged chunks, workers claim chunks through one
-/// `fetch_add` counter, and each worker accumulates `(index, result)`
-/// pairs privately, merged once at join. Items are processed in roughly
-/// input order (which is what lets [`shard::run_jobs`] keep a warm
-/// group's jobs together), and chunks stay small enough that uneven
-/// item costs — one slow mix — still balance across workers.
+/// Items are handed out one at a time, in input order: each worker
+/// claims the next unclaimed index through one `fetch_add` counter and
+/// keeps its `(index, result)` pairs privately, merged once at join. An
+/// item is thus the unit of balance. [`shard::run_jobs`] passes whole
+/// warm groups, largest first, so the costliest groups start first and
+/// the short ones fill in behind them.
 pub fn run_parallel<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -311,25 +311,9 @@ where
     if threads == 1 {
         return items.into_iter().map(f).collect();
     }
-    // One claimable unit of work: the chunk's starting index + items.
-    // The mutex is never contended — the atomic counter hands each
-    // chunk to exactly one worker; it only makes the take() Sync.
-    type Chunk<T> = Mutex<Option<(usize, Vec<T>)>>;
-    // Several chunks per worker so a straggler chunk cannot serialise
-    // the tail; chunk boundaries keep input order within each chunk.
-    let chunk_len = n.div_ceil(threads * 4).max(1);
-    let chunks: Vec<Chunk<T>> = {
-        let mut items = items;
-        let mut start = n;
-        let mut out = Vec::with_capacity(n.div_ceil(chunk_len));
-        while !items.is_empty() {
-            let tail = items.split_off(items.len().saturating_sub(chunk_len));
-            start -= tail.len();
-            out.push(Mutex::new(Some((start, tail))));
-        }
-        out.reverse();
-        out
-    };
+    // The mutexes are never contended — the counter hands each item to
+    // exactly one worker; they only make the take() Sync.
+    let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
@@ -338,16 +322,14 @@ where
                 scope.spawn(|| {
                     let mut local: Vec<(usize, R)> = Vec::new();
                     loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(slot) = chunks.get(c) else { break };
-                        let (start, chunk) = slot
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(slot) = items.get(i) else { break };
+                        let item = slot
                             .lock()
                             .unwrap()
                             .take()
-                            .expect("chunk claimed exactly once");
-                        for (off, item) in chunk.into_iter().enumerate() {
-                            local.push((start + off, f(item)));
-                        }
+                            .expect("item claimed exactly once");
+                        local.push((i, f(item)));
                     }
                     local
                 })
@@ -494,8 +476,8 @@ mod tests {
     fn run_parallel_handles_edge_sizes() {
         assert_eq!(run_parallel(Vec::<u32>::new(), 4, |x| x), Vec::<u32>::new());
         assert_eq!(run_parallel(vec![7], 4, |x| x + 1), vec![8]);
-        // Sizes that don't divide evenly into chunks, across a span
-        // bigger than any plausible thread count.
+        // Sizes that don't divide evenly among the threads, across a
+        // span bigger than any plausible thread count.
         for n in [2usize, 3, 5, 17, 63, 64, 65, 257] {
             for threads in [1, 2, 3, 8] {
                 let input: Vec<usize> = (0..n).collect();
@@ -512,7 +494,7 @@ mod tests {
     #[test]
     fn run_parallel_balances_uneven_work() {
         // One pathologically slow item must not serialise the rest:
-        // a correctness-only check, but it exercises the chunk-claim
+        // a correctness-only check, but it exercises the item-claim
         // path under real contention.
         let out = run_parallel((0..100u64).collect(), 4, |x| {
             if x == 0 {

@@ -62,18 +62,27 @@
 //!    is reused. A harness partial (an `ev_`/`al_` file) that no job of
 //!    the current plan names is an orphan and is removed; other files
 //!    are left alone.
-//! 3. **Run.** The remaining jobs run in [`warm_group`] order on
-//!    [`run_parallel`] threads, and each writes its partial the moment
-//!    it finishes. Ctrl-C simply ends the process: a re-run of the same
-//!    command reuses every partial already written.
-//! 4. **Release.** Before any job starts, the runner counts how many
-//!    pending jobs request each warm state, from the same simulations
-//!    [`execute_job`] runs, and evicts a state from the
-//!    [`WarmCache`] once the last of them has finished. Residency
-//!    follows the jobs in flight, and no warm-up is built twice.
-//! 5. **Isolate panics.** A job that panics is reported in
-//!    [`RunOutcome::failed`] while every other job finishes and
-//!    flushes, so a re-run runs only the failed jobs.
+//! 3. **Group by warm state.** The simulations of every pending job
+//!    (one per mix, or per benchmark of an alone job: the list
+//!    [`execute_job`] runs) are grouped by [`WarmState::fingerprint_for`].
+//!    Warm-up ignores the design, the remap, the Lee writeback, the
+//!    flushing factor and the main-memory backend (not the replacement
+//!    policy), so all those variants of a mix share one group. Groups
+//!    run largest first, by cores × (simulations + 1), the one being the
+//!    warm-up, ties in order of first appearance.
+//! 4. **Run.** [`run_parallel`] hands each thread one whole group. The
+//!    thread builds the group's warm state with
+//!    [`System::capture_warm`], runs each simulation from it, and moves
+//!    it into the last one ([`System::from_warm_owned`]) instead of
+//!    copying it. So no thread waits on another's warm-up, and at most
+//!    one warm state per thread is resident. A job's partial is written
+//!    the moment its last report lands. Ctrl-C simply ends the process:
+//!    a re-run of the same command reuses every partial already written.
+//! 5. **Isolate panics.** A panic while listing a job's simulations,
+//!    building a warm state or running a simulation fails only the jobs
+//!    it touches. They are reported in [`RunOutcome::failed`] while
+//!    every other job finishes and flushes, so a re-run runs only the
+//!    failed jobs.
 //!
 //! Reused and fresh results merge into one [`PartialStore`], which the
 //! renderers read; the figure math downstream of it is the same whatever
@@ -84,14 +93,12 @@ use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use dca::{Design, WarmState};
+use dca::{Design, System, SystemReport, WarmState};
 use dca_cpu::{mix, Benchmark};
 use dca_dram_cache::{OrgKind, ReplacementPolicy};
 use dca_sim_core::digest64;
 
-use crate::{
-    run_parallel, summarize, DesignSummary, MainMemKind, MixPoint, RunSpec, Scale, WarmCache,
-};
+use crate::{run_parallel, summarize, DesignSummary, MainMemKind, MixPoint, RunSpec, Scale};
 
 /// Version tag every partial carries; a mismatch invalidates the file.
 pub const PARTIAL_SCHEMA: u64 = 1;
@@ -528,8 +535,9 @@ pub enum JobResult {
 }
 
 /// The simulations a job runs, in order: a spec and the benchmarks on
-/// its cores each. [`execute_job`] runs exactly these, and
-/// [`run_jobs`] counts the warm states they request from them.
+/// its cores each. [`execute_job`] runs exactly these one after another;
+/// [`run_jobs`] groups them by warm state and files each report back
+/// under its job and position.
 fn simulations(payload: &JobPayload) -> Vec<(RunSpec, Vec<Benchmark>)> {
     match payload {
         JobPayload::Eval { spec, mixes } => mixes
@@ -561,13 +569,19 @@ fn simulations(payload: &JobPayload) -> Vec<(RunSpec, Vec<Benchmark>)> {
     }
 }
 
-/// Execute one job in-process, sequentially. The runner's threads are
-/// the unit of parallelism, so a job deliberately does not spawn
-/// threads of its own.
+/// Execute one job in-process, sequentially, sharing warm-ups through
+/// the global [`WarmCache`](crate::WarmCache). The figure runner does
+/// not call it ([`run_jobs`] schedules simulations by warm state); it is
+/// the serial reference for one job's result.
 pub fn execute_job(payload: &JobPayload) -> JobResult {
     let reports = simulations(payload)
         .into_iter()
         .map(|(spec, benches)| spec.run_benches(&benches));
+    job_result(payload, reports)
+}
+
+/// A job's result from the reports of its [`simulations`], in order.
+fn job_result(payload: &JobPayload, reports: impl IntoIterator<Item = SystemReport>) -> JobResult {
     match payload {
         JobPayload::Eval { mixes, .. } => JobResult::Eval(
             mixes
@@ -794,49 +808,8 @@ impl PartialStore {
 }
 
 // ---------------------------------------------------------------------
-// Warm groups and the runner
+// The runner
 // ---------------------------------------------------------------------
-
-/// The **warm group** of a job: jobs in one group share warm-state
-/// fingerprints (warm-up is design-, remap-, lee-, ff- and
-/// main-memory-independent, but **policy-dependent** — warm-up evicts
-/// through the replacement policy), so [`run_jobs`] runs a group's jobs
-/// back to back: the group's warm states are built once, resident
-/// together, and released together. Eval groups key on
-/// `(org, policy, scale, seed, mixes)`; alone groups on
-/// `(org, scale, seed, benches)` (alone runs are always SRRIP) — i.e.
-/// the job id minus the fields warm-up ignores.
-pub fn warm_group(payload: &JobPayload) -> String {
-    match payload {
-        JobPayload::Eval { spec, mixes } => {
-            let m: Vec<String> = mixes.iter().map(u32::to_string).collect();
-            format!(
-                "ev_{}_p{}_i{}_w{}_s{:x}_m{}",
-                org_token(spec.org),
-                spec.policy.label(),
-                spec.insts,
-                spec.warmup,
-                spec.seed,
-                m.join(".")
-            )
-        }
-        JobPayload::Alone {
-            org,
-            insts,
-            warmup,
-            seed,
-            benches,
-            ..
-        } => {
-            let b: Vec<&str> = benches.iter().map(|b| b.name()).collect();
-            format!(
-                "al_{}_i{insts}_w{warmup}_s{seed:x}_b{}",
-                org_token(*org),
-                b.join(".")
-            )
-        }
-    }
-}
 
 /// Harness partials under `dir` (`ev_`/`al_` files ending in `.json`),
 /// as `(job id, path)`.
@@ -933,6 +906,18 @@ fn guarded<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     })
 }
 
+/// Write `text` as `job_id`'s partial under `dir`, warning on stderr
+/// when it cannot be written (a re-run then repeats the job).
+fn write_partial(dir: &Path, job_id: &str, text: &str) {
+    let path = partial_in(dir, job_id);
+    if let Err(e) = write_atomic(&path, text) {
+        eprintln!(
+            "figures: warning: cannot write {} ({e}); a re-run repeats the job",
+            path.display()
+        );
+    }
+}
+
 /// What [`run_jobs`] did.
 pub struct RunOutcome {
     /// Every job that finished, reused or run, merged.
@@ -943,13 +928,70 @@ pub struct RunOutcome {
     pub reused: usize,
     /// Jobs that panicked, as `(job id, panic message)`.
     pub failed: Vec<(String, String)>,
+    /// Warm states built: one per group of simulations sharing a
+    /// warm-up.
+    pub warm_built: usize,
+    /// Simulations that restored a warm state built for an earlier
+    /// simulation of their group (simulations − groups).
+    pub warm_reused: usize,
+}
+
+/// One simulation of a pending job: the job (an index into the
+/// runner's entries), its position among the job's [`simulations`], and
+/// what it runs.
+struct Sim {
+    job: usize,
+    pos: usize,
+    spec: RunSpec,
+    benches: Vec<Benchmark>,
+}
+
+/// A pending job as the runner tracks it: its reports as they land,
+/// then its result or its first failure.
+struct Entry<'a> {
+    job: &'a Job,
+    reports: Vec<Option<SystemReport>>,
+    left: usize,
+    outcome: Option<Result<JobResult, String>>,
+}
+
+impl Entry<'_> {
+    /// File the report of simulation `pos`. Returns the job's partial
+    /// when this was its last report. The first failure fails the job,
+    /// and the reports after it are dropped.
+    fn land(&mut self, pos: usize, report: Result<SystemReport, String>) -> Option<String> {
+        self.left -= 1;
+        if self.outcome.is_some() {
+            return None;
+        }
+        match report {
+            Ok(r) => self.reports[pos] = Some(r),
+            Err(message) => {
+                self.outcome = Some(Err(message));
+                return None;
+            }
+        }
+        (self.left == 0).then(|| self.finish())
+    }
+
+    /// Fold every report into the job's result; returns its partial.
+    fn finish(&mut self) -> String {
+        let reports = std::mem::take(&mut self.reports)
+            .into_iter()
+            .map(|r| r.expect("every simulation reported"));
+        let result = job_result(&self.job.payload, reports);
+        let text = encode_partial(&self.job.id, &result);
+        self.outcome = Some(Ok(result));
+        text
+    }
 }
 
 /// Run `jobs` on `threads` threads, keeping their partials under `dir`
-/// (see the module docs for the five steps). Jobs run in
-/// [`warm_group`] order; each writes its partial atomically as soon as
-/// it finishes, and a panicking job is reported in
-/// [`RunOutcome::failed`] instead of stopping the others.
+/// (see the module docs for the five steps). The unit a thread takes
+/// is a group of simulations sharing one warm state, not a job. Each
+/// job writes its partial atomically as soon as its last report lands,
+/// and a panic is reported in [`RunOutcome::failed`] against the jobs
+/// it touches instead of stopping the others.
 pub fn run_jobs(jobs: &[Job], threads: usize, dir: &Path) -> RunOutcome {
     check_build_stamp(dir);
     let valid: HashSet<String> = jobs.iter().map(|j| j.id.clone()).collect();
@@ -968,66 +1010,102 @@ pub fn run_jobs(jobs: &[Job], threads: usize, dir: &Path) -> RunOutcome {
     let reused = jobs.len() - pending.len();
     let run = pending.len();
 
-    // Groups in order of first appearance, each group's jobs together.
-    let mut rank: HashMap<String, usize> = HashMap::new();
-    for job in &pending {
-        let next = rank.len();
-        rank.entry(warm_group(&job.payload)).or_insert(next);
-    }
-    pending.sort_by_cached_key(|job| rank[&warm_group(&job.payload)]);
-
-    // How many pending jobs request each warm state. Listing a job's
-    // simulations can itself panic (an unknown mix id); such a job
-    // fails here, before anything runs.
+    // Group the pending simulations by warm state, in order of first
+    // appearance. Listing a job's simulations can itself panic (an
+    // unknown mix id); such a job fails here, before anything runs.
     let mut failed = Vec::new();
-    let mut uses: HashMap<u64, usize> = HashMap::new();
-    let mut runnable = Vec::with_capacity(pending.len());
+    let mut entries = Vec::with_capacity(pending.len());
+    let mut groups: Vec<Vec<Sim>> = Vec::new();
+    let mut group_of: HashMap<u64, usize> = HashMap::new();
     for job in pending {
-        let fingerprints = guarded(|| {
+        let listed = guarded(|| {
             simulations(&job.payload)
-                .iter()
-                .map(|(spec, benches)| WarmState::fingerprint_for(&spec.config(), benches))
-                .collect::<Vec<u64>>()
+                .into_iter()
+                .map(|(spec, benches)| {
+                    let fp = WarmState::fingerprint_for(&spec.config(), &benches);
+                    (fp, spec, benches)
+                })
+                .collect::<Vec<_>>()
         });
-        match fingerprints {
-            Ok(fps) => {
-                for &fp in &fps {
-                    *uses.entry(fp).or_default() += 1;
-                }
-                runnable.push((job, fps));
+        let sims = match listed {
+            Ok(sims) => sims,
+            Err(message) => {
+                failed.push((job.id.clone(), message));
+                continue;
             }
-            Err(message) => failed.push((job.id.clone(), message)),
+        };
+        let mut entry = Entry {
+            job,
+            reports: (0..sims.len()).map(|_| None).collect(),
+            left: sims.len(),
+            outcome: None,
+        };
+        if sims.is_empty() {
+            write_partial(dir, &job.id, &entry.finish());
         }
+        for (pos, (fp, spec, benches)) in sims.into_iter().enumerate() {
+            let g = *group_of.entry(fp).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[g].push(Sim {
+                job: entries.len(),
+                pos,
+                spec,
+                benches,
+            });
+        }
+        entries.push(entry);
     }
+    // Largest first, by cores × (simulations + 1), the one being the
+    // warm-up; the stable sort keeps ties in order of first appearance.
+    groups.sort_by_key(|g| std::cmp::Reverse(g[0].benches.len() * (g.len() + 1)));
 
-    let uses = Mutex::new(uses);
-    let results = run_parallel(runnable, threads, |(job, fps)| {
-        let result = guarded(|| execute_job(&job.payload));
-        if let Ok(r) = &result {
-            let path = partial_in(dir, &job.id);
-            if let Err(e) = write_atomic(&path, &encode_partial(&job.id, r)) {
-                eprintln!(
-                    "figures: warning: cannot write {} ({e}); a re-run repeats the job",
-                    path.display()
-                );
-            }
+    let entries = Mutex::new(entries);
+    let land = |sim: &Sim, report: Result<SystemReport, String>| {
+        let (job, partial) = {
+            let mut entries = entries
+                .lock()
+                .expect("no thread panics while holding the job entries");
+            let entry = &mut entries[sim.job];
+            (entry.job, entry.land(sim.pos, report))
+        };
+        if let Some(text) = partial {
+            write_partial(dir, &job.id, &text);
         }
-        let mut uses = uses
-            .lock()
-            .expect("no thread panics while holding the use counts");
-        for fp in fps {
-            let left = uses.get_mut(&fp).expect("every fingerprint was counted");
-            *left -= 1;
-            if *left == 0 {
-                WarmCache::global().evict(fp);
+    };
+    // Each group yields its size if its warm state was built.
+    let built = run_parallel(groups, threads, |group| {
+        let first = &group[0];
+        let warm = match guarded(|| System::capture_warm(first.spec.config(), &first.benches)) {
+            Ok(warm) => warm,
+            Err(message) => {
+                for sim in &group {
+                    land(sim, Err(message.clone()));
+                }
+                return None;
             }
+        };
+        let (last, rest) = group.split_last().expect("a group has a simulation");
+        for sim in rest {
+            let report =
+                guarded(|| System::from_warm(sim.spec.config(), &sim.benches, &warm).run());
+            land(sim, report);
         }
-        (job, result)
+        let report =
+            guarded(|| System::from_warm_owned(last.spec.config(), &last.benches, warm).run());
+        land(last, report);
+        Some(group.len())
     });
-    for (job, result) in results {
-        match result {
-            Ok(r) => store.insert(job, r),
-            Err(message) => failed.push((job.id.clone(), message)),
+    let built: Vec<usize> = built.into_iter().flatten().collect();
+
+    let entries = entries
+        .into_inner()
+        .expect("no thread panics while holding the job entries");
+    for entry in entries {
+        match entry.outcome.expect("every simulation of a job landed") {
+            Ok(result) => store.insert(entry.job, result),
+            Err(message) => failed.push((entry.job.id.clone(), message)),
         }
     }
     RunOutcome {
@@ -1035,6 +1113,8 @@ pub fn run_jobs(jobs: &[Job], threads: usize, dir: &Path) -> RunOutcome {
         run,
         reused,
         failed,
+        warm_built: built.len(),
+        warm_reused: built.iter().map(|n| n - 1).sum(),
     }
 }
 
@@ -1313,6 +1393,15 @@ mod tests {
         assert!(!by_id.is_empty());
     }
 
+    /// The warm states `job`'s simulations restore from: the key
+    /// [`run_jobs`] groups simulations by.
+    fn warm_keys(job: &Job) -> Vec<u64> {
+        simulations(&job.payload)
+            .iter()
+            .map(|(spec, benches)| WarmState::fingerprint_for(&spec.config(), benches))
+            .collect()
+    }
+
     #[test]
     fn warm_group_ignores_design_remap_ff_and_backend() {
         let scale = tiny_scale();
@@ -1321,32 +1410,25 @@ mod tests {
             .filter_map(|n| figure_plan(n, &scale))
             .collect();
         let jobs = plan_jobs(&plans, 4);
-        // All SA eval units (CD/ROD/DCA/XOR+…) share one warm group…
-        let sa_eval: HashSet<String> = jobs
-            .iter()
-            .filter(|j| {
-                matches!(&j.payload, JobPayload::Eval { spec, .. }
-                    if spec.org == OrgKind::paper_set_assoc())
-            })
-            .map(|j| warm_group(&j.payload))
-            .collect();
-        assert_eq!(sa_eval.len(), 1, "{sa_eval:?}");
+        let eval_keys = |org: OrgKind| -> HashSet<u64> {
+            jobs.iter()
+                .filter(|j| matches!(&j.payload, JobPayload::Eval { spec, .. } if spec.org == org))
+                .flat_map(warm_keys)
+                .collect()
+        };
+        // All SA eval units (CD/ROD/DCA/XOR+…) share one warm state per
+        // mix…
+        let sa_eval = eval_keys(OrgKind::paper_set_assoc());
+        assert_eq!(sa_eval.len(), scale.mixes.len(), "{sa_eval:?}");
         // …including across main-memory backends (warm-up never touches
         // main memory timing): the DM mainmem sweep collapses too.
-        let dm_eval: HashSet<String> = jobs
-            .iter()
-            .filter(|j| {
-                matches!(&j.payload, JobPayload::Eval { spec, .. }
-                    if spec.org == OrgKind::DirectMapped)
-            })
-            .map(|j| warm_group(&j.payload))
-            .collect();
-        assert_eq!(dm_eval.len(), 1, "{dm_eval:?}");
+        let dm_eval = eval_keys(OrgKind::DirectMapped);
+        assert_eq!(dm_eval.len(), scale.mixes.len(), "{dm_eval:?}");
         // Eval and alone groups stay distinct (different warm shapes).
-        let alone: HashSet<String> = jobs
+        let alone: HashSet<u64> = jobs
             .iter()
             .filter(|j| matches!(j.payload, JobPayload::Alone { .. }))
-            .map(|j| warm_group(&j.payload))
+            .flat_map(warm_keys)
             .collect();
         assert!(alone
             .iter()
@@ -1412,12 +1494,16 @@ mod tests {
         let jobs = plan_jobs(std::slice::from_ref(&plan), 4);
         // Warm-up evicts through the policy, so eval warm groups must
         // split by policy — but not by design or backend.
-        let groups: HashSet<String> = jobs
+        let groups: HashSet<u64> = jobs
             .iter()
             .filter(|j| matches!(j.payload, JobPayload::Eval { .. }))
-            .map(|j| warm_group(&j.payload))
+            .flat_map(warm_keys)
             .collect();
-        assert_eq!(groups.len(), DESIGNS_POLICIES.len(), "{groups:?}");
+        assert_eq!(
+            groups.len(),
+            DESIGNS_POLICIES.len() * scale.mixes.len(),
+            "{groups:?}"
+        );
         // Alone tables (always SRRIP) exist per backend.
         let mut mms: Vec<MainMemKind> = Vec::new();
         for j in &jobs {

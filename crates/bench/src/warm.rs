@@ -1,33 +1,36 @@
 //! Process-wide cache of [`WarmState`] checkpoints, so every design and
-//! remap variant of a `(mix, org, warmup, seed)` tuple in a sweep pays
-//! for exactly one functional warm-up.
+//! remap variant of a `(mix, org, warmup, seed)` tuple run through
+//! [`RunSpec::run_benches`](crate::RunSpec::run_benches) pays for
+//! exactly one functional warm-up.
 //!
 //! Lookup is keyed by [`WarmState::fingerprint_for`]; concurrent
 //! requests for the *same* key rendezvous on a per-key [`OnceLock`]
 //! (one thread warms, the rest block on that key only), while requests
-//! for different keys warm in parallel — exactly what the threads of
-//! [`shard::run_jobs`](crate::shard::run_jobs) need.
+//! for different keys warm in parallel.
+//!
+//! The figure runner, [`shard::run_jobs`](crate::shard::run_jobs), does
+//! not use this cache: it hands each thread a whole group of
+//! simulations sharing one warm state, which the thread builds, reuses
+//! and finally moves into the group's last run. The cache serves the
+//! in-process callers of `run_benches` and `run_mix`: tests and
+//! [`shard::execute_job`](crate::shard::execute_job), the serial
+//! reference for one job's result that perfbench's trace mode replays.
 //!
 //! ## Residency
 //!
 //! Warm states live only in this process: nothing writes them to disk
 //! or reads them back. A warm state for the default organisation is
-//! tens of MB, so states leave the cache two ways:
-//!
-//! * **Released by the sweep runner.** `shard::run_jobs` counts, before
-//!   it starts, how many pending jobs request each state, and calls
-//!   [`WarmCache::evict`] when the last of them finishes. Residency
-//!   therefore follows the jobs in flight, and no state is dropped
-//!   while a pending job still needs it, so no warm-up is built twice.
-//! * **The cap**, a backstop for callers that never release: at most
-//!   `DCA_WARM_CAP` states stay resident, evicted in insertion order.
+//! tens of MB, and nothing releases one once it is built, so the cap is
+//! the only bound: at most `DCA_WARM_CAP` states stay resident, evicted
+//! in insertion order. A run still holding an evicted state keeps its
+//! `Arc`; the next request for it warms anew.
 //!
 //! ## Knobs
 //!
-//! * `DCA_WARM_CAP=n` — keep at most `n` states in memory (default 48,
-//!   sized to one organisation's full paper-scale pass; see
-//!   `DEFAULT_CAP`). Read once, when the cache is constructed (for the
-//!   shared instance: the first use of [`WarmCache::global`]).
+//! * `DCA_WARM_CAP=n` — keep at most `n` states in memory (default 48;
+//!   see `DEFAULT_CAP`). Read once, when the cache is constructed (for
+//!   the shared instance: the first use of [`WarmCache::global`]). A
+//!   malformed value warns on stderr and the default applies.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,14 +68,30 @@ impl Default for WarmCache {
     }
 }
 
-/// Default residency cap. Sized for the harness's worst working set
-/// when nothing releases states: figure sweeps are *design-major*
-/// (every design re-walks all mixes in the same order), so the cap must
-/// cover one organisation's full paper-scale pass — 30 mixes + 11
-/// alone-IPC single-bench states = 41 keys — or a cyclic scan against a
-/// smaller FIFO yields zero reuse on the second and later designs. 48
-/// leaves headroom; `shard::run_jobs` releases states long before it.
+/// Default residency cap. A caller of `run_benches` that sweeps every
+/// design over the same mixes (design-major, each design re-walking
+/// the mixes in the same order) cycles through one organisation's keys:
+/// at paper scale 30 mixes + 11 alone-IPC single-bench states = 41.
+/// Against a smaller FIFO that cyclic scan yields zero reuse on the
+/// second and later designs, so the cap covers it, with headroom.
 const DEFAULT_CAP: usize = 48;
+
+/// The cap a `DCA_WARM_CAP` value asks for, or the warning to print
+/// (naming the value and the default used instead) when it is not a
+/// positive integer.
+fn parse_cap(value: &str) -> Result<usize, String> {
+    match value.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        Ok(_) => Err(format!(
+            "DCA_WARM_CAP={value:?} must be a positive integer; \
+             using the default cap of {DEFAULT_CAP}"
+        )),
+        Err(_) => Err(format!(
+            "DCA_WARM_CAP={value:?} is not an integer; \
+             using the default cap of {DEFAULT_CAP}"
+        )),
+    }
+}
 
 impl WarmCache {
     /// A cache capped by `DCA_WARM_CAP` (see module docs), read here,
@@ -81,23 +100,10 @@ impl WarmCache {
     /// never set.
     pub fn new() -> Self {
         let cap = match std::env::var("DCA_WARM_CAP") {
-            Ok(v) => match v.parse::<usize>() {
-                Ok(n) if n > 0 => n,
-                Ok(_) => {
-                    eprintln!(
-                        "warning: DCA_WARM_CAP={v:?} must be a positive integer; \
-                         using the default cap of {DEFAULT_CAP}"
-                    );
-                    DEFAULT_CAP
-                }
-                Err(_) => {
-                    eprintln!(
-                        "warning: DCA_WARM_CAP={v:?} is not an integer; \
-                         using the default cap of {DEFAULT_CAP}"
-                    );
-                    DEFAULT_CAP
-                }
-            },
+            Ok(v) => parse_cap(&v).unwrap_or_else(|warning| {
+                eprintln!("warning: {warning}");
+                DEFAULT_CAP
+            }),
             Err(_) => DEFAULT_CAP,
         };
         Self::with_cap(cap)
@@ -159,20 +165,6 @@ impl WarmCache {
         })
         .clone()
     }
-
-    /// Drop the state with `fingerprint` (a [`WarmState::fingerprint_for`]
-    /// value) from the cache, if resident. Runs still holding it keep
-    /// their `Arc`; the next request for it warms anew.
-    pub fn evict(&self, fingerprint: u64) {
-        let mut guard = self
-            .slots
-            .lock()
-            .expect("no thread panics while holding the slot map");
-        let (map, order) = &mut *guard;
-        if map.remove(&fingerprint).is_some() {
-            order.retain(|&fp| fp != fingerprint);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -227,20 +219,20 @@ mod tests {
     }
 
     #[test]
-    fn evicted_state_stays_alive_for_its_holders_and_is_rebuilt_on_request() {
-        let cache = WarmCache::with_cap(4);
-        let cfg = tiny_cfg(6);
-        let benches = [Benchmark::Gcc];
-        let held = cache.get_or_build(&cfg, &benches);
-        cache.evict(held.fingerprint());
-        // Evicting an absent key is a no-op.
-        cache.evict(held.fingerprint());
-        // The holder's Arc is untouched; a new request warms anew.
-        let again = cache.get_or_build(&cfg, &benches);
-        assert!(!Arc::ptr_eq(&held, &again));
-        assert_eq!(held.encode(), again.encode());
-        let s = cache.stats();
-        assert_eq!((s.builds, s.hits), (2, 0));
+    fn malformed_cap_values_warn_and_fall_back_to_the_default() {
+        assert_eq!(parse_cap("7"), Ok(7));
+        let warning = parse_cap("abc").expect_err("not an integer");
+        assert!(
+            warning.contains("DCA_WARM_CAP=\"abc\" is not an integer")
+                && warning.contains(&format!("default cap of {DEFAULT_CAP}")),
+            "{warning}"
+        );
+        let warning = parse_cap("0").expect_err("not positive");
+        assert!(
+            warning.contains("DCA_WARM_CAP=\"0\" must be a positive integer")
+                && warning.contains(&format!("default cap of {DEFAULT_CAP}")),
+            "{warning}"
+        );
     }
 
     #[test]

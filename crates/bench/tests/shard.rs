@@ -3,12 +3,13 @@
 //! its output with no flag, `--jobs 1` and `--jobs 2` is compared byte
 //! for byte. Covers partial reuse (resume, a corrupt partial, a second
 //! figure sharing jobs), a killed run that resumes, partials from
-//! another build, orphan pruning, and a panicking job (through
-//! `shard::run_jobs` directly). Also covers the bench front-end
-//! behaviours: unknown flags exit 2 with a usage listing, an unwritable
-//! `results/` is a reported error, a malformed scale variable exits 1
-//! before any simulation, and a malformed `DCA_WARM_CAP` warns instead
-//! of silently falling back.
+//! another build, orphan pruning, and, through `shard::run_jobs`
+//! directly, partials equal to each job's serial result and panics
+//! while listing a job or building its warm state. Also covers the
+//! bench front-end behaviours: unknown flags exit 2 with a usage
+//! listing, an unwritable `results/` is a reported error, a malformed
+//! scale variable exits 1 before any simulation, and `figures` does not
+//! read the warm cache's `DCA_WARM_CAP`.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -17,8 +18,8 @@ use std::time::{Duration, Instant};
 
 use dca::Design;
 use dca_bench::shard::{
-    decode_partial, figure_plan, partial_path, plan_jobs, run_jobs, Job, JobPayload, BUILD_STAMP,
-    DEFAULT_CHUNK,
+    decode_partial, execute_job, figure_plan, partial_path, plan_jobs, run_jobs, Job, JobPayload,
+    JobResult, BUILD_STAMP, DEFAULT_CHUNK,
 };
 use dca_bench::{RunSpec, Scale};
 use dca_dram_cache::OrgKind;
@@ -56,8 +57,7 @@ fn figures_cmd(dir: &Path) -> Command {
         .env("DCA_INSTS", INSTS)
         .env("DCA_WARMUP", WARMUP)
         .env("DCA_MIXES", MIXES)
-        .env_remove("DCA_FULL")
-        .env_remove("DCA_WARM_CAP");
+        .env_remove("DCA_FULL");
     cmd
 }
 
@@ -376,8 +376,37 @@ fn orphan_partials_are_pruned_and_foreign_files_kept() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The runner files every report under the job and the mix it belongs
+/// to: at one thread and at two, each partial it writes decodes to
+/// exactly the result `execute_job` computes for that job on its own.
+#[test]
+fn runner_partials_match_serial_execution() {
+    let jobs = jobs_of("fig14");
+    let reference: Vec<JobResult> = jobs.iter().map(|j| execute_job(&j.payload)).collect();
+    for threads in [1, 2] {
+        let root = scratch(&format!("serial-{threads}"));
+        let dir = root.join("partials");
+        let outcome = run_jobs(&jobs, threads, &dir);
+        assert!(outcome.failed.is_empty(), "{:?}", outcome.failed);
+        assert_eq!((outcome.run, outcome.reused), (jobs.len(), 0));
+        for (job, want) in jobs.iter().zip(&reference) {
+            let text = std::fs::read_to_string(dir.join(format!("{}.json", job.id)))
+                .unwrap_or_else(|e| panic!("{} must have a partial: {e}", job.id));
+            assert_eq!(
+                decode_partial(&text, job).as_ref(),
+                Ok(want),
+                "{} on {threads} thread(s) differs from its serial result",
+                job.id
+            );
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
 /// A job that panics is named with its message, every other job still
-/// writes a valid partial, and a re-run runs only the failed job.
+/// writes a valid partial, and a re-run runs only the failed jobs. One
+/// job panics while listing its simulations, another while building its
+/// warm state.
 #[test]
 fn a_panicking_job_is_isolated() {
     let mut jobs = jobs_of("fig14");
@@ -386,25 +415,45 @@ fn a_panicking_job_is_isolated() {
         spec: RunSpec::at_scale(Design::Dca, OrgKind::DirectMapped, &tiny_scale()),
         mixes: vec![31],
     });
+    // Seven ways list and fingerprint, but cannot fill a row's sixty
+    // data slots: `CacheGeometry::new` panics inside the warm-up.
+    let bad_warmup = Job::new(JobPayload::Eval {
+        spec: RunSpec::at_scale(Design::Dca, OrgKind::SetAssoc { ways: 7 }, &tiny_scale()),
+        mixes: vec![1],
+    });
     jobs.insert(1, bad.clone());
+    jobs.insert(3, bad_warmup.clone());
     let dir = scratch("panic").join("partials");
 
     let outcome = run_jobs(&jobs, 2, &dir);
     assert_eq!((outcome.run, outcome.reused), (jobs.len(), 0));
-    assert_eq!(outcome.failed.len(), 1, "{:?}", outcome.failed);
-    let (id, message) = &outcome.failed[0];
-    assert_eq!(*id, bad.id);
-    assert!(message.contains("got 31"), "{message}");
-    for job in jobs.iter().filter(|j| j.id != bad.id) {
-        let text = std::fs::read_to_string(dir.join(format!("{}.json", job.id)))
+    assert_eq!(outcome.failed.len(), 2, "{:?}", outcome.failed);
+    let message = |id: &str| {
+        outcome
+            .failed
+            .iter()
+            .find(|(failed, _)| failed == id)
+            .map(|(_, message)| message.clone())
+            .unwrap_or_else(|| panic!("{id} must fail: {:?}", outcome.failed))
+    };
+    let listing = message(&bad.id);
+    assert!(listing.contains("got 31"), "{listing}");
+    let warmup = message(&bad_warmup.id);
+    assert!(warmup.contains("fill the 60 data slots"), "{warmup}");
+    for job in &jobs {
+        let path = dir.join(format!("{}.json", job.id));
+        if job.id == bad.id || job.id == bad_warmup.id {
+            assert!(!path.exists(), "{} failed and has no partial", job.id);
+            continue;
+        }
+        let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("{} must have a partial: {e}", job.id));
         decode_partial(&text, job).expect("the partial validates");
     }
-    assert!(!dir.join(format!("{}.json", bad.id)).exists());
 
     let again = run_jobs(&jobs, 2, &dir);
-    assert_eq!((again.run, again.reused), (1, jobs.len() - 1));
-    assert_eq!(again.failed.len(), 1);
+    assert_eq!((again.run, again.reused), (2, jobs.len() - 2));
+    assert_eq!(again.failed.len(), 2, "{:?}", again.failed);
     let _ = std::fs::remove_dir_all(dir.parent().expect("scratch root"));
 }
 
@@ -528,26 +577,15 @@ fn malformed_scale_exits_1_before_any_simulation() {
     }
 }
 
-/// A malformed `DCA_WARM_CAP` warns (naming the value and the
-/// fallback) instead of silently using the default.
+/// The runner keeps no warm cache, so `figures` never reads
+/// `DCA_WARM_CAP`: a malformed value draws no warning, even from a run
+/// that simulates. (The cache's own warnings are unit tests of
+/// `dca_bench::warm`.)
 #[test]
-fn malformed_warm_knobs_warn_on_stderr() {
+fn figures_does_not_read_the_warm_cap() {
     let dir = scratch("knobs");
-    let out = run_ok(figures_cmd(&dir).arg("--table1").env("DCA_WARM_CAP", "abc"));
+    let out = run_ok(figures_cmd(&dir).arg("--fig14").env("DCA_WARM_CAP", "abc"));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("DCA_WARM_CAP=\"abc\" is not an integer"),
-        "cap warning missing:\n{stderr}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // And a zero cap warns about positivity.
-    let dir = scratch("knobs0");
-    let out = run_ok(figures_cmd(&dir).arg("--table1").env("DCA_WARM_CAP", "0"));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("DCA_WARM_CAP=\"0\" must be a positive integer"),
-        "zero-cap warning missing:\n{stderr}"
-    );
+    assert!(!stderr.contains("DCA_WARM_CAP"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }

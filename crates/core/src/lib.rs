@@ -86,11 +86,14 @@
 //!   `WarmState`, skipping warm-up; the run is bit-for-bit identical to
 //!   a cold [`System::new`] (asserted by
 //!   `tests/warm_checkpoint_equivalence.rs` on every CI run).
+//! * [`System::from_warm_owned`] does the same for the last user of a
+//!   warm state, taking its components instead of copying them.
 //!
 //! A warm state lives only in the memory of the process that captured
-//! it. The `dca-bench` crate layers a process-wide, in-memory
-//! `WarmCache` on top so the whole figure harness shares warm-ups
-//! transparently.
+//! it. The `dca-bench` figure runner builds each warm state once per
+//! group of runs sharing it and moves it into the group's last run;
+//! `dca-bench`'s process-wide, in-memory `WarmCache` shares warm-ups
+//! between in-process callers of `RunSpec::run_benches`.
 //!
 //! ```
 //! use dca::{Design, SystemConfig, System};

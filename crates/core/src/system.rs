@@ -455,6 +455,16 @@ impl System {
     /// count or tag geometry disagrees with `(cfg, benches)` (a
     /// backstop: the fingerprint already covers both).
     pub fn from_warm(cfg: SystemConfig, benches: &[Benchmark], warm: &WarmState) -> Self {
+        Self::from_warm_owned(cfg, benches, warm.clone())
+    }
+
+    /// [`System::from_warm`] for the last user of a warm state: the
+    /// system takes `warm`'s components instead of copying them (the
+    /// tag array alone is tens of MB). Same checks, same run.
+    ///
+    /// # Panics
+    /// Exactly where [`System::from_warm`] panics.
+    pub fn from_warm_owned(cfg: SystemConfig, benches: &[Benchmark], warm: WarmState) -> Self {
         assert!(
             warm.matches(&cfg, benches),
             "warm-state fingerprint mismatch: captured {:#018x}, need {:#018x}",
@@ -468,12 +478,20 @@ impl System {
             (geom.num_sets(), cfg.org_kind.ways(), cfg.replacement),
             "warm-state tag geometry"
         );
+        let WarmState {
+            l1,
+            l2,
+            tags,
+            predictor,
+            gens,
+            ..
+        } = warm;
         let hier = HierState {
-            l1: warm.l1.clone(),
-            l2: warm.l2.clone(),
-            tags: warm.tags.clone(),
-            predictor: warm.predictor.clone(),
-            gens: warm.gens.clone(),
+            l1,
+            l2,
+            tags,
+            predictor,
+            gens,
         };
         Self::assemble(cfg, benches, hier)
     }

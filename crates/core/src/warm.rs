@@ -81,7 +81,9 @@ const MAGIC: &[u8; 8] = b"DCAWARM\0";
 /// the MAP-I predictor and the per-core workload generators (with their
 /// RNG cursors). Captured by
 /// [`System::capture_warm`](crate::System::capture_warm), consumed by
-/// [`System::from_warm`](crate::System::from_warm).
+/// [`System::from_warm`](crate::System::from_warm) (a copy) or
+/// [`System::from_warm_owned`](crate::System::from_warm_owned) (by
+/// value).
 #[derive(Clone, Debug)]
 pub struct WarmState {
     fingerprint: u64,

@@ -1,8 +1,9 @@
 //! Warm-state checkpointing must be invisible in the results: a run
-//! restored from a [`dca::WarmState`] has to produce a byte-identical
-//! report to a cold run of the same configuration — for every
-//! controller design, both organisations, every main-memory backend and
-//! trace-driven mixes.
+//! restored from a [`dca::WarmState`] — by reference
+//! ([`System::from_warm`]) or by value ([`System::from_warm_owned`]) —
+//! has to produce a byte-identical report to a cold run of the same
+//! configuration, for every controller design, both organisations,
+//! every main-memory backend and trace-driven mixes.
 
 use dca::{Design, System, SystemConfig, SystemReport};
 use dca_cpu::{mix, Benchmark};
@@ -22,22 +23,43 @@ fn report_bytes(r: &SystemReport) -> String {
 
 #[test]
 fn restored_runs_match_cold_runs_for_all_designs_and_orgs() {
+    use dca_mem_hier::MainMemConfig;
     let benches = mix(3).benches;
     for org in [OrgKind::DirectMapped, OrgKind::paper_set_assoc()] {
-        // One capture per organisation, shared by all three designs —
-        // the exact reuse pattern the figure sweeps rely on.
+        // One capture per organisation, shared by every design and
+        // backend — the exact reuse pattern the figure sweeps rely on.
         let warm = System::capture_warm(cfg(Design::Cd, org), &benches);
-        for design in Design::ALL {
-            let c = cfg(design, org);
-            let cold = System::new(c, &benches).run();
-            let restored = System::from_warm(c, &benches, &warm).run();
-            assert_eq!(
-                report_bytes(&cold),
-                report_bytes(&restored),
-                "{} {} restored run diverged from cold",
-                design.label(),
-                org.label()
-            );
+        for (backend, main_mem) in [
+            ("flat", MainMemConfig::paper_flat()),
+            ("ddr4", MainMemConfig::ddr4()),
+            ("xpoint", MainMemConfig::xpoint()),
+        ] {
+            for design in Design::ALL {
+                let mut c = cfg(design, org);
+                c.main_mem = main_mem;
+                let cold = System::new(c, &benches).run();
+                // The figure runner's last user of a warm state takes it
+                // by value; every other restore copies it.
+                for (how, restored) in [
+                    ("by reference", System::from_warm(c, &benches, &warm).run()),
+                    (
+                        "by value",
+                        System::from_warm_owned(c, &benches, warm.clone()).run(),
+                    ),
+                ] {
+                    let what = format!(
+                        "{} {} {backend} restored {how}",
+                        design.label(),
+                        org.label()
+                    );
+                    assert_eq!(
+                        report_bytes(&cold),
+                        report_bytes(&restored),
+                        "{what}: diverged from cold"
+                    );
+                    assert_eq!(cold.digest(), restored.digest(), "{what}: digest");
+                }
+            }
         }
     }
 }
