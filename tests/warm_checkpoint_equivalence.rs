@@ -5,7 +5,7 @@
 //! configuration, for every controller design, both organisations,
 //! every main-memory backend and trace-driven mixes.
 
-use dca::{Design, System, SystemConfig, SystemReport};
+use dca::{Design, System, SystemConfig, SystemReport, WarmState};
 use dca_cpu::{mix, Benchmark};
 use dca_dram_cache::OrgKind;
 
@@ -21,45 +21,45 @@ fn report_bytes(r: &SystemReport) -> String {
     format!("{r:?}")
 }
 
+/// Run `c` cold, restored from `warm` by reference and restored by
+/// value (the figure runner's last user of a warm state takes it by
+/// value; every other restore copies it), and require all three reports
+/// to be identical, by Debug bytes and by [`SystemReport::digest`].
+/// Returns the cold report.
+fn assert_restores_match_cold(
+    c: SystemConfig,
+    benches: &[Benchmark],
+    warm: &WarmState,
+    what: &str,
+) -> SystemReport {
+    let cold = System::new(c, benches).run();
+    for (how, restored) in [
+        ("by reference", System::from_warm(c, benches, warm).run()),
+        (
+            "by value",
+            System::from_warm_owned(c, benches, warm.clone()).run(),
+        ),
+    ] {
+        assert_eq!(
+            report_bytes(&cold),
+            report_bytes(&restored),
+            "{what} restored {how} diverged from cold"
+        );
+        assert_eq!(cold.digest(), restored.digest(), "{what} restored {how}");
+    }
+    cold
+}
+
 #[test]
 fn restored_runs_match_cold_runs_for_all_designs_and_orgs() {
-    use dca_mem_hier::MainMemConfig;
     let benches = mix(3).benches;
     for org in [OrgKind::DirectMapped, OrgKind::paper_set_assoc()] {
-        // One capture per organisation, shared by every design and
-        // backend — the exact reuse pattern the figure sweeps rely on.
+        // One capture per organisation, shared by all designs — the
+        // exact reuse pattern the figure sweeps rely on.
         let warm = System::capture_warm(cfg(Design::Cd, org), &benches);
-        for (backend, main_mem) in [
-            ("flat", MainMemConfig::paper_flat()),
-            ("ddr4", MainMemConfig::ddr4()),
-            ("xpoint", MainMemConfig::xpoint()),
-        ] {
-            for design in Design::ALL {
-                let mut c = cfg(design, org);
-                c.main_mem = main_mem;
-                let cold = System::new(c, &benches).run();
-                // The figure runner's last user of a warm state takes it
-                // by value; every other restore copies it.
-                for (how, restored) in [
-                    ("by reference", System::from_warm(c, &benches, &warm).run()),
-                    (
-                        "by value",
-                        System::from_warm_owned(c, &benches, warm.clone()).run(),
-                    ),
-                ] {
-                    let what = format!(
-                        "{} {} {backend} restored {how}",
-                        design.label(),
-                        org.label()
-                    );
-                    assert_eq!(
-                        report_bytes(&cold),
-                        report_bytes(&restored),
-                        "{what}: diverged from cold"
-                    );
-                    assert_eq!(cold.digest(), restored.digest(), "{what}: digest");
-                }
-            }
+        for design in Design::ALL {
+            let what = format!("{} {}", design.label(), org.label());
+            assert_restores_match_cold(cfg(design, org), &benches, &warm, &what);
         }
     }
 }
@@ -69,27 +69,22 @@ fn cycle_main_memory_restored_runs_match_cold_runs() {
     // The cycle-level main-memory backends are pure timing-phase
     // devices: a warm state captured under the *flat* backend must drive
     // a DDR4 or a 3DXPoint run to a byte-identical report vs a cold run
-    // for every design.
+    // for every design and both organisations.
     use dca_mem_hier::MainMemConfig;
     let benches = mix(3).benches;
-    let flat_cfg = cfg(Design::Cd, OrgKind::DirectMapped);
-    let warm = System::capture_warm(flat_cfg, &benches);
-    for (backend, main_mem) in [
-        ("ddr4", MainMemConfig::ddr4()),
-        ("xpoint", MainMemConfig::xpoint()),
-    ] {
-        for design in Design::ALL {
-            let mut c = cfg(design, OrgKind::DirectMapped);
-            c.main_mem = main_mem;
-            let cold = System::new(c, &benches).run();
-            assert_eq!(cold.main_mem.backend, "cycle");
-            let restored = System::from_warm(c, &benches, &warm).run();
-            assert_eq!(
-                report_bytes(&cold),
-                report_bytes(&restored),
-                "{} {backend} restored run diverged from cold",
-                design.label()
-            );
+    for org in [OrgKind::DirectMapped, OrgKind::paper_set_assoc()] {
+        let warm = System::capture_warm(cfg(Design::Cd, org), &benches);
+        for (backend, main_mem) in [
+            ("ddr4", MainMemConfig::ddr4()),
+            ("xpoint", MainMemConfig::xpoint()),
+        ] {
+            for design in Design::ALL {
+                let mut c = cfg(design, org);
+                c.main_mem = main_mem;
+                let what = format!("{} {} {backend}", design.label(), org.label());
+                let cold = assert_restores_match_cold(c, &benches, &warm, &what);
+                assert_eq!(cold.main_mem.backend, "cycle");
+            }
         }
     }
 }
