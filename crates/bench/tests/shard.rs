@@ -196,13 +196,18 @@ fn thread_counts_are_bit_identical_and_partials_resume() {
 /// the same bytes as an uninterrupted run.
 #[test]
 fn killed_run_resumes_from_its_partials() {
-    // Eight mixes make enough jobs that the kill lands mid-run.
+    // Eight mixes at 50k instructions leave the run about 0.7 s of work
+    // after its first partial lands (2-core host, opt-level 2 or
+    // release), so the kill lands mid-run. At the file's 2k
+    // instructions that margin was 50-80 ms.
     let mixes = "1,2,3,4,5,6,7,8";
+    let insts = "50000";
     let reference = scratch("kill-reference");
     run_ok(
         figures_cmd(&reference)
             .arg("--fig14")
-            .env("DCA_MIXES", mixes),
+            .env("DCA_MIXES", mixes)
+            .env("DCA_INSTS", insts),
     );
 
     let dir = scratch("killed");
@@ -210,6 +215,7 @@ fn killed_run_resumes_from_its_partials() {
     let mut child = figures_cmd(&dir)
         .args(["--fig14", "--jobs", "2"])
         .env("DCA_MIXES", mixes)
+        .env("DCA_INSTS", insts)
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
@@ -239,7 +245,8 @@ fn killed_run_resumes_from_its_partials() {
     let out = run_ok(
         figures_cmd(&dir)
             .args(["--fig14", "--jobs", "2"])
-            .env("DCA_MIXES", mixes),
+            .env("DCA_MIXES", mixes)
+            .env("DCA_INSTS", insts),
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     let reused: usize = stderr

@@ -136,7 +136,7 @@ impl CacheGeometry {
     /// Locate `block` (a 64-byte block address, i.e. byte address >> 6).
     pub fn place(&self, block: u64) -> BlockPlace {
         let set = block % self.num_sets();
-        let tag = (block / self.num_sets()) as u32;
+        let tag = u32::try_from(block / self.num_sets()).expect("block's tag exceeds 32 bits");
         let frame = set / self.sets_per_row;
         let slot_in_row = (set % self.sets_per_row) as u32;
         BlockPlace {
@@ -241,6 +241,19 @@ mod tests {
             let p = g.place(block);
             assert_eq!(p.set + p.tag as u64 * sets, block, "block {block}");
         }
+    }
+
+    #[test]
+    fn widest_tag_is_placed() {
+        let g = dm();
+        assert_eq!(g.place((g.num_sets() << 32) - 1).tag, u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "block's tag exceeds 32 bits")]
+    fn tag_wider_than_32_bits_panics() {
+        let g = dm();
+        g.place(g.num_sets() << 32);
     }
 
     #[test]

@@ -1,12 +1,279 @@
 //! Property-based tests: the functional tag array against a reference
-//! model, geometry round-trips, and FSM access-count invariants.
+//! model and against the entry-array layout it replaced, geometry
+//! round-trips, and FSM access-count invariants.
 
 use dca_dram::MappingScheme;
+use dca_dram_cache::tags::MAX_TAG;
 use dca_dram_cache::{
-    CacheGeometry, CacheReqKind, CacheRequest, OrgKind, ReplacementPolicy, RequestFsm, TagArray,
+    CacheGeometry, CacheReqKind, CacheRequest, InsertOutcome, OrgKind, ReplacementPolicy,
+    RequestFsm, TagArray,
 };
+use dca_sim_core::ByteWriter;
 use proptest::prelude::*;
 use std::collections::HashMap;
+
+const RRPV_MAX: u8 = 3;
+const RRPV_INSERT: u8 = 2;
+
+#[derive(Clone, Copy, Debug, Default)]
+struct TagEntry {
+    tag: u32,
+    valid: bool,
+    dirty: bool,
+    /// Per-way replacement state: the RRPV under SRRIP, the LRU stack
+    /// position (0 = MRU) under the LRU family.
+    state: u8,
+}
+
+/// The tag array as one array of 8-byte entries, the layout before ways
+/// were packed into `u32` words, kept as the oracle of
+/// `tag_array_matches_entry_array_oracle`. It is that code less its
+/// accessors, with one change, marked in `invalidate`.
+struct TagEntryArray {
+    entries: Vec<TagEntry>,
+    sets: u64,
+    ways: u16,
+    policy: ReplacementPolicy,
+}
+
+impl TagEntryArray {
+    /// An all-invalid array governed by `policy`.
+    fn with_policy(sets: u64, ways: u16, policy: ReplacementPolicy) -> Self {
+        assert!(ways >= 1);
+        assert!(sets >= 1);
+        TagEntryArray {
+            entries: vec![TagEntry::default(); (sets * ways as u64) as usize],
+            sets,
+            ways,
+            policy,
+        }
+    }
+
+    #[inline]
+    fn base(&self, set: u64) -> usize {
+        debug_assert!(set < self.sets);
+        (set * self.ways as u64) as usize
+    }
+
+    /// Look up `tag` in `set`; returns the way on a hit. Pure.
+    fn lookup(&self, set: u64, tag: u32) -> Option<u16> {
+        let base = self.base(set);
+        self.entries[base..base + self.ways as usize]
+            .iter()
+            .position(|e| e.valid && e.tag == tag)
+            .map(|w| w as u16)
+    }
+
+    /// Whether (set, way) currently holds dirty data.
+    fn is_dirty(&self, set: u64, way: u16) -> bool {
+        self.entries[self.base(set) + way as usize].dirty
+    }
+
+    /// Record a hit on (set, way): promote its replacement state.
+    fn touch(&mut self, set: u64, way: u16) {
+        let base = self.base(set);
+        match self.policy {
+            ReplacementPolicy::Srrip => self.entries[base + way as usize].state = 0,
+            _ => {
+                // LRU family: move to MRU, older entries shift down.
+                let old = self.entries[base + way as usize].state;
+                for e in &mut self.entries[base..base + self.ways as usize] {
+                    if e.valid && e.state < old {
+                        e.state += 1;
+                    }
+                }
+                self.entries[base + way as usize].state = 0;
+            }
+        }
+    }
+
+    /// Mark (set, way) dirty (hit by a writeback).
+    fn set_dirty(&mut self, set: u64, way: u16, dirty: bool) {
+        let base = self.base(set);
+        self.entries[base + way as usize].dirty = dirty;
+    }
+
+    /// The LRU-family victim among a full set: the preferred class's
+    /// oldest way, falling back to the overall LRU way. Ties cannot
+    /// happen — stack positions are a permutation of `0..ways`.
+    fn lru_victim(&self, base: usize) -> usize {
+        let ways = &self.entries[base..base + self.ways as usize];
+        let prefer: Option<fn(&TagEntry) -> bool> = match self.policy {
+            ReplacementPolicy::LruClean => Some(|e| !e.dirty),
+            ReplacementPolicy::LruDirty => Some(|e| e.dirty),
+            _ => None,
+        };
+        let oldest = |pred: &dyn Fn(&TagEntry) -> bool| {
+            ways.iter()
+                .enumerate()
+                .filter(|(_, e)| pred(e))
+                .max_by_key(|(_, e)| e.state)
+                .map(|(i, _)| i)
+        };
+        prefer
+            .and_then(|p| oldest(&p))
+            .or_else(|| oldest(&|_| true))
+            .expect("full set has a victim")
+    }
+
+    /// Identify the victim way an insertion into `set` would use, without
+    /// modifying anything. Invalid ways win first; otherwise the policy
+    /// decides (SRRIP aging is *simulated* — the actual aging happens on
+    /// insert).
+    fn victim_way(&self, set: u64) -> (u16, Option<(u32, bool)>) {
+        let base = self.base(set);
+        let ways = &self.entries[base..base + self.ways as usize];
+        if let Some(w) = ways.iter().position(|e| !e.valid) {
+            return (w as u16, None);
+        }
+        let best = match self.policy {
+            ReplacementPolicy::Srrip => {
+                // SRRIP: pick the first way whose RRPV would reach MAX
+                // first — i.e. the way with the highest current RRPV;
+                // ties to lowest index.
+                let mut best = 0usize;
+                for (i, e) in ways.iter().enumerate().skip(1) {
+                    if e.state > ways[best].state {
+                        best = i;
+                    }
+                }
+                best
+            }
+            _ => self.lru_victim(base),
+        };
+        let v = &ways[best];
+        (best as u16, Some((v.tag, v.dirty)))
+    }
+
+    /// Insert `tag` into `set`, evicting per the policy if needed.
+    fn insert(&mut self, set: u64, tag: u32, dirty: bool) -> InsertOutcome {
+        match self.policy {
+            ReplacementPolicy::Srrip => self.insert_srrip(set, tag, dirty),
+            _ => self.insert_lru(set, tag, dirty),
+        }
+    }
+
+    fn insert_srrip(&mut self, set: u64, tag: u32, dirty: bool) -> InsertOutcome {
+        let base = self.base(set);
+        // Reuse an invalid way when available.
+        if let Some(w) = (0..self.ways as usize).find(|&w| !self.entries[base + w].valid) {
+            self.entries[base + w] = TagEntry {
+                tag,
+                valid: true,
+                dirty,
+                state: RRPV_INSERT,
+            };
+            return InsertOutcome {
+                way: w as u16,
+                evicted: None,
+            };
+        }
+        // Age until some way reaches RRPV_MAX.
+        loop {
+            if let Some(w) =
+                (0..self.ways as usize).find(|&w| self.entries[base + w].state >= RRPV_MAX)
+            {
+                let victim = self.entries[base + w];
+                self.entries[base + w] = TagEntry {
+                    tag,
+                    valid: true,
+                    dirty,
+                    state: RRPV_INSERT,
+                };
+                return InsertOutcome {
+                    way: w as u16,
+                    evicted: Some((victim.tag, victim.dirty)),
+                };
+            }
+            for w in 0..self.ways as usize {
+                self.entries[base + w].state += 1;
+            }
+        }
+    }
+
+    fn insert_lru(&mut self, set: u64, tag: u32, dirty: bool) -> InsertOutcome {
+        let base = self.base(set);
+        if let Some(w) = (0..self.ways as usize).find(|&w| !self.entries[base + w].valid) {
+            // New block enters at MRU; every resident ages one step.
+            for e in &mut self.entries[base..base + self.ways as usize] {
+                if e.valid {
+                    e.state += 1;
+                }
+            }
+            self.entries[base + w] = TagEntry {
+                tag,
+                valid: true,
+                dirty,
+                state: 0,
+            };
+            return InsertOutcome {
+                way: w as u16,
+                evicted: None,
+            };
+        }
+        let w = self.lru_victim(base);
+        let victim = self.entries[base + w];
+        // Ways younger than the victim age one step; older ones keep
+        // their positions — the stack stays a permutation of 0..ways.
+        for e in &mut self.entries[base..base + self.ways as usize] {
+            if e.state < victim.state {
+                e.state += 1;
+            }
+        }
+        self.entries[base + w] = TagEntry {
+            tag,
+            valid: true,
+            dirty,
+            state: 0,
+        };
+        InsertOutcome {
+            way: w as u16,
+            evicted: Some((victim.tag, victim.dirty)),
+        }
+    }
+
+    /// Invalidate (set, way); returns `(tag, was_dirty)` if it was valid.
+    fn invalidate(&mut self, set: u64, way: u16) -> Option<(u32, bool)> {
+        let base = self.base(set);
+        let e = &mut self.entries[base + way as usize];
+        if e.valid {
+            e.valid = false;
+            let (tag, dirty, state) = (e.tag, e.dirty, e.state);
+            // The one change from the entry-array code: close the LRU
+            // stack gap, which that code left open (positions then grew
+            // past `ways - 1` with every refill of the hole).
+            if self.policy != ReplacementPolicy::Srrip {
+                for o in &mut self.entries[base..base + self.ways as usize] {
+                    if o.valid && o.state > state {
+                        o.state -= 1;
+                    }
+                }
+            }
+            Some((tag, dirty))
+        } else {
+            None
+        }
+    }
+
+    /// Count of valid entries (test/diagnostic helper; O(sets×ways)).
+    fn valid_count(&self) -> u64 {
+        self.entries.iter().filter(|e| e.valid).count() as u64
+    }
+
+    /// Serialise the full state into `w` (part of the warm-state byte
+    /// image). Layout: sets, ways, policy code, then one
+    /// `(tag, valid|dirty flags, state)` record per entry.
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_u64(self.sets);
+        w.put_u16(self.ways);
+        w.put_u8(self.policy.code());
+        for e in &self.entries {
+            w.put_u32(e.tag);
+            w.put_u8(e.valid as u8 | (e.dirty as u8) << 1);
+            w.put_u8(e.state);
+        }
+    }
+}
 
 proptest! {
     /// TagArray agrees with a reference map on membership after an
@@ -41,6 +308,66 @@ proptest! {
                 for &t in v {
                     prop_assert!(tags.lookup(s, t).is_some(), "lost tag {t} in set {s}");
                 }
+            }
+        }
+    }
+
+    /// The packed array behaves exactly like the entry-array layout it
+    /// replaced under every policy at 1, 4 and 15 ways (15 leaves a
+    /// padding word in each set): the same return value from every
+    /// call, the same `valid_count` after each, and the same `encode`
+    /// bytes at the end. `touch` follows a hit, as in the model; the
+    /// other calls take any way. Some tags sit at the 26-bit limit.
+    #[test]
+    fn tag_array_matches_entry_array_oracle(
+        ops in prop::collection::vec(
+            (0u8..10, 0u64..4, 0u32..32, any::<bool>(), 0u16..16, 0u8..8), 1..500
+        )
+    ) {
+        let sets = 4u64;
+        for ways in [1u16, 4, 15] {
+            for policy in ReplacementPolicy::ALL {
+                let mut tags = TagArray::with_policy(sets, ways, policy);
+                let mut oracle = TagEntryArray::with_policy(sets, ways, policy);
+                for &(op, set, low, flag, way, far) in &ops {
+                    let tag = low % (ways as u32 + 3) + if far == 0 { MAX_TAG - 34 } else { 0 };
+                    let way = way % ways;
+                    let at = format!("{policy:?}, {ways} ways, op {op}, set {set}, tag {tag}, way {way}");
+                    match op {
+                        0..=2 => {
+                            let hit = tags.lookup(set, tag);
+                            prop_assert_eq!(hit, oracle.lookup(set, tag), "lookup: {}", at);
+                            match hit {
+                                Some(w) => {
+                                    tags.touch(set, w);
+                                    oracle.touch(set, w);
+                                }
+                                None => prop_assert_eq!(
+                                    tags.insert(set, tag, flag),
+                                    oracle.insert(set, tag, flag),
+                                    "insert: {}", at
+                                ),
+                            }
+                        }
+                        3 | 4 => prop_assert_eq!(
+                            tags.insert(set, tag, flag),
+                            oracle.insert(set, tag, flag),
+                            "insert: {}", at
+                        ),
+                        5 => prop_assert_eq!(tags.victim_way(set), oracle.victim_way(set), "victim_way: {}", at),
+                        6 => {
+                            tags.set_dirty(set, way, flag);
+                            oracle.set_dirty(set, way, flag);
+                        }
+                        7 => prop_assert_eq!(tags.is_dirty(set, way), oracle.is_dirty(set, way), "is_dirty: {}", at),
+                        _ => prop_assert_eq!(tags.invalidate(set, way), oracle.invalidate(set, way), "invalidate: {}", at),
+                    }
+                    prop_assert_eq!(tags.valid_count(), oracle.valid_count(), "valid_count: {}", at);
+                }
+                let (mut got, mut want) = (ByteWriter::new(), ByteWriter::new());
+                tags.encode(&mut got);
+                oracle.encode(&mut want);
+                prop_assert!(got.into_vec() == want.into_vec(), "{:?}, {} ways: encode bytes differ", policy, ways);
             }
         }
     }

@@ -1,4 +1,16 @@
 //! Generic set-associative SRAM cache (L1 / L2 functional model).
+//!
+//! Storage is a structure of arrays indexed by `set * ways + way`:
+//!
+//! * `tags`: one `u32` word per line, `tag << 1 | 1` when valid and 0
+//!   when not, so a probe compares whole words and a 16-way L2 set
+//!   scans 64 bytes of tags rather than 384 bytes of lines.
+//! * `dirty` and `stamps` (the clock value at the line's last use) are
+//!   side arrays that only a hit or a victim choice reads.
+//!
+//! A tag is `block >> log2(sets)` and must fit 31 bits. Every call
+//! naming a block whose tag is wider panics rather than alias a
+//! narrower tag.
 
 use dca_sim_core::{ByteWriter, Counter};
 
@@ -27,13 +39,10 @@ impl SramStats {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    stamp: u64,
-}
+/// The valid bit of a tag word; the tag sits above it.
+const VALID: u32 = 1;
+/// Largest tag a tag word holds (31 bits).
+const MAX_TAG: u64 = (u32::MAX >> 1) as u64;
 
 /// A set-associative write-back, write-allocate SRAM cache with LRU
 /// replacement.
@@ -44,7 +53,9 @@ struct Line {
 /// not install the block until its refill returns.
 #[derive(Clone, Debug)]
 pub struct SramCache {
-    lines: Vec<Line>,
+    tags: Vec<u32>,
+    dirty: Vec<bool>,
+    stamps: Vec<u64>,
     sets: u64,
     ways: u16,
     clock: u64,
@@ -59,8 +70,11 @@ impl SramCache {
         let blocks = capacity_bytes / 64;
         let sets = blocks / ways as u64;
         assert!(sets.is_power_of_two(), "set count must be a power of two");
+        let lines = (sets * ways as u64) as usize;
         SramCache {
-            lines: vec![Line::default(); (sets * ways as u64) as usize],
+            tags: vec![0; lines],
+            dirty: vec![false; lines],
+            stamps: vec![0; lines],
             sets,
             ways,
             clock: 0,
@@ -98,14 +112,40 @@ impl SramCache {
         block & (self.sets - 1)
     }
 
+    /// The valid tag word `block` would occupy.
     #[inline]
-    fn tag_of(&self, block: u64) -> u64 {
-        block >> self.sets.trailing_zeros()
+    fn word_of(&self, block: u64) -> u32 {
+        let tag = block >> self.sets.trailing_zeros();
+        assert!(
+            tag <= MAX_TAG,
+            "SRAM tag {tag:#x} of block {block:#x} does not fit 31 bits"
+        );
+        (tag as u32) << 1 | VALID
     }
 
+    /// The block address of the valid tag word `word` in `set`.
     #[inline]
-    fn base(&self, set: u64) -> usize {
-        (set * self.ways as u64) as usize
+    fn block_of(&self, word: u32, set: u64) -> u64 {
+        u64::from(word >> 1) << self.sets.trailing_zeros() | set
+    }
+
+    /// Line indices of `set`.
+    #[inline]
+    fn lines_of(&self, set: u64) -> std::ops::Range<usize> {
+        let base = (set * self.ways as u64) as usize;
+        base..base + self.ways as usize
+    }
+
+    /// Line index holding `block`, if present.
+    #[inline]
+    fn find(&self, block: u64) -> Option<usize> {
+        let word = self.word_of(block);
+        let lines = self.lines_of(self.set_of(block));
+        let base = lines.start;
+        self.tags[lines]
+            .iter()
+            .position(|&t| t == word)
+            .map(|w| base + w)
     }
 
     /// Probe for `block`; on a hit, updates LRU and (for writes) the dirty
@@ -113,88 +153,65 @@ impl SramCache {
     pub fn probe(&mut self, block: u64, is_write: bool) -> bool {
         self.stats.accesses.inc();
         self.clock += 1;
-        let set = self.set_of(block);
-        let tag = self.tag_of(block);
-        let base = self.base(set);
-        for w in 0..self.ways as usize {
-            let line = &mut self.lines[base + w];
-            if line.valid && line.tag == tag {
-                line.stamp = self.clock;
+        match self.find(block) {
+            Some(i) => {
+                self.stamps[i] = self.clock;
                 if is_write {
-                    line.dirty = true;
+                    self.dirty[i] = true;
                 }
                 self.stats.hits.inc();
-                return true;
+                true
+            }
+            None => {
+                self.stats.misses.inc();
+                false
             }
         }
-        self.stats.misses.inc();
-        false
     }
 
     /// Probe without any state change (no LRU update, no stats).
     pub fn peek(&self, block: u64) -> bool {
-        let set = self.set_of(block);
-        let tag = self.tag_of(block);
-        let base = self.base(set);
-        (0..self.ways as usize).any(|w| {
-            let line = &self.lines[base + w];
-            line.valid && line.tag == tag
-        })
+        self.find(block).is_some()
     }
 
     /// Whether `block` is present and dirty (no state change).
     pub fn peek_dirty(&self, block: u64) -> bool {
-        let set = self.set_of(block);
-        let tag = self.tag_of(block);
-        let base = self.base(set);
-        (0..self.ways as usize).any(|w| {
-            let line = &self.lines[base + w];
-            line.valid && line.tag == tag && line.dirty
-        })
+        self.find(block).is_some_and(|i| self.dirty[i])
     }
 
     /// Install `block` (refill). Returns the evicted victim block and its
     /// dirtiness, if a valid line was displaced.
     pub fn allocate(&mut self, block: u64, dirty: bool) -> Option<(u64, bool)> {
         self.clock += 1;
-        let set = self.set_of(block);
-        let tag = self.tag_of(block);
-        let base = self.base(set);
         // Already present (racing refills): just update.
-        for w in 0..self.ways as usize {
-            let line = &mut self.lines[base + w];
-            if line.valid && line.tag == tag {
-                line.stamp = self.clock;
-                line.dirty |= dirty;
-                return None;
-            }
+        if let Some(i) = self.find(block) {
+            self.stamps[i] = self.clock;
+            self.dirty[i] |= dirty;
+            return None;
         }
-        let mut victim = base;
-        for w in 0..self.ways as usize {
-            let idx = base + w;
-            if !self.lines[idx].valid {
-                victim = idx;
-                break;
-            }
-            if self.lines[idx].stamp < self.lines[victim].stamp {
-                victim = idx;
-            }
-        }
-        let evicted = if self.lines[victim].valid {
-            let v = self.lines[victim];
-            if v.dirty {
+        let set = self.set_of(block);
+        let lines = self.lines_of(set);
+        let base = lines.start;
+        // An empty way first, else the least recently used (first on ties).
+        let victim = base
+            + match self.tags[lines.clone()].iter().position(|&t| t == 0) {
+                Some(w) => w,
+                None => self.stamps[lines]
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(_, stamp)| stamp)
+                    .map(|(w, _)| w)
+                    .expect("a set has at least one way"),
+            };
+        let evicted = (self.tags[victim] != 0).then(|| {
+            if self.dirty[victim] {
                 self.stats.writebacks.inc();
             }
-            Some((v.tag << self.sets.trailing_zeros() | set, v.dirty))
-        } else {
-            None
-        };
-        self.lines[victim] = Line {
-            tag,
-            valid: true,
-            dirty,
-            stamp: self.clock,
-        };
+            (self.block_of(self.tags[victim], set), self.dirty[victim])
+        });
+        self.tags[victim] = self.word_of(block);
+        self.dirty[victim] = dirty;
+        self.stamps[victim] = self.clock;
         evicted
     }
 
@@ -213,41 +230,33 @@ impl SramCache {
         ] {
             w.put_u64(c.get());
         }
-        for line in &self.lines {
-            w.put_u64(line.tag);
-            w.put_u8(line.valid as u8 | (line.dirty as u8) << 1);
-            w.put_u64(line.stamp);
+        for ((&tag, &dirty), &stamp) in self.tags.iter().zip(&self.dirty).zip(&self.stamps) {
+            w.put_u64(u64::from(tag >> 1));
+            w.put_u8((tag & VALID) as u8 | (dirty as u8) << 1);
+            w.put_u64(stamp);
         }
     }
 
     /// Clear the dirty bit of `block` if present (used by the Lee eager
     /// writeback: data is pushed downstream but the line stays resident).
     pub fn clean(&mut self, block: u64) -> bool {
-        let set = self.set_of(block);
-        let tag = self.tag_of(block);
-        let base = self.base(set);
-        for w in 0..self.ways as usize {
-            let line = &mut self.lines[base + w];
-            if line.valid && line.tag == tag && line.dirty {
-                line.dirty = false;
-                return true;
+        match self.find(block) {
+            Some(i) if self.dirty[i] => {
+                self.dirty[i] = false;
+                true
             }
+            _ => false,
         }
-        false
     }
 
     /// All valid block addresses in the same set as `block` that are
     /// dirty, excluding `block` itself. Bounded by associativity.
     pub fn dirty_set_neighbours(&self, block: u64) -> Vec<u64> {
         let set = self.set_of(block);
-        let tag = self.tag_of(block);
-        let base = self.base(set);
-        let shift = self.sets.trailing_zeros();
-        (0..self.ways as usize)
-            .filter_map(|w| {
-                let line = &self.lines[base + w];
-                (line.valid && line.dirty && line.tag != tag).then_some(line.tag << shift | set)
-            })
+        let word = self.word_of(block);
+        self.lines_of(set)
+            .filter(|&i| self.tags[i] != 0 && self.dirty[i] && self.tags[i] != word)
+            .map(|i| self.block_of(self.tags[i], set))
             .collect()
     }
 }
@@ -353,6 +362,22 @@ mod tests {
         c.allocate(0, false);
         assert_eq!(c.allocate(0, true), None, "no eviction on re-allocate");
         assert!(c.peek_dirty(0), "dirtiness merged in");
+    }
+
+    #[test]
+    fn widest_tag_round_trips() {
+        let mut c = SramCache::new(128, 1); // 2 sets: tag = block >> 1
+        let widest = MAX_TAG << 1 | 1;
+        c.allocate(widest, true);
+        assert!(c.peek_dirty(widest));
+        assert_eq!(c.allocate(widest - 2, false), Some((widest, true)));
+    }
+
+    #[test]
+    #[should_panic(expected = "SRAM tag 0x80000000 of block 0x100000001 does not fit 31 bits")]
+    fn tag_wider_than_31_bits_panics() {
+        let mut c = SramCache::new(128, 1);
+        c.probe((MAX_TAG + 1) << 1 | 1, false);
     }
 
     #[test]

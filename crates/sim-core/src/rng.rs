@@ -175,18 +175,20 @@ impl Prng {
     }
 
     /// Uniform u64 below `bound` (> 0), via Lemire's multiply-shift with
-    /// rejection to remove modulo bias.
+    /// rejection to remove modulo bias. The rejection threshold
+    /// `2^64 mod bound` is below `bound`, so it is computed (one 64-bit
+    /// division) only when the low word falls below `bound`.
     #[inline]
     fn bounded(&mut self, bound: u64) -> u64 {
         debug_assert!(bound > 0);
-        loop {
-            let x = self.next_u64();
-            let m = (x as u128).wrapping_mul(bound as u128);
-            let lo = m as u64;
-            if lo >= bound.wrapping_neg() % bound {
-                return (m >> 64) as u64;
+        let mut m = (self.next_u64() as u128).wrapping_mul(bound as u128);
+        if (m as u64) < bound {
+            let threshold = bound.wrapping_neg() % bound;
+            while (m as u64) < threshold {
+                m = (self.next_u64() as u128).wrapping_mul(bound as u128);
             }
         }
+        (m >> 64) as u64
     }
 }
 
@@ -262,6 +264,37 @@ mod prng_tests {
         assert!((frac - 0.3).abs() < 0.01, "got {frac}");
         assert!(!Prng::seed_from_u64(3).gen_bool(0.0));
         assert!(Prng::seed_from_u64(3).gen_bool(1.0));
+    }
+
+    /// The division-per-draw form `bounded` replaced.
+    fn bounded_with_division(rng: &mut Prng, bound: u64) -> u64 {
+        loop {
+            let m = (rng.next_u64() as u128).wrapping_mul(bound as u128);
+            if m as u64 >= bound.wrapping_neg() % bound {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_matches_the_division_per_draw_form() {
+        // 2^63 + 1 rejects about half its draws.
+        for bound in [1, 3, 7, (1 << 32) + 1, (1 << 63) + 1, u64::MAX] {
+            let mut new = Prng::seed_from_u64(bound);
+            let mut old = new.clone();
+            for i in 0..100_000 {
+                assert_eq!(
+                    new.bounded(bound),
+                    bounded_with_division(&mut old, bound),
+                    "bound {bound}, draw {i}"
+                );
+            }
+            assert_eq!(
+                new.state(),
+                old.state(),
+                "bound {bound}: same draws consumed"
+            );
+        }
     }
 
     #[test]
