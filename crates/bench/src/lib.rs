@@ -192,7 +192,7 @@ impl RunSpec {
             cfg.mapping = MappingScheme::XorRemap;
         }
         cfg.lee_writeback = self.lee;
-        cfg.dca.flushing_factor = self.flushing_factor;
+        cfg.flushing_factor = self.flushing_factor;
         cfg.replacement = self.policy;
         cfg.main_mem = self.main_mem.config();
         cfg.target_insts = self.insts;

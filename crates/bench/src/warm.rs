@@ -12,8 +12,9 @@
 //! not use this cache: it hands each thread a whole group of
 //! simulations sharing one warm state, which the thread builds, reuses
 //! and finally moves into the group's last run. The cache serves the
-//! in-process callers of `run_benches` and `run_mix`: tests and
-//! [`shard::execute_job`](crate::shard::execute_job), the serial
+//! in-process callers of `run_benches` and `run_mix`, and the
+//! integration tests' simulation memo (`tests/common/mod.rs`): tests
+//! and [`shard::execute_job`](crate::shard::execute_job), the serial
 //! reference for one job's result that perfbench's trace mode replays.
 //!
 //! ## Residency

@@ -3,9 +3,9 @@
 use dca_dram::{MappingScheme, Organization, TimingParams};
 use dca_dram_cache::{OrgKind, ReplacementPolicy};
 use dca_mem_hier::MainMemConfig;
-use dca_sched::{MAX_BANKS, MAX_CAPACITY};
+use dca_sched::{DrainPolicy, MAX_BANKS, MAX_CAPACITY};
 
-use crate::controller::ADMIT_SLOTS;
+use crate::controller::{ADMIT_SLOTS, SCHEDULE_ALL_HI};
 
 /// The controller designs raced against each other: the paper's three
 /// plus a Banshee-style bandwidth-efficient fourth.
@@ -20,7 +20,8 @@ pub enum Design {
     /// Banshee-style bandwidth-efficient design (Yu et al.): CD queues,
     /// but miss fills are gated by page-granular frequency counters so
     /// cold pages bypass the cache and fill traffic drops
-    /// ([`BansheeParams`]).
+    /// ([`crate::system::BANSHEE_FILL_THRESHOLD`],
+    /// [`crate::system::BANSHEE_COUNTER_CAP`]).
     Banshee,
 }
 
@@ -54,59 +55,36 @@ pub enum EngineSel {
     Calendar,
 }
 
-/// Which base arbitration algorithm orders candidates within a queue.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Arbiter {
-    /// BLISS \[11\] — the paper's choice for all designs.
-    Bliss,
-    /// FR-FCFS — ablation only.
-    FrFcfs,
-}
-
-/// DCA-specific knobs (§IV).
-#[derive(Clone, Copy, Debug)]
-pub struct DcaParams {
-    /// Flushing factor: an LR with a row conflict may still issue when
-    /// its bank's RRPC is below this (paper default FF-4).
-    pub flushing_factor: u8,
-    /// Algorithm 1 ScheduleAll turn-on occupancy (paper: 85 %).
-    pub read_q_hi: f64,
-    /// Algorithm 1 ScheduleAll turn-off occupancy (paper: 75 %).
-    pub read_q_lo: f64,
-}
-
-impl Default for DcaParams {
-    fn default() -> Self {
-        DcaParams {
-            flushing_factor: 4,
-            read_q_hi: 0.85,
-            read_q_lo: 0.75,
-        }
-    }
-}
-
-/// Banshee-style fill-gate knobs ([`Design::Banshee`]).
-#[derive(Clone, Copy, Debug)]
-pub struct BansheeParams {
-    /// A page's miss fills are admitted only once its frequency counter
-    /// has reached this value — the first `fill_threshold - 1` misses
-    /// to a cold page bypass the cache.
-    pub fill_threshold: u8,
-    /// Saturation cap for the per-page frequency counters (Banshee uses
-    /// small saturating counters in the page-table/TLB entries).
-    pub counter_cap: u8,
-}
-
-impl Default for BansheeParams {
-    fn default() -> Self {
-        BansheeParams {
-            fill_threshold: 2,
-            counter_cap: 7,
-        }
-    }
-}
-
-/// Full system configuration.
+/// Full system configuration: the values the experiments vary, plus the
+/// stacked-DRAM timing and geometry and the L1 latency.
+///
+/// The rest of Table II is the same in every experiment, so it is a
+/// constant beside the code that uses it:
+///
+/// * BLISS ([`dca_sched::Bliss`]) arbitrates every design's queues.
+/// * The write-queue drain marks, 50 %/85 %, are [`DrainPolicy::LO`] and
+///   [`DrainPolicy::HI`].
+/// * Algorithm 1's ScheduleAll band, 75 %/85 %, is [`SCHEDULE_ALL_LO`]
+///   and [`SCHEDULE_ALL_HI`].
+/// * The L2 hit latency (20 cycles) and the shared L2 MSHR count (32)
+///   are [`L2_LAT_CYCLES`] and [`MSHRS`].
+/// * The MAP-I hit/miss predictor \[7\] is always on.
+/// * Banshee's fill gate is [`BANSHEE_FILL_THRESHOLD`] and
+///   [`BANSHEE_COUNTER_CAP`].
+/// * Main memory's latencies, geometry and queue size are constants of
+///   [`dca_mem_hier::memory`]: [`FLAT_LATENCY`], [`FLAT_BUS_TIME`],
+///   [`CYCLE_ORG`], [`CYCLE_EXTRA_LATENCY`] and [`CYCLE_QUEUE_CAP`].
+///
+/// [`SCHEDULE_ALL_LO`]: crate::controller::SCHEDULE_ALL_LO
+/// [`L2_LAT_CYCLES`]: crate::system::L2_LAT_CYCLES
+/// [`MSHRS`]: crate::system::MSHRS
+/// [`BANSHEE_FILL_THRESHOLD`]: crate::system::BANSHEE_FILL_THRESHOLD
+/// [`BANSHEE_COUNTER_CAP`]: crate::system::BANSHEE_COUNTER_CAP
+/// [`FLAT_LATENCY`]: dca_mem_hier::memory::FLAT_LATENCY
+/// [`FLAT_BUS_TIME`]: dca_mem_hier::memory::FLAT_BUS_TIME
+/// [`CYCLE_ORG`]: dca_mem_hier::memory::CYCLE_ORG
+/// [`CYCLE_EXTRA_LATENCY`]: dca_mem_hier::memory::CYCLE_EXTRA_LATENCY
+/// [`CYCLE_QUEUE_CAP`]: dca_mem_hier::memory::CYCLE_QUEUE_CAP
 #[derive(Clone, Copy, Debug)]
 pub struct SystemConfig {
     /// Controller design under test.
@@ -118,8 +96,6 @@ pub struct SystemConfig {
     pub replacement: ReplacementPolicy,
     /// Bank-index mapping (plain or XOR remap \[9\]).
     pub mapping: MappingScheme,
-    /// Base arbiter (paper: BLISS for everything).
-    pub arbiter: Arbiter,
     /// Stacked-DRAM timing.
     pub timing: TimingParams,
     /// Stacked-DRAM organisation.
@@ -133,18 +109,12 @@ pub struct SystemConfig {
     pub read_q_cap: usize,
     /// Write-queue entries per channel (Table II: 64; 96 for ROD).
     pub write_q_cap: usize,
-    /// Write-queue drain thresholds (Table II: 50 %/85 %).
-    pub write_lo: f64,
-    /// See [`SystemConfig::write_lo`].
-    pub write_hi: f64,
-    /// DCA knobs.
-    pub dca: DcaParams,
-    /// Banshee fill-gate knobs (consulted only by [`Design::Banshee`]).
-    pub banshee: BansheeParams,
+    /// DCA's flushing factor: a low-priority read with a row conflict
+    /// may still issue when its bank's RRPC is below this (paper
+    /// default FF-4, swept in §IV-C).
+    pub flushing_factor: u8,
     /// Enable Lee et al. DRAM-aware L2 writeback \[20\] (Fig 19).
     pub lee_writeback: bool,
-    /// Enable the MAP-I hit/miss predictor \[7\] (paper: on).
-    pub predictor: bool,
     /// Instructions per core for the timing run.
     pub target_insts: u64,
     /// Functional warm-up memory operations per core before timing.
@@ -153,10 +123,6 @@ pub struct SystemConfig {
     pub seed: u64,
     /// L1 hit latency in CPU cycles (Table II: 2).
     pub l1_lat_cycles: u64,
-    /// L2 hit latency in CPU cycles (Table II: 20).
-    pub l2_lat_cycles: u64,
-    /// Shared L2 MSHR count.
-    pub mshrs: usize,
     /// Record a detailed access timeline (examples/diagnostics only).
     pub record_timeline: bool,
     /// Event engine driving the run ([`EngineSel`]; default calendar).
@@ -193,24 +159,17 @@ impl SystemConfig {
             org_kind,
             replacement: ReplacementPolicy::Srrip,
             mapping: MappingScheme::Direct,
-            arbiter: Arbiter::Bliss,
             timing: TimingParams::paper_stacked(),
             dram_org: Organization::paper(),
             main_mem: MainMemConfig::paper_flat(),
             read_q_cap,
             write_q_cap,
-            write_lo: 0.50,
-            write_hi: 0.85,
-            dca: DcaParams::default(),
-            banshee: BansheeParams::default(),
+            flushing_factor: 4,
             lee_writeback: false,
-            predictor: true,
             target_insts: 2_000_000,
             warmup_ops: 400_000,
             seed: 0xDCA_2016,
             l1_lat_cycles: 2,
-            l2_lat_cycles: 20,
-            mshrs: 32,
             record_timeline: false,
             engine: EngineSel::Calendar,
             event_slot_shift: dca_sim_core::events::SLOT_SHIFT,
@@ -250,53 +209,28 @@ impl SystemConfig {
                 "{banks} DRAM-cache banks per channel exceed the bank index's {MAX_BANKS}"
             ));
         }
-        if let MainMemConfig::Cycle { org, queue_cap, .. } = self.main_mem {
-            if queue_cap as usize > MAX_CAPACITY {
-                return Err(format!(
-                    "main-memory queue_cap {queue_cap} exceeds the bank index's {MAX_CAPACITY}"
-                ));
-            }
-            let banks = org.banks_per_channel() as usize;
-            if banks > MAX_BANKS {
-                return Err(format!(
-                    "{banks} main-memory banks per channel exceed the bank index's {MAX_BANKS}"
-                ));
-            }
-        }
-        if self.write_lo > self.write_hi {
-            return Err(format!(
-                "write_lo {} exceeds write_hi {}",
-                self.write_lo, self.write_hi
-            ));
-        }
-        if self.dca.read_q_lo > self.dca.read_q_hi {
-            return Err(format!(
-                "dca.read_q_lo {} exceeds dca.read_q_hi {}",
-                self.dca.read_q_lo, self.dca.read_q_hi
-            ));
-        }
         // Once the admission gate closes, only issuing reopens it. Writes
-        // are then issued only above write_lo, and DCA's held-back LRs
-        // only once the read queue passes read_q_hi (Algorithm 1), so
-        // the gate's occupancy must exceed those marks, computed the way
-        // the controller computes occupancy.
+        // are then issued only above the drain's low mark, and DCA's
+        // held-back LRs only once the read queue passes ScheduleAll's
+        // turn-on mark (Algorithm 1), so the gate's occupancy must exceed
+        // those marks, computed the way the controller computes occupancy.
         let gate = |cap: usize| (cap - (ADMIT_SLOTS - 1)) as f64 / cap as f64;
-        if gate(self.write_q_cap) <= self.write_lo {
+        if gate(self.write_q_cap) <= DrainPolicy::LO {
             return Err(format!(
                 "write_q_cap {} closes admission at occupancy {:.3}, not above \
-                 write_lo {}: no write drain would reopen it",
+                 the write-drain low mark {}: no write drain would reopen it",
                 self.write_q_cap,
                 gate(self.write_q_cap),
-                self.write_lo
+                DrainPolicy::LO
             ));
         }
-        if self.design == Design::Dca && gate(self.read_q_cap) <= self.dca.read_q_hi {
+        if self.design == Design::Dca && gate(self.read_q_cap) <= SCHEDULE_ALL_HI {
             return Err(format!(
                 "read_q_cap {} closes admission at occupancy {:.3}, not above \
-                 dca.read_q_hi {}: held-back low-priority reads would never be released",
+                 ScheduleAll's turn-on mark {SCHEDULE_ALL_HI}: held-back low-priority \
+                 reads would never be released",
                 self.read_q_cap,
                 gate(self.read_q_cap),
-                self.dca.read_q_hi
             ));
         }
         Ok(())
@@ -363,8 +297,6 @@ mod tests {
         let ban = SystemConfig::paper(Design::Banshee, OrgKind::DirectMapped);
         assert_eq!((ban.read_q_cap, ban.write_q_cap), (64, 64));
         assert_eq!(ban.replacement, ReplacementPolicy::Srrip);
-        assert_eq!(ban.banshee.fill_threshold, 2);
-        assert!(ban.banshee.counter_cap >= ban.banshee.fill_threshold);
     }
 
     #[test]
@@ -374,14 +306,6 @@ mod tests {
         assert!(!a.main_mem.is_cycle());
         assert!(b.main_mem.is_cycle());
         assert_eq!(a.read_q_cap, b.read_q_cap);
-    }
-
-    #[test]
-    fn dca_defaults_match_paper() {
-        let d = DcaParams::default();
-        assert_eq!(d.flushing_factor, 4);
-        assert_eq!(d.read_q_hi, 0.85);
-        assert_eq!(d.read_q_lo, 0.75);
     }
 
     #[test]
@@ -433,7 +357,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_write_queues_that_close_at_or_below_write_lo() {
-        // 2/4 = 0.5 is not above write_lo 0.5; 3/5 = 0.6 is.
+        // 2/4 = 0.5 is not above the drain's low mark 0.5; 3/5 = 0.6 is.
         for design in Design::ALL {
             let mut cfg = dm(design);
             cfg.write_q_cap = 4;
@@ -456,50 +380,9 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_main_memory_queues_beyond_the_slot_index() {
-        let mut cfg = SystemConfig::paper_xpoint(Design::Dca, OrgKind::DirectMapped);
-        let MainMemConfig::Cycle {
-            timing,
-            org,
-            extra_latency,
-            ..
-        } = cfg.main_mem
-        else {
-            unreachable!("xpoint is cycle-level")
-        };
-        cfg.main_mem = MainMemConfig::Cycle {
-            timing,
-            org,
-            extra_latency,
-            queue_cap: MAX_CAPACITY as u32 + 1,
-        };
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
     fn validate_rejects_more_banks_than_the_bank_index() {
         let mut cfg = dm(Design::Cd);
         cfg.dram_org.banks_per_rank = MAX_BANKS as u32 + 1;
-        assert!(cfg.validate().is_err());
-        let mut cfg = SystemConfig::paper_cycle_mem(Design::Cd, OrgKind::DirectMapped);
-        if let MainMemConfig::Cycle { ref mut org, .. } = cfg.main_mem {
-            org.ranks = 2;
-            org.banks_per_rank = MAX_BANKS as u32 / 2 + 1;
-        }
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn validate_rejects_inverted_write_thresholds() {
-        let mut cfg = dm(Design::Cd);
-        cfg.write_lo = 0.9;
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn validate_rejects_inverted_schedule_all_thresholds() {
-        let mut cfg = dm(Design::Cd);
-        cfg.dca.read_q_lo = 0.9;
         assert!(cfg.validate().is_err());
     }
 

@@ -23,13 +23,11 @@
 
 use dca_dram::{AccessKind, DramChannel, IssueInfo, RowOutcome};
 use dca_dram_cache::{AccessRole, AccessSpec, CacheReqKind, RequestId};
-use dca_sched::{
-    AccessQueue, Bliss, DrainPolicy, FrFcfs, Hysteresis, QueueEntry, ReadClass, SlotSet,
-};
+use dca_sched::{AccessQueue, Bliss, DrainPolicy, Hysteresis, QueueEntry, ReadClass, SlotSet};
 use dca_sim_core::{Counter, SimTime};
 use std::collections::VecDeque;
 
-use crate::config::{Arbiter, Design, SystemConfig};
+use crate::config::{Design, SystemConfig};
 use crate::rrpc::Rrpc;
 
 /// Free slots each bounded queue needs before the controller admits a
@@ -38,6 +36,14 @@ use crate::rrpc::Rrpc;
 /// only issuing from the queue reopens it — the bound
 /// [`SystemConfig::validate`] checks queue sizes against.
 pub const ADMIT_SLOTS: usize = 3;
+
+/// Algorithm 1's ScheduleAll turn-off occupancy (paper: 75 %): below it,
+/// DCA again arbitrates over priority reads only.
+pub const SCHEDULE_ALL_LO: f64 = 0.75;
+
+/// Algorithm 1's ScheduleAll turn-on occupancy (paper: 85 %): above it,
+/// DCA's low-priority reads compete with priority reads.
+pub const SCHEDULE_ALL_HI: f64 = 0.85;
 
 /// Controller statistics (per channel).
 #[derive(Clone, Debug, Default)]
@@ -119,7 +125,6 @@ pub struct AccessMeta {
 /// One channel's controller.
 pub struct ChannelController {
     design: Design,
-    arbiter: Arbiter,
     channel_index: u32,
     banks_per_channel: u32,
     read_q: AccessQueue,
@@ -129,7 +134,6 @@ pub struct ChannelController {
     spill_read: VecDeque<QueueEntry>,
     spill_write: VecDeque<QueueEntry>,
     bliss: Bliss,
-    frfcfs: FrFcfs,
     drain: DrainPolicy,
     sched_all: Hysteresis,
     flushing_factor: u8,
@@ -147,7 +151,6 @@ impl ChannelController {
     pub fn new(cfg: &SystemConfig, channel_index: u32) -> Self {
         ChannelController {
             design: cfg.design,
-            arbiter: cfg.arbiter,
             channel_index,
             banks_per_channel: cfg.dram_org.banks_per_channel(),
             read_q: AccessQueue::new(cfg.read_q_cap),
@@ -155,10 +158,9 @@ impl ChannelController {
             spill_read: VecDeque::new(),
             spill_write: VecDeque::new(),
             bliss: Bliss::new(),
-            frfcfs: FrFcfs::new(),
-            drain: DrainPolicy::new(cfg.write_lo, cfg.write_hi),
-            sched_all: Hysteresis::new(cfg.dca.read_q_lo, cfg.dca.read_q_hi),
-            flushing_factor: cfg.dca.flushing_factor,
+            drain: DrainPolicy::paper(),
+            sched_all: Hysteresis::new(SCHEDULE_ALL_LO, SCHEDULE_ALL_HI),
+            flushing_factor: cfg.flushing_factor,
             stats: CtrlStats::default(),
             was_sched_all: false,
             opp_drain: false,
@@ -173,16 +175,6 @@ impl ChannelController {
     /// Statistics so far.
     pub fn stats(&self) -> &CtrlStats {
         &self.stats
-    }
-
-    /// Read-queue occupancy (bounded queue only).
-    pub fn read_occupancy(&self) -> f64 {
-        self.read_q.occupancy()
-    }
-
-    /// Write-queue occupancy (bounded queue only).
-    pub fn write_occupancy(&self) -> f64 {
-        self.write_q.occupancy()
     }
 
     /// Total queued accesses, including spill buffers.
@@ -271,10 +263,9 @@ impl ChannelController {
         }
     }
 
-    /// Arbitrate with the configured base arbiter over the entries of
-    /// `q` in `set` that `keep` accepts. An empty set — the common case
-    /// when every candidate bank is busy — returns without entering the
-    /// arbiter.
+    /// Arbitrate with BLISS over the entries of `q` in `set` that `keep`
+    /// accepts. An empty set — the common case when every candidate bank
+    /// is busy — returns without entering the arbiter.
     fn pick_in(
         &self,
         q: &AccessQueue,
@@ -286,11 +277,8 @@ impl ChannelController {
             return None;
         }
         let candidates = q.iter_in(set).filter(|(_, e)| keep(e));
-        let outcome = |e: &QueueEntry| ch.peek_outcome(e.access.bank, e.access.row);
-        match self.arbiter {
-            Arbiter::Bliss => self.bliss.pick(candidates, outcome),
-            Arbiter::FrFcfs => self.frfcfs.pick(candidates, outcome),
-        }
+        self.bliss
+            .pick(candidates, |e| ch.peek_outcome(e.access.bank, e.access.row))
     }
 
     /// Arbitrate over the write-queue entries on banks in `free` — the

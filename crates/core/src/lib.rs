@@ -48,9 +48,12 @@
 //!   50 ns access latency plus 16 GB/s bus serialisation. Bit-identical
 //!   to the pre-refactor simulator (`tests/main_mem_equivalence.rs`
 //!   locks it against captured seed fingerprints).
-//! * **`MainMemConfig::Cycle`**: a DDR4-style device (one 16-bank
-//!   channel, 8 KB rows, DDR4-2400 timings by default) driven through
-//!   a bounded FR-FCFS access queue. Miss refills, dirty-victim
+//! * **`MainMemConfig::Cycle { timing }`**: a DDR4-style device (one
+//!   16-bank channel, 8 KB rows) with DDR4-2400 (`ddr4()`) or
+//!   3DXPoint-like (`xpoint()`) timing, driven through a bounded
+//!   FR-FCFS access queue. The timing is the variant's only field; the
+//!   flat latencies and the cycle device's geometry, queue size and
+//!   controller latency are constants of `dca_mem_hier::memory`. Miss refills, dirty-victim
 //!   writebacks and Lee-writeback bursts now contend for real banks
 //!   and a real bus. The device is event-driven: `Ev::MemPump` runs
 //!   its scheduler whenever work arrives or a bank frees, and
@@ -70,7 +73,7 @@
 //! Construction has three phases: **build** (cold hierarchy), **warm-up**
 //! (functional, timing-free streaming of `warmup_ops` ops per core) and
 //! the **timing** run. Warm-up is ~45 % of a short run's wall clock and
-//! is design-, arbiter-, timing- and bank-mapping-independent, so a
+//! is design-, timing- and bank-mapping-independent, so a
 //! figure sweep over CD/ROD/DCA × {direct, XOR-remap} on one mix can
 //! share a single warm-up:
 //!
@@ -115,7 +118,7 @@ pub mod system;
 pub mod timeline;
 pub mod warm;
 
-pub use config::{Arbiter, DcaParams, Design, EngineSel, SystemConfig};
+pub use config::{Design, EngineSel, SystemConfig};
 pub use controller::{ChannelController, CtrlStats};
 pub use report::{ChannelReport, CoreReport, SystemReport};
 pub use rrpc::Rrpc;

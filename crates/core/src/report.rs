@@ -104,11 +104,6 @@ impl SystemReport {
         }
     }
 
-    /// Per-core IPC vector (weighted-speedup input).
-    pub fn ipcs(&self) -> Vec<f64> {
-        self.cores.iter().map(|c| c.ipc).collect()
-    }
-
     /// Device-wide accesses per turnaround (weighted by accesses).
     pub fn accesses_per_turnaround(&self) -> f64 {
         let accesses: u64 = self.channels.iter().map(|c| c.reads + c.writes).sum();

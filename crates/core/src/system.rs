@@ -49,6 +49,24 @@ use crate::rrpc::Rrpc;
 use crate::timeline::{Timeline, TimelineEntry};
 use crate::warm::WarmState;
 
+/// L2 hit latency in CPU cycles (Table II: 20).
+pub const L2_LAT_CYCLES: u64 = 20;
+
+/// Shared L2 MSHR count.
+pub const MSHRS: usize = 32;
+
+/// Banshee fill gate: a page's miss fills are admitted only once its
+/// frequency counter has reached this value, so the first
+/// `BANSHEE_FILL_THRESHOLD - 1` misses to a cold page bypass the cache.
+pub const BANSHEE_FILL_THRESHOLD: u8 = 2;
+
+/// Saturation cap of Banshee's per-page frequency counters (Banshee
+/// keeps small saturating counters in the page-table/TLB entries).
+pub const BANSHEE_COUNTER_CAP: u8 = 7;
+
+// A counter that saturated below the threshold would never admit a fill.
+const _: () = assert!(BANSHEE_COUNTER_CAP >= BANSHEE_FILL_THRESHOLD);
+
 /// Events driving the simulation.
 #[derive(Clone, Copy, Debug)]
 enum Ev {
@@ -219,7 +237,6 @@ struct Uncore {
     refill_requests: u64,
     cache_fills: u64,
     fill_bypasses: u64,
-    wasted_prefetches: u64,
     timeline: Option<Timeline>,
 }
 
@@ -229,7 +246,7 @@ impl Uncore {
     }
 
     fn l2_latency(&self) -> Duration {
-        Duration::from_cpu_cycles(self.cfg.l2_lat_cycles)
+        Duration::from_cpu_cycles(L2_LAT_CYCLES)
     }
 
     /// Install `block` into a core's L1, spilling dirty victims into L2.
@@ -278,11 +295,7 @@ impl Uncore {
 
     /// Create and queue a demand-read request for `block`.
     fn submit_read(&mut self, block: u64, app: u8, pc: u32, at: SimTime) {
-        let predicted_hit = if self.cfg.predictor {
-            self.predictor.predict_hit(pc)
-        } else {
-            true
-        };
+        let predicted_hit = self.predictor.predict_hit(pc);
         // MAP-I predicted a miss: overlap the memory fetch with the tag
         // check (the Alloy-style hit-speculation path). The flat fetch
         // launches here; the cycle fetch needs the request id, so it is
@@ -340,10 +353,10 @@ impl Uncore {
         if self.cfg.design == Design::Banshee {
             let frame = self.geom.place(block).frame;
             let count = self.fill_counters.entry(frame).or_insert(0);
-            if *count < self.cfg.banshee.counter_cap {
+            if *count < BANSHEE_COUNTER_CAP {
                 *count += 1;
             }
-            if *count < self.cfg.banshee.fill_threshold {
+            if *count < BANSHEE_FILL_THRESHOLD {
                 self.fill_bypasses += 1;
                 return;
             }
@@ -534,7 +547,7 @@ impl System {
             geom,
             l1: hier.l1,
             l2: hier.l2,
-            mshr: Mshr::new(cfg.mshrs),
+            mshr: Mshr::new(MSHRS),
             mshr_overflow: VecDeque::new(),
             channels: (0..cfg.dram_org.channels)
                 .map(|_| DramChannel::new(cfg.timing, &cfg.dram_org))
@@ -564,7 +577,6 @@ impl System {
             refill_requests: 0,
             cache_fills: 0,
             fill_bypasses: 0,
-            wasted_prefetches: 0,
             timeline: cfg.record_timeline.then(|| Timeline::new(100_000)),
         };
 
@@ -913,17 +925,12 @@ impl System {
         // Predictor training + hit statistics (demand reads only).
         if let Some(hit) = out.hit_known {
             if req_kind == CacheReqKind::Read {
-                if self.cfg.predictor {
-                    self.uncore.predictor.update(req_pc, hit);
-                    let predicted = self.uncore.requests[req_key]
-                        .read
-                        .expect("read state live until answered")
-                        .predicted_hit;
-                    self.uncore.predictor.record_outcome(predicted, hit);
-                    if hit && !predicted {
-                        self.uncore.wasted_prefetches += 1;
-                    }
-                }
+                self.uncore.predictor.update(req_pc, hit);
+                let predicted = self.uncore.requests[req_key]
+                    .read
+                    .expect("read state live until answered")
+                    .predicted_hit;
+                self.uncore.predictor.record_outcome(predicted, hit);
                 if hit {
                     self.uncore.cache_read_hits += 1;
                 } else {

@@ -5,7 +5,7 @@
 //! `warmup_ops` memory operations per core through the L1s, the shared
 //! L2 and the DRAM-cache tag array with **no timing**. Its outcome
 //! therefore depends only on the op streams and the cache shapes — not
-//! on the controller design, the arbiter, the DRAM timing, or the bank
+//! on the controller design, the DRAM timing, or the bank
 //! mapping (the XOR remap permutes *banks*; a block's `(set, tag)` pair
 //! is mapping-independent, which `geometry::tests::
 //! xor_scheme_changes_banks_only` locks in). A figure sweep that
@@ -33,9 +33,9 @@
 //! * `warmup_ops` and the experiment `seed`.
 //!
 //! Fields deliberately **excluded** — and why reuse is sound:
-//! `design`, `arbiter`, queue capacities and timing (never consulted
-//! before the timing phase), `mapping` (bank permutation only, see
-//! above), `main_mem` (the main-memory backend is a pure timing-phase
+//! `design`, queue capacities, the flushing factor and timing (never
+//! consulted before the timing phase), `mapping` (bank permutation only,
+//! see above), `main_mem` (the main-memory backend is a pure timing-phase
 //! device — one warm-up serves a whole bandwidth-sensitivity sweep),
 //! `target_insts` (timing-phase length). If warm-up ever grows a
 //! dependency on a new field, add it to [`WarmState::fingerprint_for`]

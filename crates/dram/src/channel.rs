@@ -169,11 +169,6 @@ impl DramChannel {
         self.bus.free_at()
     }
 
-    /// Earliest start of a burst of direction `kind` (turnaround included).
-    pub fn bus_earliest_start(&self, kind: AccessKind) -> SimTime {
-        self.bus.earliest_start(kind, &self.params)
-    }
-
     /// Issue `access` at `now`.
     ///
     /// Computes the access's full timing — precharge/activate as needed,

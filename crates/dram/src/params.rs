@@ -49,22 +49,6 @@ impl TimingParams {
         }
     }
 
-    /// Commodity DDR3-1600 timings quoted in §II-A, used by tests that
-    /// check the turnaround narrative (tWTR = 7.5 ns, tRTW = 2.5 ns).
-    pub fn ddr3_1600() -> Self {
-        TimingParams {
-            t_rcd: Duration::from_ns_f64(13.75),
-            t_cas: Duration::from_ns_f64(13.75),
-            t_rp: Duration::from_ns_f64(13.75),
-            t_ras: Duration::from_ns(35),
-            t_wtr: Duration::from_ns_f64(7.5),
-            t_rtp: Duration::from_ns_f64(7.5),
-            t_rtw: Duration::from_ns_f64(2.5),
-            t_wr: Duration::from_ns(15),
-            t_burst: Duration::from_ns(5),
-        }
-    }
-
     /// Commodity DDR4-2400 timings (CL17-ish speed grade), the off-chip
     /// *main-memory* tier behind the DRAM cache. A 64-byte block on a
     /// 64-bit × 2400 MT/s channel bursts in 8 beats = 3.33 ns, matching
@@ -161,7 +145,7 @@ impl Organization {
     /// 32 K rows/bank = 4 GB. The channel/bank/bus machinery is
     /// tier-generic — this preset simply instantiates it with
     /// main-memory geometry instead of the stacked-DRAM one.
-    pub fn ddr4_main() -> Self {
+    pub const fn ddr4_main() -> Self {
         Organization {
             channels: 1,
             ranks: 1,
@@ -172,7 +156,7 @@ impl Organization {
     }
 
     /// Banks per channel (ranks × banks/rank).
-    pub fn banks_per_channel(&self) -> u32 {
+    pub const fn banks_per_channel(&self) -> u32 {
         self.ranks * self.banks_per_rank
     }
 
@@ -216,11 +200,12 @@ mod tests {
     fn wtr_dominates_rtw() {
         // §II-A: write→read turnarounds are the expensive direction in
         // both commodity and stacked parts; the asymmetry matters for the
-        // write-drain policies.
+        // write-drain policies. DDR4-2400 has §II-A's DDR3-1600 values
+        // (tWTR = 7.5 ns, tRTW = 2.5 ns).
         let stacked = TimingParams::paper_stacked();
-        let ddr3 = TimingParams::ddr3_1600();
+        let ddr4 = TimingParams::ddr4_2400();
         assert!(stacked.t_wtr > stacked.t_rtw);
-        assert!(ddr3.t_wtr > ddr3.t_rtw);
+        assert!(ddr4.t_wtr > ddr4.t_rtw);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   **cycle-level** DDR4-style device, which reuses the tier-generic
 //!   `dca_dram` channel/bank/bus machinery behind an FR-FCFS-scheduled
 //!   `dca_sched::AccessQueue`, so miss refills, dirty victims and Lee
-//!   writebacks contend at a real device.
+//!   writebacks contend at a real device. A run chooses only the
+//!   backend and the cycle device's timing; latencies, geometry and
+//!   queue size are constants of the module.
 //! * [`lee`] — Lee et al.'s DRAM-aware last-level-cache writeback \[20\]
 //!   (§VII, Fig 19): when a dirty block is written back, other dirty
 //!   blocks of the same DRAM-cache row are eagerly written back too,

@@ -2,20 +2,22 @@
 //! [`MainMemConfig`]:
 //!
 //! * [`MainMemConfig::Flat`] — Table II's "Memory latency 50 ns" behind
-//!   a 2 GHz × 64-bit off-chip bus: a fixed access latency plus
-//!   bus-bandwidth serialisation (a 64-byte block on a 16 GB/s bus takes
-//!   4 ns of bus time). This is the original seed model, preserved
-//!   bit-for-bit — the analytic `read(now) -> done` contract and its
-//!   arithmetic are untouched.
+//!   a 2 GHz × 64-bit off-chip bus: a fixed access latency
+//!   ([`FLAT_LATENCY`]) plus bus-bandwidth serialisation (a 64-byte
+//!   block on a 16 GB/s bus takes [`FLAT_BUS_TIME`], 4 ns). This is the
+//!   original seed model, preserved bit-for-bit — the analytic
+//!   `read(now) -> done` contract and its arithmetic are untouched.
 //! * [`MainMemConfig::Cycle`] — a real DDR-style device: the same
 //!   tier-generic [`DramChannel`] bank/row/bus machinery the stacked
-//!   DRAM cache uses, instantiated with main-memory timing/geometry
-//!   (DDR4-2400 presets by default) behind a bounded FR-FCFS-scheduled
-//!   access queue ([`dca_sched::AccessQueue`] + [`dca_sched::FrFcfs`]).
-//!   Miss refills, dirty-victim writebacks and Lee-writeback traffic now
-//!   contend for real banks and a real bus, so row conflicts, turnaround
-//!   penalties and queueing delay shape the miss penalty exactly as the
-//!   traffic mix demands — the behaviour a flat latency cannot express.
+//!   DRAM cache uses, instantiated with the configured timing
+//!   (DDR4-2400 or 3DXPoint-like) on the [`CYCLE_ORG`] geometry behind
+//!   a bounded FR-FCFS-scheduled access queue of [`CYCLE_QUEUE_CAP`]
+//!   entries ([`dca_sched::AccessQueue`] + [`dca_sched::FrFcfs`]), with
+//!   [`CYCLE_EXTRA_LATENCY`] added to every read. Miss refills,
+//!   dirty-victim writebacks and Lee-writeback traffic contend for real
+//!   banks and a real bus, so row conflicts, turnaround penalties and
+//!   queueing delay shape the miss penalty exactly as the traffic mix
+//!   demands — the behaviour a flat latency cannot express.
 //!
 //! The cycle-level backend is *event-driven*: the system enqueues
 //! accesses ([`MainMemory::enqueue_read`] / [`MainMemory::enqueue_write`]),
@@ -30,54 +32,61 @@
 use std::collections::VecDeque;
 
 use dca_dram::{AccessKind, BurstLen, DramAccess, DramChannel, Organization, TimingParams};
-use dca_sched::{AccessQueue, FrFcfs, QueueEntry, ReadClass};
+use dca_sched::{AccessQueue, FrFcfs, QueueEntry, ReadClass, MAX_BANKS, MAX_CAPACITY};
 use dca_sim_core::{Counter, Duration, FastHashMap, SimTime};
 
-/// Which main-memory model backs the DRAM cache, plus its parameters.
+/// Flat backend: fixed access latency (Table II: 50 ns).
+pub const FLAT_LATENCY: Duration = Duration::from_ns(50);
+
+/// Flat backend: bus occupancy per 64-byte block (Table II: a 2 GHz ×
+/// 64-bit bus, 4 ns).
+pub const FLAT_BUS_TIME: Duration = Duration::from_ns(4);
+
+/// Cycle backend geometry: one 16-bank DDR4-style channel with 8 KB rows.
+pub const CYCLE_ORG: Organization = Organization::ddr4_main();
+
+/// Cycle backend: controller + on-chip interconnect latency added to
+/// every read completion (the part of the flat model's 50 ns that is not
+/// the DRAM array itself).
+pub const CYCLE_EXTRA_LATENCY: Duration = Duration::from_ns(20);
+
+/// Cycle backend: bounded per-channel access-queue capacity; overflow
+/// spills into an unbounded buffer so traffic is never dropped.
+pub const CYCLE_QUEUE_CAP: usize = 64;
+
+// The cycle backend's queue must fit the access queue's bank index.
+const _: () = assert!(
+    CYCLE_QUEUE_CAP <= MAX_CAPACITY && CYCLE_ORG.banks_per_channel() as usize <= MAX_BANKS,
+    "the main-memory queue exceeds the access queue's bank index"
+);
+
+/// Which main-memory model backs the DRAM cache. Everything but the
+/// cycle backend's timing is a constant of this module.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum MainMemConfig {
-    /// Fixed latency + bus serialisation (the seed model).
-    Flat {
-        /// Fixed access latency (Table II: 50 ns).
-        latency: Duration,
-        /// Bus occupancy per 64-byte block (Table II: 4 ns).
-        bus_time: Duration,
-    },
+    /// Fixed latency + bus serialisation (the seed model):
+    /// [`FLAT_LATENCY`] + [`FLAT_BUS_TIME`] per block.
+    Flat,
     /// Cycle-level DDR-style device: banks, rows, bus, FR-FCFS queue.
     Cycle {
         /// Device timing (e.g. [`TimingParams::ddr4_2400`]).
         timing: TimingParams,
-        /// Device organisation (e.g. [`Organization::ddr4_main`]).
-        org: Organization,
-        /// Controller + on-chip interconnect latency added to every read
-        /// completion (the part of the flat model's 50 ns that is not
-        /// the DRAM array itself).
-        extra_latency: Duration,
-        /// Bounded per-channel access-queue capacity; overflow spills
-        /// into an unbounded buffer so traffic is never dropped.
-        queue_cap: u32,
     },
 }
 
 impl MainMemConfig {
     /// The seed model's Table II parameters: 50 ns + 4 ns/block.
     pub fn paper_flat() -> Self {
-        MainMemConfig::Flat {
-            latency: Duration::from_ns(50),
-            bus_time: Duration::from_ns(4),
-        }
+        MainMemConfig::Flat
     }
 
-    /// Cycle-level DDR4-2400 main memory: one 16-bank channel with 8 KB
-    /// rows and a 20 ns controller/interconnect overhead, so an unloaded
-    /// row-conflict read lands near the flat model's 50 ns while loaded
-    /// behaviour diverges with the traffic mix.
+    /// Cycle-level DDR4-2400 main memory. With the [`CYCLE_ORG`] channel
+    /// and the [`CYCLE_EXTRA_LATENCY`] overhead, an unloaded row-conflict
+    /// read lands near the flat model's 50 ns while loaded behaviour
+    /// diverges with the traffic mix.
     pub fn ddr4() -> Self {
         MainMemConfig::Cycle {
             timing: TimingParams::ddr4_2400(),
-            org: Organization::ddr4_main(),
-            extra_latency: Duration::from_ns(20),
-            queue_cap: 64,
         }
     }
 
@@ -89,9 +98,6 @@ impl MainMemConfig {
     pub fn xpoint() -> Self {
         MainMemConfig::Cycle {
             timing: TimingParams::xpoint(),
-            org: Organization::ddr4_main(),
-            extra_latency: Duration::from_ns(20),
-            queue_cap: 64,
         }
     }
 
@@ -99,19 +105,8 @@ impl MainMemConfig {
     /// (burst time multiplied), the main-memory-bandwidth sensitivity
     /// knob.
     pub fn ddr4_bandwidth_div(div: u32) -> Self {
-        match Self::ddr4() {
-            MainMemConfig::Cycle {
-                timing,
-                org,
-                extra_latency,
-                queue_cap,
-            } => MainMemConfig::Cycle {
-                timing: timing.with_bandwidth_divisor(div),
-                org,
-                extra_latency,
-                queue_cap,
-            },
-            MainMemConfig::Flat { .. } => unreachable!("ddr4() is cycle-level"),
+        MainMemConfig::Cycle {
+            timing: TimingParams::ddr4_2400().with_bandwidth_divisor(div),
         }
     }
 
@@ -167,10 +162,8 @@ impl MainMemStats {
 }
 
 /// The seed main-memory model: fixed latency + bus serialisation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FlatMemory {
-    access_latency: Duration,
-    bus_time_per_block: Duration,
     bus_free_at: SimTime,
     reads: Counter,
     writes: Counter,
@@ -178,18 +171,6 @@ pub struct FlatMemory {
 }
 
 impl FlatMemory {
-    /// Construct with explicit latency and per-block bus time.
-    pub fn new(access_latency: Duration, bus_time_per_block: Duration) -> Self {
-        FlatMemory {
-            access_latency,
-            bus_time_per_block,
-            bus_free_at: SimTime::ZERO,
-            reads: Counter::default(),
-            writes: Counter::default(),
-            busy_ps: 0,
-        }
-    }
-
     /// Accept a read at `now`; returns when the data is available.
     pub fn read(&mut self, now: SimTime) -> SimTime {
         self.reads.inc();
@@ -205,9 +186,9 @@ impl FlatMemory {
 
     fn schedule(&mut self, now: SimTime) -> SimTime {
         let start = now.max(self.bus_free_at);
-        self.bus_free_at = start + self.bus_time_per_block;
-        self.busy_ps += self.bus_time_per_block.ps();
-        start + self.access_latency + self.bus_time_per_block
+        self.bus_free_at = start + FLAT_BUS_TIME;
+        self.busy_ps += FLAT_BUS_TIME.ps();
+        start + FLAT_LATENCY + FLAT_BUS_TIME
     }
 }
 
@@ -222,13 +203,11 @@ pub struct MemArrival {
 }
 
 /// Cycle-level main memory: one FR-FCFS-scheduled [`DramChannel`] per
-/// configured channel, fed by a bounded [`AccessQueue`] with an
+/// [`CYCLE_ORG`] channel, fed by a bounded [`AccessQueue`] with an
 /// unbounded spill buffer.
 #[derive(Debug)]
 pub struct CycleMemory {
     timing: TimingParams,
-    org: Organization,
-    extra_latency: Duration,
     channels: Vec<DramChannel>,
     queues: Vec<AccessQueue>,
     spill: Vec<VecDeque<QueueEntry>>,
@@ -243,18 +222,17 @@ pub struct CycleMemory {
 }
 
 impl CycleMemory {
-    fn new(timing: TimingParams, org: Organization, extra_latency: Duration, cap: u32) -> Self {
+    fn new(timing: TimingParams) -> Self {
+        let channels = CYCLE_ORG.channels;
         CycleMemory {
             timing,
-            org,
-            extra_latency,
-            channels: (0..org.channels)
-                .map(|_| DramChannel::new(timing, &org))
+            channels: (0..channels)
+                .map(|_| DramChannel::new(timing, &CYCLE_ORG))
                 .collect(),
-            queues: (0..org.channels)
-                .map(|_| AccessQueue::new(cap.max(1) as usize))
+            queues: (0..channels)
+                .map(|_| AccessQueue::new(CYCLE_QUEUE_CAP))
                 .collect(),
-            spill: (0..org.channels).map(|_| VecDeque::new()).collect(),
+            spill: (0..channels).map(|_| VecDeque::new()).collect(),
             read_tokens: FastHashMap::default(),
             next_id: 0,
             reads: Counter::default(),
@@ -269,13 +247,13 @@ impl CycleMemory {
     /// row:bank:channel:column order (RoBaChCo, the paper's order minus
     /// the rank level the preset does not use).
     fn locate(&self, block: u64) -> (usize, u32, u32) {
-        let blocks_per_row = (self.org.row_bytes / 64).max(1) as u64;
+        let org = CYCLE_ORG;
+        let blocks_per_row = (org.row_bytes / 64).max(1) as u64;
         let frame = block / blocks_per_row;
-        let ch = (frame % self.org.channels as u64) as usize;
-        let above = frame / self.org.channels as u64;
-        let bank = (above % self.org.banks_per_channel() as u64) as u32;
-        let row =
-            ((above / self.org.banks_per_channel() as u64) % self.org.rows_per_bank as u64) as u32;
+        let ch = (frame % org.channels as u64) as usize;
+        let above = frame / org.channels as u64;
+        let bank = (above % org.banks_per_channel() as u64) as u32;
+        let row = ((above / org.banks_per_channel() as u64) % org.rows_per_bank as u64) as u32;
         (ch, bank, row)
     }
 
@@ -343,7 +321,7 @@ impl CycleMemory {
                             .expect("read access carries a token");
                         out.push(MemArrival {
                             token,
-                            at: info.burst_end + self.extra_latency,
+                            at: info.burst_end + CYCLE_EXTRA_LATENCY,
                         });
                     }
                     AccessKind::Write => self.writes.inc(),
@@ -398,22 +376,17 @@ pub enum MainMemory {
     /// Fixed latency + bus serialisation (seed model).
     Flat(FlatMemory),
     /// Cycle-level DDR-style device.
-    Cycle(CycleMemory),
+    Cycle(Box<CycleMemory>),
 }
 
 impl MainMemory {
     /// Build the backend `cfg` describes.
     pub fn build(cfg: &MainMemConfig) -> Self {
         match *cfg {
-            MainMemConfig::Flat { latency, bus_time } => {
-                MainMemory::Flat(FlatMemory::new(latency, bus_time))
+            MainMemConfig::Flat => MainMemory::Flat(FlatMemory::default()),
+            MainMemConfig::Cycle { timing } => {
+                MainMemory::Cycle(Box::new(CycleMemory::new(timing)))
             }
-            MainMemConfig::Cycle {
-                timing,
-                org,
-                extra_latency,
-                queue_cap,
-            } => MainMemory::Cycle(CycleMemory::new(timing, org, extra_latency, queue_cap)),
         }
     }
 
@@ -680,15 +653,12 @@ mod tests {
 
     #[test]
     fn cycle_spill_absorbs_overflow_without_loss() {
-        let mut m = MainMemory::build(&MainMemConfig::Cycle {
-            timing: TimingParams::ddr4_2400(),
-            org: Organization::ddr4_main(),
-            extra_latency: Duration::from_ns(20),
-            queue_cap: 4,
-        });
-        // 12 reads to one bank: 4 queued, 8 spilled; all must complete.
-        for i in 0..12u64 {
-            m.enqueue_read(i, i * 2, t(0));
+        let mut m = cycle();
+        // CYCLE_QUEUE_CAP + 8 reads to one row of one bank: the queue
+        // fills and 8 spill; all must complete.
+        let n = CYCLE_QUEUE_CAP as u64 + 8;
+        for i in 0..n {
+            m.enqueue_read(i, i, t(0));
         }
         let mut done = Vec::new();
         let mut now = t(0);
@@ -701,11 +671,11 @@ mod tests {
                 None => break,
             }
         }
-        assert_eq!(done.len(), 12, "no access may be dropped");
+        assert_eq!(done.len() as u64, n, "no access may be dropped");
         let mut tokens: Vec<u64> = done.iter().map(|a| a.token).collect();
         tokens.sort_unstable();
-        assert_eq!(tokens, (0..12).collect::<Vec<u64>>());
-        assert_eq!(m.stats().peak_queue, 12);
+        assert_eq!(tokens, (0..n).collect::<Vec<u64>>());
+        assert_eq!(m.stats().peak_queue, n);
     }
 
     #[test]

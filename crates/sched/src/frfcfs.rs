@@ -1,9 +1,9 @@
 //! FR-FCFS (first-ready, first-come-first-served) arbitration.
 //!
-//! The classic open-page arbiter: row hits first, then oldest. Used as an
-//! ablation point against BLISS (the paper's base arbiter) to show DCA's
-//! gains are not an artefact of the underlying arbitration algorithm
-//! (§IV-B: "our scheme is not limited to any scheduling algorithm").
+//! The classic open-page arbiter: row hits first, then oldest. It
+//! schedules the cycle-level main-memory backend behind the DRAM cache;
+//! the DRAM-cache controller itself arbitrates with BLISS, the paper's
+//! base arbiter.
 
 use dca_dram::RowOutcome;
 use dca_sim_core::SimTime;

@@ -48,44 +48,38 @@ impl Hysteresis {
     }
 }
 
-/// The paper's optimized write-drain policy (§II-A).
+/// The paper's optimized write-drain policy (§II-A), at Table II's
+/// thresholds.
+///
+/// A controller consults it twice per scheduling slot:
+/// [`DrainPolicy::update_forced`] first, and, after any other work it
+/// interleaves (DCA's LR flushing sits between the two),
+/// [`DrainPolicy::opportunistic`] last.
 #[derive(Clone, Copy, Debug)]
 pub struct DrainPolicy {
     band: Hysteresis,
 }
 
 impl DrainPolicy {
-    /// Drain policy with the Table II thresholds: low 50 %, high 85 %.
+    /// Low write-drain mark (Table II: 50 %): a forced drain runs until
+    /// occupancy falls below it, and an opportunistic drain needs
+    /// occupancy above it.
+    pub const LO: f64 = 0.50;
+    /// High write-drain mark (Table II: 85 %): occupancy above it forces
+    /// a drain.
+    pub const HI: f64 = 0.85;
+
+    /// The drain policy at [`DrainPolicy::LO`] and [`DrainPolicy::HI`].
     pub fn paper() -> Self {
-        Self::new(0.50, 0.85)
-    }
-
-    /// Custom thresholds.
-    pub fn new(lo: f64, hi: f64) -> Self {
         DrainPolicy {
-            band: Hysteresis::new(lo, hi),
+            band: Hysteresis::new(Self::LO, Self::HI),
         }
     }
 
-    /// Decide whether the write queue should be serviced this slot.
-    ///
-    /// `occupancy` is the write-queue fill fraction, `reads_pending`
-    /// whether any read-queue entry is waiting. Forced drain (above the
-    /// high mark) persists until occupancy falls below the low mark;
-    /// otherwise writes are only served when the read path is idle and
-    /// occupancy is above the low mark.
-    pub fn should_drain(&mut self, occupancy: f64, reads_pending: bool) -> bool {
-        let forced = self.band.update(occupancy);
-        if forced {
-            return true;
-        }
-        self.opportunistic(occupancy, reads_pending)
-    }
-
-    /// Update only the forced-drain hysteresis band and return its state.
-    /// Controllers that interleave other work between the forced and
-    /// opportunistic phases (DCA's LR flushing sits between them) call
-    /// this first and [`DrainPolicy::opportunistic`] last.
+    /// Update the forced-drain band with the write-queue fill fraction
+    /// and return whether a forced drain is in progress: it starts above
+    /// the high mark and persists until occupancy falls below the low
+    /// mark.
     pub fn update_forced(&mut self, occupancy: f64) -> bool {
         self.band.update(occupancy)
     }
@@ -94,11 +88,6 @@ impl DrainPolicy {
     /// idle and occupancy is above the low mark.
     pub fn opportunistic(&self, occupancy: f64, reads_pending: bool) -> bool {
         !reads_pending && occupancy > self.band.lo
-    }
-
-    /// Whether a forced drain is in progress.
-    pub fn forced(&self) -> bool {
-        self.band.is_active()
     }
 }
 
@@ -117,23 +106,32 @@ mod tests {
         assert!(!h.is_active());
     }
 
+    /// One slot's drain decision, made with the calls the controller
+    /// makes: `(drain, forced)`.
+    fn slot(d: &mut DrainPolicy, occupancy: f64, reads_pending: bool) -> (bool, bool) {
+        let forced = d.update_forced(occupancy);
+        (forced || d.opportunistic(occupancy, reads_pending), forced)
+    }
+
     #[test]
     fn forced_drain_runs_to_low_mark() {
         let mut d = DrainPolicy::paper();
-        assert!(!d.should_drain(0.80, true), "below high, reads pending");
-        assert!(d.should_drain(0.90, true), "forced at high mark");
-        assert!(d.forced());
-        assert!(d.should_drain(0.60, true), "keeps draining inside band");
-        assert!(!d.should_drain(0.45, true), "stops below low mark");
-        assert!(!d.forced());
+        assert!(!slot(&mut d, 0.80, true).0, "below high, reads pending");
+        let (drain, forced) = slot(&mut d, 0.90, true);
+        assert!(drain, "forced at high mark");
+        assert!(forced);
+        assert!(slot(&mut d, 0.60, true).0, "keeps draining inside band");
+        let (drain, forced) = slot(&mut d, 0.45, true);
+        assert!(!drain, "stops below low mark");
+        assert!(!forced);
     }
 
     #[test]
     fn opportunistic_drain_when_reads_idle() {
         let mut d = DrainPolicy::paper();
-        assert!(d.should_drain(0.60, false), "no reads + above low: drain");
-        assert!(!d.should_drain(0.40, false), "below low: idle");
-        assert!(!d.should_drain(0.60, true), "reads pending: hold writes");
+        assert!(slot(&mut d, 0.60, false).0, "no reads + above low: drain");
+        assert!(!slot(&mut d, 0.40, false).0, "below low: idle");
+        assert!(!slot(&mut d, 0.60, true).0, "reads pending: hold writes");
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!   paper's evaluation: applications that hog consecutive service slots
 //!   get blacklisted for an interval; arbitration then prefers
 //!   non-blacklisted, then row hits, then age (one lexicographic key).
-//! * [`frfcfs`] — classic FR-FCFS, used as an ablation arbiter.
+//! * [`frfcfs`] — classic FR-FCFS (row hits first, then oldest), the
+//!   scheduler of the cycle-level main-memory backend. The DRAM-cache
+//!   controller arbitrates with BLISS only.
 //! * [`hysteresis`] — two-threshold state machines: the write-queue drain
 //!   policy (§II-A: forced flush at the high mark, opportunistic service
 //!   above the low mark when reads are idle) and DCA's Algorithm-1

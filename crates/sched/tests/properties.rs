@@ -276,12 +276,14 @@ proptest! {
     fn drain_policy_bounds(occs in prop::collection::vec(0.0f64..1.0, 1..200), reads in any::<bool>()) {
         let mut d = DrainPolicy::paper();
         for occ in occs {
-            let drain = d.should_drain(occ, reads);
+            // The calls, in the order, the controller makes each slot.
+            let forced = d.update_forced(occ);
+            let drain = forced || d.opportunistic(occ, reads);
             if occ > 0.85 {
                 prop_assert!(drain, "must drain above high mark");
             }
             if occ < 0.50 {
-                prop_assert!(!drain || d.forced(), "no drain below low mark unless forced tail");
+                prop_assert!(!drain || forced, "no drain below low mark unless forced tail");
             }
         }
     }

@@ -93,11 +93,6 @@ impl RunningMean {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample (NaN when empty).
     pub fn min(&self) -> f64 {
         if self.n == 0 {

@@ -33,12 +33,6 @@ impl SimTime {
         self.0
     }
 
-    /// Whole nanoseconds (truncating).
-    #[inline]
-    pub fn as_ns(self) -> u64 {
-        self.0 / 1000
-    }
-
     /// Fractional nanoseconds, for human-readable reporting.
     #[inline]
     pub fn as_ns_f64(self) -> f64 {
@@ -111,12 +105,6 @@ impl Duration {
     #[inline]
     pub fn as_ns_f64(self) -> f64 {
         self.0 as f64 / 1000.0
-    }
-
-    /// Fractional CPU cycles.
-    #[inline]
-    pub fn as_cpu_cycles_f64(self) -> f64 {
-        self.0 as f64 / PS_PER_CPU_CYCLE as f64
     }
 
     /// Scale by an integer factor (burst-length multiples etc.).

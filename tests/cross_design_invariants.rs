@@ -1,16 +1,19 @@
 //! Invariants that distinguish the three controller designs, checked on
 //! live simulations (not unit fixtures): queue-placement consequences,
-//! the PR/LR machinery, and turnaround behaviour.
+//! the PR/LR machinery, and turnaround behaviour. Simulations go through
+//! the binary's memo (`common::run`), so each design × organisation cell
+//! runs once.
 
-use dca::{Design, System, SystemConfig, SystemReport};
-use dca_cpu::mix;
+mod common;
+
+use dca::{Design, SystemConfig, SystemReport};
 use dca_dram_cache::OrgKind;
 
 fn run(design: Design, org: OrgKind) -> SystemReport {
     let mut cfg = SystemConfig::paper(design, org);
     cfg.target_insts = 80_000;
     cfg.warmup_ops = 400_000;
-    System::new(cfg, &mix(13).benches).run()
+    common::run(cfg, 13)
 }
 
 #[test]

@@ -5,10 +5,13 @@
 //!
 //! These run 4-core simulations and are the slowest tests in the suite;
 //! they use throughput (sum-of-IPC) speedups at a fixed mix set, which
-//! tracks the weighted-speedup ordering at this scale.
+//! tracks the weighted-speedup ordering at this scale. Simulations go
+//! through the binary's memo (`common::run`), so tests that compare the
+//! same cells share one run of each.
 
-use dca::{Design, System, SystemConfig};
-use dca_cpu::mix;
+mod common;
+
+use dca::{Design, SystemConfig};
 use dca_dram_cache::OrgKind;
 
 /// Sum-of-IPC over a couple of representative mixes.
@@ -18,7 +21,7 @@ fn throughput(design: Design, org: OrgKind) -> f64 {
         let mut cfg = SystemConfig::paper(design, org);
         cfg.target_insts = 120_000;
         cfg.warmup_ops = 400_000;
-        let r = System::new(cfg, &mix(mid).benches).run();
+        let r = common::run(cfg, mid);
         total *= r.cores.iter().map(|c| c.ipc).sum::<f64>();
     }
     total.sqrt()
@@ -83,7 +86,7 @@ fn dca_keeps_its_lead_with_remapping() {
         let mut cfg = SystemConfig::paper_remap(design, OrgKind::DirectMapped);
         cfg.target_insts = 120_000;
         cfg.warmup_ops = 400_000;
-        let r = System::new(cfg, &mix(17).benches).run();
+        let r = common::run(cfg, 17);
         r.cores.iter().map(|c| c.ipc).sum::<f64>()
     };
     let cd = run(Design::Cd);
@@ -103,7 +106,7 @@ fn dca_keeps_its_lead_under_lee_writeback() {
         cfg.lee_writeback = true;
         cfg.target_insts = 120_000;
         cfg.warmup_ops = 400_000;
-        let r = System::new(cfg, &mix(6).benches).run();
+        let r = common::run(cfg, 6);
         r.cores.iter().map(|c| c.ipc).sum::<f64>()
     };
     let cd = run(Design::Cd);
@@ -121,10 +124,7 @@ fn miss_latency_ordering_matches_fig12_13() {
             let mut cfg = SystemConfig::paper(design, org);
             cfg.target_insts = 120_000;
             cfg.warmup_ops = 400_000;
-            System::new(cfg, &mix(13).benches)
-                .run()
-                .l2_miss_latency
-                .mean_ns()
+            common::run(cfg, 13).l2_miss_latency.mean_ns()
         };
         let cd = lat(Design::Cd);
         let dca = lat(Design::Dca);
@@ -141,10 +141,10 @@ fn flushing_factor_is_insensitive_below_five() {
     // §IV-C: FF-1..FF-4 within ~1% of each other (allow 5% at this scale).
     let ws = |ff: u8| {
         let mut cfg = SystemConfig::paper(Design::Dca, OrgKind::paper_set_assoc());
-        cfg.dca.flushing_factor = ff;
+        cfg.flushing_factor = ff;
         cfg.target_insts = 100_000;
         cfg.warmup_ops = 400_000;
-        let r = System::new(cfg, &mix(1).benches).run();
+        let r = common::run(cfg, 1);
         r.cores.iter().map(|c| c.ipc).sum::<f64>()
     };
     let ff4 = ws(4);
