@@ -167,11 +167,6 @@ impl ChannelController {
         }
     }
 
-    /// Design under test.
-    pub fn design(&self) -> Design {
-        self.design
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> &CtrlStats {
         &self.stats

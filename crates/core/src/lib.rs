@@ -53,16 +53,16 @@
 //!   3DXPoint-like (`xpoint()`) timing, driven through a bounded
 //!   FR-FCFS access queue. The timing is the variant's only field; the
 //!   flat latencies and the cycle device's geometry, queue size and
-//!   controller latency are constants of `dca_mem_hier::memory`. Miss refills, dirty-victim
-//!   writebacks and Lee-writeback bursts now contend for real banks
-//!   and a real bus. The device is event-driven: `Ev::MemPump` runs
-//!   its scheduler whenever work arrives or a bank frees, and
-//!   `Ev::MemArrive` routes each read completion back to its request —
-//!   including the MAP-I speculative-prefetch race, where data can
-//!   arrive before the tag check resolves (the request's `Fetch` state
-//!   arbitrates). `MainMemConfig::ddr4_bandwidth_div` scales the burst
-//!   time for main-memory-bandwidth sensitivity sweeps (the `figures
-//!   --mainmem` table).
+//!   controller latency are constants of `dca_mem_hier::memory`. Miss
+//!   refills, dirty-victim writebacks and Lee-writeback bursts contend
+//!   for real banks and a real bus. The device is event-driven:
+//!   `Ev::MemPump` runs its scheduler whenever work arrives or a bank
+//!   frees, and `Ev::MemArrive` routes each read completion back to its
+//!   request — including the MAP-I speculative-prefetch race, where data
+//!   can arrive before the tag check resolves (the request's `Fetch`
+//!   state arbitrates). `MainMemConfig::ddr4_bandwidth_div` scales the
+//!   burst time for main-memory-bandwidth sensitivity sweeps (the
+//!   `figures --mainmem` table).
 //!
 //! [`SystemReport::main_mem`] reports the device either way: traffic,
 //! bus busy time, and (cycle backend) row hit/conflict counts, queue

@@ -276,7 +276,7 @@ proptest! {
     fn drain_policy_bounds(occs in prop::collection::vec(0.0f64..1.0, 1..200), reads in any::<bool>()) {
         let mut d = DrainPolicy::paper();
         for occ in occs {
-            // The calls, in the order, the controller makes each slot.
+            // The calls the controller makes each slot, in its order.
             let forced = d.update_forced(occ);
             let drain = forced || d.opportunistic(occ, reads);
             if occ > 0.85 {
