@@ -48,12 +48,16 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
+use dca::controller::{SCHEDULE_ALL_HI, SCHEDULE_ALL_LO};
+use dca::system::L2_LAT_CYCLES;
 use dca::{Design, System, SystemConfig};
 use dca_bench::shard::{self, FigurePlan, PartialStore, DEFAULT_CHUNK};
 use dca_bench::Scale;
 use dca_cpu::{mix, Benchmark, TraceGen};
 use dca_dram_cache::{OrgKind, TagCache};
+use dca_mem_hier::memory::FLAT_LATENCY;
 use dca_metrics::Table;
+use dca_sched::DrainPolicy;
 
 /// Set when any figure file failed to write; turns into exit code 1.
 static WRITE_FAILED: AtomicBool = AtomicBool::new(false);
@@ -194,6 +198,11 @@ fn table1() {
     out("table1", "Table I — workload groupings", &t);
 }
 
+/// A fill fraction as a whole percentage: `0.85` → `85%`.
+fn pct(fraction: f64) -> String {
+    format!("{:.0}%", fraction * 100.0)
+}
+
 /// Table II: system parameters as configured.
 fn table2() {
     let cfg = SystemConfig::paper(Design::Dca, OrgKind::paper_set_assoc());
@@ -201,7 +210,10 @@ fn table2() {
     let mut t = Table::new(vec!["parameter", "value"]);
     t.row(vec!["processor", "4 GHz, x86, 192 ROB, 8-wide"]);
     t.row(vec!["L1 I/D", "32KB/2-way, 2 cycles, private"]);
-    t.row(vec!["L2", "8MB, 20 cycles, shared"]);
+    t.row(vec![
+        "L2".to_string(),
+        format!("8MB, {L2_LAT_CYCLES} cycles, shared"),
+    ]);
     t.row(vec!["L3", "DRAM cache, 256MB (240MB data), 1/15-way"]);
     t.row(vec![
         "tRCD-tCAS-tRP-tRAS".to_string(),
@@ -236,18 +248,25 @@ fn table2() {
     t.row(vec![
         "read queue".to_string(),
         format!(
-            "{} entries/ch (32 for ROD); DCA flush 75%/85%; BLISS",
-            cfg.read_q_cap
+            "{} entries/ch (32 for ROD); DCA flush {}/{}; BLISS",
+            cfg.read_q_cap,
+            pct(SCHEDULE_ALL_LO),
+            pct(SCHEDULE_ALL_HI)
         ),
     ]);
     t.row(vec![
         "write queue".to_string(),
         format!(
-            "{} entries/ch (96 for ROD); flush 50%/85%; BLISS",
-            cfg.write_q_cap
+            "{} entries/ch (96 for ROD); flush {}/{}; BLISS",
+            cfg.write_q_cap,
+            pct(DrainPolicy::LO),
+            pct(DrainPolicy::HI)
         ),
     ]);
-    t.row(vec!["memory latency", "50 ns + 2 GHz x 64-bit bus"]);
+    t.row(vec![
+        "memory latency".to_string(),
+        format!("{} ns + 2 GHz x 64-bit bus", FLAT_LATENCY.as_ns_f64()),
+    ]);
     out(
         "table2",
         "Table II — system and stacked-DRAM parameters",
@@ -592,6 +611,10 @@ fn main() {
          --jobs N to set the thread count, now {})",
         scale.insts, scale.warmup, scale.mixes, cli.jobs
     );
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D02: the sweep's wall-clock report, never a simulation input"
+    )]
     let t0 = Instant::now();
 
     // Local (unsharded) figures.

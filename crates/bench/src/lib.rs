@@ -72,7 +72,7 @@ pub const DEFAULT_SEED: u64 = 0xDCA_2016;
 /// Main-memory backend a [`RunSpec`] selects — compact enough to ride
 /// in a shard job id (see `shard`'s grammar: `mmf` / `mmd<slow>` /
 /// `mmx`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MainMemKind {
     /// The flat 50 ns + bus seed model (the default everywhere).
     Flat,

@@ -88,7 +88,7 @@
 //! renderers read; the figure math downstream of it is the same whatever
 //! the thread count or the share of reused partials.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -462,7 +462,7 @@ fn chunked<T: Clone>(items: &[T], chunk: usize) -> Vec<Vec<T>> {
 /// benchmarks those mixes contain. Identical units across figures
 /// collapse (the id is canonical), so `--all` never runs a spec twice.
 pub fn plan_jobs(plans: &[FigurePlan], chunk: usize) -> Vec<Job> {
-    let mut seen = HashSet::new();
+    let mut seen = BTreeSet::new();
     let mut jobs = Vec::new();
     let mut push = |payload: JobPayload| {
         let job = Job::new(payload);
@@ -742,8 +742,8 @@ fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
 /// guarantee.
 #[derive(Default)]
 pub struct PartialStore {
-    eval: HashMap<String, Vec<MixPoint>>,
-    alone: HashMap<(Benchmark, &'static str, MainMemKind), f64>,
+    eval: BTreeMap<String, Vec<MixPoint>>,
+    alone: BTreeMap<(Benchmark, &'static str, MainMemKind), f64>,
 }
 
 impl PartialStore {
@@ -836,7 +836,7 @@ fn harness_partials(dir: &Path) -> Vec<(String, PathBuf)> {
 /// a future resume) forever. Only harness partials (`ev_`/`al_` files)
 /// are touched; the build stamp, temporaries and foreign files stay.
 /// Returns how many files were pruned.
-pub fn prune_orphans(dir: &Path, valid: &HashSet<String>) -> usize {
+pub fn prune_orphans(dir: &Path, valid: &BTreeSet<String>) -> usize {
     harness_partials(dir)
         .into_iter()
         .filter(|(id, path)| !valid.contains(id) && std::fs::remove_file(path).is_ok())
@@ -994,7 +994,7 @@ impl Entry<'_> {
 /// it touches instead of stopping the others.
 pub fn run_jobs(jobs: &[Job], threads: usize, dir: &Path) -> RunOutcome {
     check_build_stamp(dir);
-    let valid: HashSet<String> = jobs.iter().map(|j| j.id.clone()).collect();
+    let valid: BTreeSet<String> = jobs.iter().map(|j| j.id.clone()).collect();
     let pruned = prune_orphans(dir, &valid);
     if pruned > 0 {
         eprintln!("figures: pruned {pruned} orphan partial(s) left by a previous plan");
@@ -1016,7 +1016,7 @@ pub fn run_jobs(jobs: &[Job], threads: usize, dir: &Path) -> RunOutcome {
     let mut failed = Vec::new();
     let mut entries = Vec::with_capacity(pending.len());
     let mut groups: Vec<Vec<Sim>> = Vec::new();
-    let mut group_of: HashMap<u64, usize> = HashMap::new();
+    let mut group_of: BTreeMap<u64, usize> = BTreeMap::new();
     for job in pending {
         let listed = guarded(|| {
             simulations(&job.payload)
@@ -1372,7 +1372,7 @@ mod tests {
         // every planned job (no two payloads share an id), and every id
         // must be a filesystem-safe harness name prune_orphans knows.
         let scale = tiny_scale();
-        let mut by_id: HashMap<String, JobPayload> = HashMap::new();
+        let mut by_id: BTreeMap<String, JobPayload> = BTreeMap::new();
         for name in SHARDED_FIGURES {
             let plan = figure_plan(name, &scale).expect("shardable");
             for chunk in [1, DEFAULT_CHUNK] {
@@ -1410,7 +1410,7 @@ mod tests {
             .filter_map(|n| figure_plan(n, &scale))
             .collect();
         let jobs = plan_jobs(&plans, 4);
-        let eval_keys = |org: OrgKind| -> HashSet<u64> {
+        let eval_keys = |org: OrgKind| -> BTreeSet<u64> {
             jobs.iter()
                 .filter(|j| matches!(&j.payload, JobPayload::Eval { spec, .. } if spec.org == org))
                 .flat_map(warm_keys)
@@ -1425,7 +1425,7 @@ mod tests {
         let dm_eval = eval_keys(OrgKind::DirectMapped);
         assert_eq!(dm_eval.len(), scale.mixes.len(), "{dm_eval:?}");
         // Eval and alone groups stay distinct (different warm shapes).
-        let alone: HashSet<u64> = jobs
+        let alone: BTreeSet<u64> = jobs
             .iter()
             .filter(|j| matches!(j.payload, JobPayload::Alone { .. }))
             .flat_map(warm_keys)
@@ -1494,7 +1494,7 @@ mod tests {
         let jobs = plan_jobs(std::slice::from_ref(&plan), 4);
         // Warm-up evicts through the policy, so eval warm groups must
         // split by policy — but not by design or backend.
-        let groups: HashSet<u64> = jobs
+        let groups: BTreeSet<u64> = jobs
             .iter()
             .filter(|j| matches!(j.payload, JobPayload::Eval { .. }))
             .flat_map(warm_keys)

@@ -11,7 +11,7 @@
 //! scale variable exits 1 before any simulation, and `figures` does not
 //! read the warm cache's `DCA_WARM_CAP`.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -106,7 +106,7 @@ fn thread_counts_are_bit_identical_and_partials_resume() {
     let jobs = jobs_of("fig14");
     // fig14 is one organisation and one policy: every design of a mix
     // shares the mix's warm state, and each alone run has its own.
-    let mut keys = HashSet::new();
+    let mut keys = BTreeSet::new();
     let mut requests = 0;
     for job in &jobs {
         match &job.payload {
@@ -168,7 +168,7 @@ fn thread_counts_are_bit_identical_and_partials_resume() {
     // Partial reuse across figures: fig12 shares jobs with fig14, so a
     // fig12 run after fig14 runs only fig12's own jobs, and its files
     // are byte-identical whatever the thread count.
-    let fig14: HashSet<String> = jobs.iter().map(|j| j.id.clone()).collect();
+    let fig14: BTreeSet<String> = jobs.iter().map(|j| j.id.clone()).collect();
     let fig12_jobs = jobs_of("fig12");
     let reused = fig12_jobs.iter().filter(|j| fig14.contains(&j.id)).count();
     let fresh = fig12_jobs.len() - reused;
@@ -228,9 +228,16 @@ fn killed_run_resumes_from_its_partials() {
                 .count()
         })
     };
-    let deadline = Instant::now() + Duration::from_secs(120);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D02: a test deadline, never a simulation input"
+    )]
+    let start = Instant::now();
     while written(&partials) == 0 {
-        assert!(Instant::now() < deadline, "no partial within 120 s");
+        assert!(
+            start.elapsed() < Duration::from_secs(120),
+            "no partial within 120 s"
+        );
         assert!(
             child.try_wait().expect("try_wait").is_none(),
             "figures finished before it could be killed"
@@ -355,7 +362,7 @@ fn orphan_partials_are_pruned_and_foreign_files_kept() {
 
     // A job id from a plan the current invocation does not include →
     // orphan, must be pruned.
-    let fig14: HashSet<String> = jobs_of("fig14").into_iter().map(|j| j.id).collect();
+    let fig14: BTreeSet<String> = jobs_of("fig14").into_iter().map(|j| j.id).collect();
     let foreign_job = jobs_of("fig12")
         .into_iter()
         .map(|j| j.id)

@@ -93,17 +93,6 @@ impl SystemReport {
         }
     }
 
-    /// Fraction of miss fills the fill gate bypassed (0 when every fill
-    /// was admitted — i.e. for every design except Banshee).
-    pub fn fill_bypass_rate(&self) -> f64 {
-        let total = self.cache_fills + self.fill_bypasses;
-        if total == 0 {
-            0.0
-        } else {
-            self.fill_bypasses as f64 / total as f64
-        }
-    }
-
     /// Device-wide accesses per turnaround (weighted by accesses).
     pub fn accesses_per_turnaround(&self) -> f64 {
         let accesses: u64 = self.channels.iter().map(|c| c.reads + c.writes).sum();

@@ -207,23 +207,30 @@ impl WarmState {
 
     /// The canonical byte image (see module docs).
     pub fn encode(&self) -> Vec<u8> {
+        let Self {
+            fingerprint,
+            l1,
+            l2,
+            tags,
+            predictor,
+            gens,
+        } = self;
         // Dominated by the tag array (~6 B/entry); size the buffer once.
-        let approx = 64
-            + self.tags.sets() as usize * self.tags.ways() as usize * 6
-            + (self.l1.len() + 16) * 32 * 1024;
+        let approx =
+            64 + tags.sets() as usize * tags.ways() as usize * 6 + (l1.len() + 16) * 32 * 1024;
         let mut w = ByteWriter::with_capacity(approx);
         w.put_bytes(MAGIC);
         w.put_u32(WARM_FORMAT_VERSION);
-        w.put_u64(self.fingerprint);
-        w.put_u32(self.l1.len() as u32);
-        for c in &self.l1 {
+        w.put_u64(*fingerprint);
+        w.put_u32(l1.len() as u32);
+        for c in l1 {
             c.encode(&mut w);
         }
-        self.l2.encode(&mut w);
-        self.tags.encode(&mut w);
-        self.predictor.encode(&mut w);
-        w.put_u32(self.gens.len() as u32);
-        for g in &self.gens {
+        l2.encode(&mut w);
+        tags.encode(&mut w);
+        predictor.encode(&mut w);
+        w.put_u32(gens.len() as u32);
+        for g in gens {
             g.encode(&mut w);
         }
         let mut blob = w.into_vec();

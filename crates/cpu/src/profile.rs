@@ -16,7 +16,6 @@ use crate::tracefile::{self, TraceId};
 /// The benchmarks appearing in Table I, plus registered trace-file
 /// workloads (see [`crate::tracefile`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[allow(non_camel_case_types)]
 pub enum Benchmark {
     /// 429.mcf — pointer-chasing over a huge graph.
     Mcf,

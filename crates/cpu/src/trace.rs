@@ -119,18 +119,30 @@ impl TraceGen {
     /// the benchmark id — so a retuned profile changes the warm-state
     /// fingerprint, not this payload.
     pub fn encode(&self, w: &mut ByteWriter) {
-        w.put_u32(self.profile.bench.id());
-        w.put_u64(self.base);
-        for s in self.rng.state() {
+        let Self {
+            profile,
+            rng,
+            base,
+            streams,
+            seg_len,
+            chains,
+            history,
+            hist_slot,
+            pick,
+            count,
+        } = self;
+        w.put_u32(profile.bench.id());
+        w.put_u64(*base);
+        for s in rng.state() {
             w.put_u64(s);
         }
-        w.put_u64(self.seg_len);
-        w.put_u64_slice(&self.streams);
-        w.put_u64_slice(&self.chains);
-        w.put_u64_slice(&self.history);
-        w.put_u64(self.hist_slot as u64);
-        w.put_u64(self.pick);
-        w.put_u64(self.count);
+        w.put_u64(*seg_len);
+        w.put_u64_slice(streams);
+        w.put_u64_slice(chains);
+        w.put_u64_slice(history);
+        w.put_u64(*hist_slot as u64);
+        w.put_u64(*pick);
+        w.put_u64(*count);
     }
 
     /// Ops generated so far.
@@ -317,7 +329,7 @@ mod tests {
         let mut g = gen_for(Benchmark::Libquantum, 5);
         // Fresh stream ops advance by one block *within their stream*
         // (identified by pc); far-reuse ops use a separate pc range.
-        let mut last: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
+        let mut last: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
         let (mut seq, mut fresh) = (0, 0);
         for _ in 0..5000 {
             let op = g.next_op();
@@ -346,8 +358,8 @@ mod tests {
         // premise): the first block of every stream is aligned.
         let profile = Benchmark::GemsFDTD.profile();
         let mut g = TraceGen::new(profile, 0, 5);
-        let mut first_of_stream: std::collections::HashMap<u32, u64> =
-            std::collections::HashMap::new();
+        let mut first_of_stream: std::collections::BTreeMap<u32, u64> =
+            std::collections::BTreeMap::new();
         for _ in 0..500 {
             let op = g.next_op();
             if (op.pc % 4096) < 2048 {
@@ -386,7 +398,7 @@ mod tests {
     #[test]
     fn far_reuse_revisits_past_blocks() {
         let mut g = gen_for(Benchmark::Libquantum, 5);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let mut revisits = 0u32;
         for _ in 0..50_000 {
             let op = g.next_op();
@@ -421,7 +433,7 @@ mod tests {
     #[test]
     fn chains_use_distinct_ids() {
         let mut g = gen_for(Benchmark::Mcf, 5);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..5000 {
             let op = g.next_op();
             if op.dependent {

@@ -504,10 +504,16 @@ impl TraceReader {
     /// The records themselves are not stored — only their content
     /// digest — so the image stays small.
     pub fn encode(&self, w: &mut ByteWriter) {
-        w.put_u64(self.data.digest);
-        w.put_u64(self.base);
-        w.put_u64(self.pos);
-        w.put_u64(self.count);
+        let Self {
+            data,
+            base,
+            pos,
+            count,
+        } = self;
+        w.put_u64(data.digest);
+        w.put_u64(*base);
+        w.put_u64(*pos);
+        w.put_u64(*count);
     }
 }
 

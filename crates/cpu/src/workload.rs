@@ -149,7 +149,7 @@ mod tests {
 
     #[test]
     fn every_benchmark_appears() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for m in all_mixes() {
             for b in m.benches {
                 seen.insert(b);

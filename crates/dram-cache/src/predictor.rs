@@ -94,10 +94,15 @@ impl MapI {
     /// Serialise the full state into `w` (part of the warm-state byte
     /// image).
     pub fn encode(&self, w: &mut ByteWriter) {
-        w.put_u32(self.table.len() as u32);
-        w.put_bytes(&self.table);
-        w.put_u64(self.predictions);
-        w.put_u64(self.correct);
+        let Self {
+            table,
+            predictions,
+            correct,
+        } = self;
+        w.put_u32(table.len() as u32);
+        w.put_bytes(table);
+        w.put_u64(*predictions);
+        w.put_u64(*correct);
     }
 }
 

@@ -422,12 +422,18 @@ impl TagArray {
     /// `(tag, valid|dirty flags, state)` record per way, set by set
     /// (padding words are not part of the image).
     pub fn encode(&self, w: &mut ByteWriter) {
-        w.put_u64(self.sets);
-        w.put_u16(self.ways);
-        w.put_u8(self.policy.code());
-        let stride = Self::stride_for(self.ways);
-        for set in self.words.chunks_exact(stride) {
-            for &e in &set[..self.ways as usize] {
+        let Self {
+            words,
+            sets,
+            ways,
+            policy,
+        } = self;
+        w.put_u64(*sets);
+        w.put_u16(*ways);
+        w.put_u8(policy.code());
+        let stride = Self::stride_for(*ways);
+        for set in words.chunks_exact(stride) {
+            for &e in &set[..*ways as usize] {
                 w.put_u32(tag_of(e));
                 w.put_u8((e & (VALID | DIRTY)) as u8);
                 w.put_u8(state_of(e));

@@ -10,7 +10,7 @@ use dca_dram_cache::{
 };
 use dca_sim_core::ByteWriter;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 const RRPV_MAX: u8 = 3;
 const RRPV_INSERT: u8 = 2;
@@ -285,7 +285,7 @@ proptest! {
     ) {
         let ways = 4u16;
         let mut tags = TagArray::new(32, ways);
-        let mut reference: HashMap<u64, Vec<u32>> = HashMap::new();
+        let mut reference: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
         for (set, tag, dirty) in ops {
             match tags.lookup(set, tag) {
                 Some(way) => {
@@ -481,7 +481,7 @@ proptest! {
         let (sets, ways) = (16u64, 4u16);
         for policy in ReplacementPolicy::ALL {
             let mut tags = TagArray::with_policy(sets, ways, policy);
-            let mut resident: HashMap<u64, Vec<u32>> = HashMap::new();
+            let mut resident: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
             for &(set, tag, dirty) in &ops {
                 if let Some(way) = tags.lookup(set, tag) {
                     tags.touch(set, way);
@@ -525,7 +525,7 @@ proptest! {
     ) {
         for policy in ReplacementPolicy::ALL {
             let mut tags = TagArray::with_policy(8, 4, policy);
-            let mut reference: HashMap<u64, Vec<u32>> = HashMap::new();
+            let mut reference: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
             for &(set, tag, dirty) in &ops {
                 match tags.lookup(set, tag) {
                     Some(way) => {

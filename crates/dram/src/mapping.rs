@@ -98,7 +98,8 @@ impl AddressMapper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use dca_sim_core::FastHashMap;
+    use std::collections::BTreeSet;
 
     fn mapper(scheme: MappingScheme) -> AddressMapper {
         AddressMapper::new(&Organization::paper(), scheme)
@@ -127,18 +128,18 @@ mod tests {
     #[test]
     fn direct_mapping_is_bijective() {
         let m = mapper(MappingScheme::Direct);
-        let mut seen = HashSet::new();
+        let mut seen = FastHashMap::default();
         for f in 0..m.frames() {
-            assert!(seen.insert(m.locate(f)), "frame {f} collided");
+            assert!(seen.insert(m.locate(f), ()).is_none(), "frame {f} collided");
         }
     }
 
     #[test]
     fn xor_mapping_is_bijective() {
         let m = mapper(MappingScheme::XorRemap);
-        let mut seen = HashSet::new();
+        let mut seen = FastHashMap::default();
         for f in 0..m.frames() {
-            assert!(seen.insert(m.locate(f)), "frame {f} collided");
+            assert!(seen.insert(m.locate(f), ()).is_none(), "frame {f} collided");
         }
     }
 
@@ -150,8 +151,8 @@ mod tests {
         let d = mapper(MappingScheme::Direct);
         let x = mapper(MappingScheme::XorRemap);
         let stride = 4 * 16; // same channel, same bank, consecutive rows
-        let banks_direct: HashSet<u32> = (0..16u64).map(|i| d.locate(i * stride).bank).collect();
-        let banks_xor: HashSet<u32> = (0..16u64).map(|i| x.locate(i * stride).bank).collect();
+        let banks_direct: BTreeSet<u32> = (0..16u64).map(|i| d.locate(i * stride).bank).collect();
+        let banks_xor: BTreeSet<u32> = (0..16u64).map(|i| x.locate(i * stride).bank).collect();
         assert_eq!(banks_direct.len(), 1, "direct: all in one bank");
         assert_eq!(banks_xor.len(), 16, "xor: spread across all banks");
     }
@@ -171,7 +172,7 @@ mod tests {
     #[test]
     fn global_bank_is_unique_per_channel_bank() {
         let m = mapper(MappingScheme::Direct);
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for ch in 0..4 {
             for b in 0..16 {
                 let g = m.global_bank(Location {

@@ -95,9 +95,9 @@ proptest! {
     fn mappings_are_bijective(xor in any::<bool>()) {
         let scheme = if xor { MappingScheme::XorRemap } else { MappingScheme::Direct };
         let m = AddressMapper::new(&Organization::paper(), scheme);
-        let mut seen = std::collections::HashSet::with_capacity(m.frames() as usize);
+        let mut seen = dca_sim_core::FastHashMap::with_capacity(m.frames() as usize);
         for f in 0..m.frames() {
-            prop_assert!(seen.insert(m.locate(f)));
+            prop_assert!(seen.insert(m.locate(f), ()).is_none());
         }
     }
 

@@ -35,7 +35,7 @@ impl<T> Mshr<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         Mshr {
-            entries: FastHashMap::with_capacity_and_hasher(capacity, Default::default()),
+            entries: FastHashMap::with_capacity(capacity),
             capacity,
             peak: 0,
         }

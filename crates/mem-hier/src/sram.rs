@@ -219,18 +219,28 @@ impl SramCache {
     /// image). Layout: sets, ways, clock, the four statistics counters,
     /// then one `(tag, valid|dirty flags, stamp)` record per line.
     pub fn encode(&self, w: &mut ByteWriter) {
-        w.put_u64(self.sets);
-        w.put_u16(self.ways);
-        w.put_u64(self.clock);
-        for c in [
-            self.stats.accesses,
-            self.stats.hits,
-            self.stats.misses,
-            self.stats.writebacks,
-        ] {
+        let Self {
+            tags,
+            dirty,
+            stamps,
+            sets,
+            ways,
+            clock,
+            stats:
+                SramStats {
+                    accesses,
+                    hits,
+                    misses,
+                    writebacks,
+                },
+        } = self;
+        w.put_u64(*sets);
+        w.put_u16(*ways);
+        w.put_u64(*clock);
+        for c in [accesses, hits, misses, writebacks] {
             w.put_u64(c.get());
         }
-        for ((&tag, &dirty), &stamp) in self.tags.iter().zip(&self.dirty).zip(&self.stamps) {
+        for ((&tag, &dirty), &stamp) in tags.iter().zip(dirty).zip(stamps) {
             w.put_u64(u64::from(tag >> 1));
             w.put_u8((tag & VALID) as u8 | (dirty as u8) << 1);
             w.put_u64(stamp);

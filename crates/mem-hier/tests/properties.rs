@@ -5,7 +5,7 @@
 use dca_mem_hier::{MainMemory, Mshr, MshrOutcome, SramCache};
 use dca_sim_core::{ByteWriter, Duration, SimTime};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The SRAM cache as one array of 24-byte lines (the layout before the
 /// tag words, dirty bits and LRU stamps were split into their own
@@ -179,7 +179,7 @@ proptest! {
         ops in prop::collection::vec((0u64..256, any::<bool>()), 1..400)
     ) {
         let mut cache = SramCache::new(64 * 64, 4); // 16 sets x 4 ways
-        let mut present: HashMap<u64, bool> = HashMap::new(); // block -> dirty
+        let mut present: BTreeMap<u64, bool> = BTreeMap::new(); // block -> dirty
         for (block, is_write) in ops {
             let hit = cache.probe(block, is_write);
             if hit {
@@ -261,7 +261,7 @@ proptest! {
         allocs in prop::collection::vec((0u64..16, 0u32..1000), 1..200)
     ) {
         let mut mshr: Mshr<u32> = Mshr::new(64);
-        let mut expected: HashMap<u64, Vec<u32>> = HashMap::new();
+        let mut expected: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
         for (block, waiter) in allocs {
             match mshr.allocate(block, waiter) {
                 MshrOutcome::New | MshrOutcome::Merged => {

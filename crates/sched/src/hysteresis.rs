@@ -41,11 +41,6 @@ impl Hysteresis {
         }
         self.active
     }
-
-    /// Current state without updating.
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
 }
 
 /// The paper's optimized write-drain policy (§II-A), at Table II's
@@ -103,7 +98,6 @@ mod tests {
         assert!(h.update(0.80), "inside band: stays on");
         assert!(!h.update(0.70), "below lo: off");
         assert!(!h.update(0.80), "inside band: stays off");
-        assert!(!h.is_active());
     }
 
     /// One slot's drain decision, made with the calls the controller

@@ -177,7 +177,7 @@ proptest! {
         ops in prop::collection::vec((any::<bool>(), 0usize..8), 1..200)
     ) {
         let mut q = AccessQueue::new(16);
-        let mut live: std::collections::HashSet<u64> = std::collections::HashSet::new();
+        let mut live: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
         let mut next_id = 0u64;
         for (push, pos) in ops {
             if push {

@@ -5,17 +5,15 @@
 //! single-process simulator hashing its own block addresses. This module
 //! provides an Fx-style multiply-xor hasher (the rustc folklore hash:
 //! word-at-a-time `(h ^ w) * K` with a golden-ratio-derived constant) and
-//! map/set aliases using it.
+//! a map using it.
 //!
 //! Determinism note: unlike the std default, [`FastHasher`] is *unkeyed*,
-//! so iteration order of a [`FastHashMap`] is stable across runs for the
-//! same insertion sequence. Simulation code must still never iterate a
-//! map where order affects results — but with this hasher such a bug
-//! would at least be reproducible rather than seed-dependent.
+//! so a [`FastHashMap`] behaves the same in every process. Its order is
+//! still an accident of insertion, so the map has no iteration API at
+//! all (rule D03 in the crate docs).
 
-// dca-lint: allow(D01) this module defines the FastHashMap/FastHashSet aliases every other sim crate must use
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::hash_map::Entry;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// 64-bit Fx multiplier (derived from the golden ratio, as in rustc).
 const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -99,11 +97,76 @@ pub fn digest64(bytes: &[u8]) -> u64 {
 /// `BuildHasher` for [`FastHasher`].
 pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
 
-/// `HashMap` keyed by the fast unkeyed hasher.
-pub type FastHashMap<K, V> = HashMap<K, V, FastBuildHasher>; // dca-lint: allow(D01) alias definition site
+/// A hash map keyed by the fast unkeyed hasher that can be queried and
+/// updated but not iterated, so hash order cannot reach event order or a
+/// report (D03). Neither of these compiles:
+///
+/// ```compile_fail
+/// let map = dca_sim_core::FastHashMap::<u64, u64>::default();
+/// for (k, v) in &map {}
+/// ```
+///
+/// ```compile_fail
+/// let map = dca_sim_core::FastHashMap::<u64, u64>::default();
+/// let _ = map.iter();
+/// ```
+#[derive(Clone, Debug)]
+pub struct FastHashMap<K, V> {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "D01: the one std map, unkeyed and with no iteration API"
+    )]
+    map: std::collections::HashMap<K, V, FastBuildHasher>,
+}
 
-/// `HashSet` keyed by the fast unkeyed hasher.
-pub type FastHashSet<T> = HashSet<T, FastBuildHasher>; // dca-lint: allow(D01) alias definition site
+impl<K, V> Default for FastHashMap<K, V> {
+    fn default() -> Self {
+        FastHashMap {
+            map: Default::default(),
+        }
+    }
+}
+
+impl<K: Eq + Hash, V> FastHashMap<K, V> {
+    /// An empty map with room for `capacity` entries.
+    pub fn with_capacity(capacity: usize) -> Self {
+        let mut m = Self::default();
+        m.map.reserve(capacity);
+        m
+    }
+
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    pub fn contains_key(&self, key: &K) -> bool {
+        self.map.contains_key(key)
+    }
+
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.map.get(key)
+    }
+
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.map.get_mut(key)
+    }
+
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        self.map.insert(key, value)
+    }
+
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        self.map.remove(key)
+    }
+
+    pub fn entry(&mut self, key: K) -> Entry<'_, K, V> {
+        self.map.entry(key)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -124,21 +187,25 @@ mod tests {
 
     #[test]
     fn map_and_set_work() {
-        let mut m: FastHashMap<u64, &str> = FastHashMap::default();
+        let mut m: FastHashMap<u64, &str> = FastHashMap::with_capacity(4);
         m.insert(1, "one");
         m.insert(2, "two");
         assert_eq!(m.get(&1), Some(&"one"));
         assert_eq!(m.len(), 2);
-        let mut s: FastHashSet<u64> = FastHashSet::default();
-        assert!(s.insert(7));
-        assert!(!s.insert(7));
+        *m.entry(2).or_insert("?") = "deux";
+        assert_eq!(m.remove(&2), Some("deux"));
+        assert!(!m.contains_key(&2));
+        // A map to `()` is the set.
+        let mut s: FastHashMap<u64, ()> = FastHashMap::default();
+        assert!(s.insert(7, ()).is_none());
+        assert!(s.insert(7, ()).is_some());
     }
 
     #[test]
     fn block_addresses_spread_across_low_bits() {
         // HashMap uses the low bits of the hash; sequential block
         // addresses (the dominant key pattern) must not collide there.
-        let mut low7 = FastHashSet::default();
+        let mut low7 = std::collections::BTreeSet::new();
         for b in 0u64..128 {
             low7.insert(hash_of(b) & 127);
         }

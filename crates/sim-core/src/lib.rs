@@ -63,34 +63,40 @@
 //! measures the end-to-end effect; its `--trace 1` mode also reports
 //! this queue's cost per operation (`sim_core.events.ns_per_op`).
 //!
-//! ## Determinism & codec rules (enforced by `dca-lint`)
+//! ## Determinism & codec rules
 //!
 //! Bit-identical figures across engines, warm restores, thread counts
 //! and reused partials are a correctness requirement, not an
-//! aspiration. The `dca-lint` crate enforces the source-level
-//! invariants behind that statically (CI runs it before anything builds):
+//! aspiration. The compiler and clippy hold the source-level invariants
+//! behind that; CI's `check` job runs clippy with `-D warnings` on every
+//! target, tests and examples included:
 //!
-//! * **No std hash maps in sim code (D01).** `std::collections::HashMap`
-//!   seeds SipHash per process, so hash order — and anything computed
-//!   from it — differs run to run. Sim crates use [`hash::FastHashMap`]
-//!   (unkeyed, stable) or `BTreeMap`.
-//! * **No wall clock in sim code (D02).** `Instant::now`/`SystemTime`
-//!   belong only to the bench-timing layer (the `figures` wall-clock
-//!   report). Simulated time is [`time::SimTime`], advanced
-//!   exclusively by the event queue.
-//! * **No hash-order iteration (D03).** Even a stable hasher's iteration
-//!   order is an accident of insertion; iterating a map into event order
-//!   or a report is a silent reproducibility bug. Collect and sort, or
-//!   keep the structure in a `BTreeMap`/dense array.
-//! * **Codec coverage (C01).** Every struct with `fn encode` must touch
-//!   each named field in its `encode`/`decode` bodies — the
-//!   "added a field, forgot the codec" class that forced the `WarmState`
-//!   v2→v3→v4 bumps now fails the lint instead of silently leaving the
-//!   field out of the warm-state byte image.
+//! * **No std hash maps (D01).** `std::collections::HashMap` seeds
+//!   SipHash per process, so hash order — and anything computed from
+//!   it — differs run to run. The root `clippy.toml` disallows the std
+//!   `HashMap` and `HashSet` types; code uses `BTreeMap`/`BTreeSet`, or
+//!   [`hash::FastHashMap`] (unkeyed) for a key that is not `Ord`.
+//! * **No wall clock (D02).** `clippy.toml` disallows `SystemTime`,
+//!   `SystemTime::now` and `Instant::now`. Simulated time is
+//!   [`time::SimTime`], advanced exclusively by the event queue. Two
+//!   reads of the host clock are sanctioned, each by an `#[expect]` with
+//!   a reason: the `figures` wall-clock report and a test deadline in
+//!   `dca-bench`'s `tests/shard.rs`.
+//! * **No hash-order iteration (D03).** Even a stable hasher's order is
+//!   an accident of insertion. [`hash::FastHashMap`] is a newtype with
+//!   lookup and update calls only, so iterating it does not compile.
+//! * **Codec coverage (C01).** Every `encode` opens with an exhaustive
+//!   `let Self { … } = self;` (or a `match self`), so a field added
+//!   without being encoded is error E0027 rather than a field silently
+//!   missing from the warm-state byte image.
+//! * **Every lint exception says why (P01).** The workspace lint table
+//!   in the root `Cargo.toml` turns on clippy's
+//!   `allow_attributes_without_reason`.
 //!
-//! Violations carry a `// dca-lint: allow(<rule>) <reason>` escape hatch,
-//! but every pragma is pinned by the linter's workspace self-test — see
-//! the `dca-lint` crate docs for the rule set and usage.
+//! The suite's `tests/source_rules.rs` pins the three `#[expect]`
+//! exceptions (the `FastHashMap` field is the third) and checks each
+//! encoder's opening destructure; `ci/clippy-fixture` breaks D01, D02
+//! and P01 once each, and CI requires clippy to reject it.
 
 pub mod codec;
 pub mod events;
@@ -102,7 +108,7 @@ pub mod time;
 
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use events::{BaselineEventQueue, EventQueue};
-pub use hash::{digest64, FastBuildHasher, FastHashMap, FastHashSet, FastHasher};
+pub use hash::{digest64, FastBuildHasher, FastHashMap, FastHasher};
 pub use rng::SeedSplitter;
 pub use slab::{Slab, SlabKey};
 pub use stats::{Counter, Histogram, RunningMean};

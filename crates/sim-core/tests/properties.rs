@@ -139,7 +139,7 @@ proptest! {
     #[test]
     fn seed_splitter_no_small_collisions(root in any::<u64>()) {
         let s = SeedSplitter::new(root);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for label in ["cpu", "dram", "l2", "mix", "core"] {
             for idx in 0..8u64 {
                 let seed = s.split(label).split_index(idx).seed();

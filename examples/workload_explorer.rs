@@ -9,13 +9,13 @@
 use dca::{Design, System, SystemConfig};
 use dca_cpu::{Benchmark, TraceGen};
 use dca_dram_cache::OrgKind;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 fn stream_character(bench: Benchmark) -> (f64, f64, f64) {
     let mut g = TraceGen::new(bench.profile(), 0, 42);
     let mut stores = 0u64;
     let mut dependent = 0u64;
-    let mut seen = HashSet::new();
+    let mut seen = BTreeSet::new();
     let mut revisits = 0u64;
     const N: u64 = 50_000;
     for _ in 0..N {

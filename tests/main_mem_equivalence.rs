@@ -15,7 +15,10 @@ use dca_mem_hier::MainMemConfig;
 /// Seed-model fingerprints: (design, org, end_time_ps, events,
 /// mem_reads, mem_writes, cache_read_hits, cache_read_misses,
 /// writeback_requests, per-core (insts, cycles)).
-#[allow(clippy::type_complexity)]
+#[allow(
+    clippy::type_complexity,
+    reason = "one flat tuple per golden row reads as a table"
+)]
 const SEED_GOLDEN: &[(&str, &str, u64, u64, u64, u64, u64, u64, u64, &[(u64, u64)])] = &[
     (
         "CD",
