@@ -55,7 +55,7 @@ use dca_bench::shard::{self, FigurePlan, PartialStore, DEFAULT_CHUNK};
 use dca_bench::Scale;
 use dca_cpu::{mix, Benchmark, TraceGen};
 use dca_dram_cache::{OrgKind, TagCache};
-use dca_mem_hier::memory::FLAT_LATENCY;
+use dca_mem_hier::memory::{FLAT_BUS_TIME, FLAT_LATENCY};
 use dca_metrics::Table;
 use dca_sched::DrainPolicy;
 
@@ -206,10 +206,14 @@ fn pct(fraction: f64) -> String {
 /// Table II: system parameters as configured.
 fn table2() {
     let cfg = SystemConfig::paper(Design::Dca, OrgKind::paper_set_assoc());
+    let rod = SystemConfig::paper(Design::Rod, OrgKind::paper_set_assoc());
     let t_ = cfg.timing;
     let mut t = Table::new(vec!["parameter", "value"]);
     t.row(vec!["processor", "4 GHz, x86, 192 ROB, 8-wide"]);
-    t.row(vec!["L1 I/D", "32KB/2-way, 2 cycles, private"]);
+    t.row(vec![
+        "L1 I/D".to_string(),
+        format!("32KB/2-way, {} cycles, private", cfg.l1_lat_cycles),
+    ]);
     t.row(vec![
         "L2".to_string(),
         format!("8MB, {L2_LAT_CYCLES} cycles, shared"),
@@ -248,8 +252,9 @@ fn table2() {
     t.row(vec![
         "read queue".to_string(),
         format!(
-            "{} entries/ch (32 for ROD); DCA flush {}/{}; BLISS",
+            "{} entries/ch ({} for ROD); DCA flush {}/{}; BLISS",
             cfg.read_q_cap,
+            rod.read_q_cap,
             pct(SCHEDULE_ALL_LO),
             pct(SCHEDULE_ALL_HI)
         ),
@@ -257,15 +262,22 @@ fn table2() {
     t.row(vec![
         "write queue".to_string(),
         format!(
-            "{} entries/ch (96 for ROD); flush {}/{}; BLISS",
+            "{} entries/ch ({} for ROD); flush {}/{}; BLISS",
             cfg.write_q_cap,
+            rod.write_q_cap,
             pct(DrainPolicy::LO),
             pct(DrainPolicy::HI)
         ),
     ]);
+    // A 64-byte block crosses the 64-bit bus in eight transfers, which
+    // take FLAT_BUS_TIME.
+    let bus_ghz = (64 / 8) as f64 / FLAT_BUS_TIME.as_ns_f64();
     t.row(vec![
         "memory latency".to_string(),
-        format!("{} ns + 2 GHz x 64-bit bus", FLAT_LATENCY.as_ns_f64()),
+        format!(
+            "{} ns + {bus_ghz} GHz x 64-bit bus",
+            FLAT_LATENCY.as_ns_f64()
+        ),
     ]);
     out(
         "table2",

@@ -196,12 +196,13 @@ fn thread_counts_are_bit_identical_and_partials_resume() {
 /// the same bytes as an uninterrupted run.
 #[test]
 fn killed_run_resumes_from_its_partials() {
-    // Eight mixes at 50k instructions leave the run about 0.7 s of work
-    // after its first partial lands (2-core host, opt-level 2 or
-    // release), so the kill lands mid-run. At the file's 2k
-    // instructions that margin was 50-80 ms.
+    // Eight mixes at 65k instructions leave the run 0.57-0.81 s of work
+    // after its first partial lands in release, and 0.79-1.00 s at
+    // opt-level 2 (2-core host), so the kill lands mid-run. At 50k the
+    // release margin fell to 0.39 s; at the file's 2k instructions it
+    // was 50-80 ms.
     let mixes = "1,2,3,4,5,6,7,8";
-    let insts = "50000";
+    let insts = "65000";
     let reference = scratch("kill-reference");
     run_ok(
         figures_cmd(&reference)

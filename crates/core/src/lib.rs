@@ -92,6 +92,20 @@
 //! * [`System::from_warm_owned`] does the same for the last user of a
 //!   warm state, taking its components instead of copying them.
 //!
+//! Both [`System::new`] and [`System::capture_warm`] warm up through one
+//! two-stage pipeline over batches of ops. A helper thread draws each
+//! batch from the workload generators and applies the DRAM-cache
+//! tag-array operations; the calling thread runs the batch through the
+//! L1s and the L2 and hands back its tag operations (each L2-miss block,
+//! then its dirty L2 victim if there is one) in program order. The split
+//! is exact: the generators never read cache state, and the tag array
+//! consumes nothing but the L2's stream of misses and dirty victims, so
+//! the warmed state is byte-identical to streaming one op at a time
+//! through all three levels. A unit test in `system.rs` keeps that
+//! serial loop as its oracle. The helper is a scoped thread, joined
+//! before the call returns, and a panic in either stage reaches the
+//! caller with its own message.
+//!
 //! A warm state lives only in the memory of the process that captured
 //! it. The `dca-bench` figure runner builds each warm state once per
 //! group of runs sharing it and moves it into the group's last run;

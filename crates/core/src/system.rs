@@ -30,6 +30,7 @@
 //! `dca_sim_core` crate docs for the engine architecture).
 
 use std::collections::VecDeque;
+use std::sync::mpsc::{self, Receiver, SyncSender};
 
 use dca_cpu::{Benchmark, Core, CoreConfig, MemOp, MemPort, OpStream, PortResponse};
 use dca_dram::DramChannel;
@@ -430,6 +431,141 @@ struct HierState {
     gens: Vec<OpStream>,
 }
 
+/// Rounds per batch of the pipelined warm-up; a round is one op per
+/// core. 2,048 rounds make a few hundred hand-offs per warm-up at the
+/// figures' scale. 16,384 made fewer but grew the design sweep's peak
+/// RSS by 6 MB, and its event loop measured slower.
+const WARMUP_BATCH_ROUNDS: u64 = 2048;
+
+/// Batches circulating between the two warm-up stages, and so the
+/// capacity of each channel: the helper draws or tags one batch while
+/// the caller probes the other. The pipeline's memory is this many
+/// batches, reused throughout.
+const WARMUP_BATCHES: usize = 2;
+
+/// A block address and one flag packed into a warm-up record,
+/// `block << 1 | flag`. An op's flag is its store bit; a tag
+/// operation's marks a dirty L2 victim (clear: an L2-miss block).
+#[inline]
+fn pack(block: u64, flag: bool) -> u64 {
+    assert!(
+        block >> 63 == 0,
+        "warm-up block {block:#x} does not fit 63 bits"
+    );
+    block << 1 | u64::from(flag)
+}
+
+/// The block and flag of a [`pack`]ed record.
+#[inline]
+fn unpack(record: u64) -> (u64, bool) {
+    (record >> 1, record & 1 != 0)
+}
+
+/// One batch of the warm-up pipeline. It travels from the helper to
+/// the caller with its `ops` and back with its `tag_ops`, and is reused
+/// for a later batch.
+#[derive(Default)]
+struct WarmBatch {
+    /// Packed ops (store flag), round by round in core order.
+    ops: Vec<u64>,
+    /// Packed tag operations (dirty-victim flag) in program order.
+    tag_ops: Vec<u64>,
+}
+
+/// The helper's stage of [`System::warmup`]: draws `rounds` rounds of
+/// ops from `gens` in batches and applies each batch's tag operations
+/// to `tags` once the caller hands it back. Stops early if the caller's
+/// stage has gone (it panicked).
+fn draw_and_tag(
+    gens: &mut [OpStream],
+    tags: &mut TagArray,
+    geom: &CacheGeometry,
+    rounds: u64,
+    ops_tx: SyncSender<WarmBatch>,
+    done_rx: Receiver<WarmBatch>,
+) {
+    let apply = |tags: &mut TagArray, batch: &WarmBatch| {
+        for &record in &batch.tag_ops {
+            let (block, victim) = unpack(record);
+            let p = geom.place(block);
+            match tags.lookup(p.set, p.tag) {
+                Some(w) if victim => tags.set_dirty(p.set, w, true),
+                Some(w) => tags.touch(p.set, w),
+                None => {
+                    tags.insert(p.set, p.tag, victim);
+                }
+            }
+        }
+    };
+    let mut fresh = WARMUP_BATCHES;
+    let mut left = rounds;
+    while left > 0 {
+        let mut batch = if fresh > 0 {
+            fresh -= 1;
+            WarmBatch::default()
+        } else {
+            let Ok(batch) = done_rx.recv() else { return };
+            apply(tags, &batch);
+            batch
+        };
+        let n = left.min(WARMUP_BATCH_ROUNDS);
+        left -= n;
+        batch.ops.clear();
+        batch.ops.reserve(n as usize * gens.len());
+        for _ in 0..n {
+            for gen in gens.iter_mut() {
+                let op = gen.next_op();
+                batch.ops.push(pack(op.block, op.is_store));
+            }
+        }
+        if ops_tx.send(batch).is_err() {
+            return;
+        }
+    }
+    // Closing the op channel ends the caller's loop, which then closes
+    // the return channel once the last batch is back.
+    drop(ops_tx);
+    for batch in done_rx {
+        apply(tags, &batch);
+    }
+}
+
+/// The caller's stage of [`System::warmup`]: runs each batch through
+/// the per-core `l1`s and the shared `l2`, and hands it back with its
+/// tag operations: each L2-miss block, then its dirty L2 victim if
+/// there is one. Stops early if the helper's stage has gone.
+fn probe_srams(
+    l1: &mut [SramCache],
+    l2: &mut SramCache,
+    ops_rx: Receiver<WarmBatch>,
+    done_tx: SyncSender<WarmBatch>,
+) {
+    for mut batch in ops_rx {
+        let WarmBatch { ops, tag_ops } = &mut batch;
+        tag_ops.clear();
+        for round in ops.chunks_exact(l1.len()) {
+            for (l1, &op) in l1.iter_mut().zip(round) {
+                let (block, is_store) = unpack(op);
+                if l1.probe(block, is_store) {
+                    continue;
+                }
+                if !l2.probe(block, is_store) {
+                    tag_ops.push(pack(block, false));
+                    if let Some((victim, true)) = l2.allocate(block, is_store) {
+                        tag_ops.push(pack(victim, true));
+                    }
+                }
+                if let Some((victim, true)) = l1.allocate(block, is_store) {
+                    l2.probe(victim, true);
+                }
+            }
+        }
+        if done_tx.send(batch).is_err() {
+            return;
+        }
+    }
+}
+
 impl System {
     /// Build a system running `benches` (one per core, 1–4 of them) under
     /// `cfg`, and perform the functional warm-up. Equivalent to (but
@@ -606,42 +742,50 @@ impl System {
     /// 256 MB cache starts warm (the paper fast-forwards 4 B
     /// instructions with warm caches). Touches only [`HierState`] —
     /// the design-independence the warm-state checkpoint relies on.
+    ///
+    /// Two stages share the work, in batches of [`WARMUP_BATCH_ROUNDS`]
+    /// rounds (one op per core each):
+    ///
+    /// * a helper thread draws each batch from the generators, round by
+    ///   round in core order, and applies a batch's tag-array operations
+    ///   once the caller hands it back ([`draw_and_tag`]);
+    /// * the calling thread runs the batch through the L1s and the L2
+    ///   and hands back its tag operations in program order: each
+    ///   L2-miss block, then its dirty L2 victim if there is one
+    ///   ([`probe_srams`]).
+    ///
+    /// The result is byte-identical to running each op through all
+    /// three levels in turn: the generators never read cache state, and
+    /// the tag array consumes nothing but the L2's stream of misses and
+    /// dirty victims, which reaches it in the same order. The helper is
+    /// a scoped thread, joined before this returns; a panic in either
+    /// stage stops the other and reaches the caller with its own
+    /// payload.
     fn warmup(cfg: &SystemConfig, hier: &mut HierState) {
         let geom = CacheGeometry::new(cfg.org_kind, cfg.dram_org, cfg.mapping);
-        for _ in 0..cfg.warmup_ops {
-            for (i, gen) in hier.gens.iter_mut().enumerate() {
-                let op = gen.next_op();
-                if hier.l1[i].probe(op.block, op.is_store) {
-                    continue;
-                }
-                if !hier.l2.probe(op.block, op.is_store) {
-                    // Warm the DRAM-cache tags.
-                    let p = geom.place(op.block);
-                    match hier.tags.lookup(p.set, p.tag) {
-                        Some(w) => hier.tags.touch(p.set, w),
-                        None => {
-                            hier.tags.insert(p.set, p.tag, false);
-                        }
-                    }
-                    if let Some((victim, vdirty)) = hier.l2.allocate(op.block, op.is_store) {
-                        if vdirty {
-                            let q = geom.place(victim);
-                            match hier.tags.lookup(q.set, q.tag) {
-                                Some(w) => hier.tags.set_dirty(q.set, w, true),
-                                None => {
-                                    hier.tags.insert(q.set, q.tag, true);
-                                }
-                            }
-                        }
-                    }
-                }
-                if let Some((victim, vdirty)) = hier.l1[i].allocate(op.block, op.is_store) {
-                    if vdirty {
-                        hier.l2.probe(victim, true);
-                    }
-                }
+        let HierState {
+            l1, l2, tags, gens, ..
+        } = hier;
+        std::thread::scope(|s| {
+            let (ops_tx, ops_rx) = mpsc::sync_channel(WARMUP_BATCHES);
+            let (done_tx, done_rx) = mpsc::sync_channel(WARMUP_BATCHES);
+            let helper = std::thread::Builder::new()
+                .name("dca-warmup".to_string())
+                .spawn_scoped(s, move || {
+                    draw_and_tag(gens, tags, &geom, cfg.warmup_ops, ops_tx, done_rx)
+                })
+                .expect("spawn the warm-up helper thread");
+            let probed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                probe_srams(l1, l2, ops_rx, done_tx)
+            }));
+            // Join the helper before re-raising either stage's panic, so
+            // that no thread outlives the call; a scope alone would only
+            // report that a thread panicked.
+            let helped = helper.join();
+            if let Err(payload) = probed.and(helped) {
+                std::panic::resume_unwind(payload);
             }
-        }
+        });
     }
 
     /// Drain deferred events produced inside port callbacks.
@@ -1111,6 +1255,238 @@ impl System {
 mod tests {
     use super::*;
     use crate::config::Design;
+    use dca_dram::Organization;
+    use dca_dram_cache::ReplacementPolicy;
+    use dca_sim_core::ByteWriter;
+
+    /// The warm-up as one loop over ops, as it ran before the two-stage
+    /// pipeline: the oracle [`System::warmup`] must match byte for byte.
+    fn warmup_oracle(cfg: &SystemConfig, hier: &mut HierState) {
+        let geom = CacheGeometry::new(cfg.org_kind, cfg.dram_org, cfg.mapping);
+        for _ in 0..cfg.warmup_ops {
+            for (i, gen) in hier.gens.iter_mut().enumerate() {
+                let op = gen.next_op();
+                if hier.l1[i].probe(op.block, op.is_store) {
+                    continue;
+                }
+                if !hier.l2.probe(op.block, op.is_store) {
+                    // Warm the DRAM-cache tags.
+                    let p = geom.place(op.block);
+                    match hier.tags.lookup(p.set, p.tag) {
+                        Some(w) => hier.tags.touch(p.set, w),
+                        None => {
+                            hier.tags.insert(p.set, p.tag, false);
+                        }
+                    }
+                    if let Some((victim, vdirty)) = hier.l2.allocate(op.block, op.is_store) {
+                        if vdirty {
+                            let q = geom.place(victim);
+                            match hier.tags.lookup(q.set, q.tag) {
+                                Some(w) => hier.tags.set_dirty(q.set, w, true),
+                                None => {
+                                    hier.tags.insert(q.set, q.tag, true);
+                                }
+                            }
+                        }
+                    }
+                }
+                if let Some((victim, vdirty)) = hier.l1[i].allocate(op.block, op.is_store) {
+                    if vdirty {
+                        hier.l2.probe(victim, true);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every component's `encode` bytes, named.
+    fn component_bytes(hier: &HierState) -> Vec<(String, Vec<u8>)> {
+        let bytes = |encode: &dyn Fn(&mut ByteWriter)| {
+            let mut w = ByteWriter::new();
+            encode(&mut w);
+            w.into_vec()
+        };
+        let mut out: Vec<(String, Vec<u8>)> = Vec::new();
+        for (i, l1) in hier.l1.iter().enumerate() {
+            out.push((format!("l1[{i}]"), bytes(&|w| l1.encode(w))));
+        }
+        out.push(("l2".to_string(), bytes(&|w| hier.l2.encode(w))));
+        out.push(("tags".to_string(), bytes(&|w| hier.tags.encode(w))));
+        out.push((
+            "predictor".to_string(),
+            bytes(&|w| hier.predictor.encode(w)),
+        ));
+        for (i, gen) in hier.gens.iter().enumerate() {
+            out.push((format!("gens[{i}]"), bytes(&|w| gen.encode(w))));
+        }
+        out
+    }
+
+    /// Warm one hierarchy with the pipeline and one with the oracle, and
+    /// require equal bytes from every component. `small_srams` swaps in
+    /// a 2 KB L1 and a 32 KB L2, so a short warm-up already evicts
+    /// dirty L2 victims.
+    fn assert_pipeline_matches_oracle(
+        cfg: &SystemConfig,
+        benches: &[Benchmark],
+        small_srams: bool,
+    ) {
+        let build = || {
+            let mut hier = System::build_hier(cfg, benches);
+            if small_srams {
+                hier.l1 = benches.iter().map(|_| SramCache::new(2 << 10, 2)).collect();
+                hier.l2 = SramCache::new(32 << 10, 8);
+            }
+            hier
+        };
+        let (mut piped, mut serial) = (build(), build());
+        System::warmup(cfg, &mut piped);
+        warmup_oracle(cfg, &mut serial);
+        let (got, want) = (component_bytes(&piped), component_bytes(&serial));
+        assert_eq!(got.len(), want.len());
+        for ((name, got), (_, want)) in got.iter().zip(&want) {
+            assert!(
+                got == want,
+                "{name} differs from the serial warm-up: {} cores, {:?}, {:?}, {} ops, small SRAMs {small_srams}",
+                benches.len(),
+                cfg.org_kind,
+                cfg.replacement,
+                cfg.warmup_ops
+            );
+        }
+    }
+
+    /// A 16-frame stacked DRAM: 960 direct-mapped sets, or 64 sets of
+    /// 15 ways (one per set of the small L2), so warm-up evicts from the
+    /// tag array under every policy.
+    fn small_dram() -> Organization {
+        Organization {
+            channels: 1,
+            ranks: 1,
+            banks_per_rank: 2,
+            rows_per_bank: 8,
+            row_bytes: 4096,
+        }
+    }
+
+    #[test]
+    fn warmup_pipeline_matches_the_serial_oracle() {
+        const B: u64 = WARMUP_BATCH_ROUNDS;
+        let benches = [
+            Benchmark::Lbm,
+            Benchmark::Mcf,
+            Benchmark::Libquantum,
+            Benchmark::Gcc,
+        ];
+        for ops in [0, 1, B - 1, B, B + 1, 3 * B + 7] {
+            for cores in [1, 2, 4] {
+                for org in [OrgKind::DirectMapped, OrgKind::paper_set_assoc()] {
+                    for policy in ReplacementPolicy::ALL {
+                        let mut cfg = SystemConfig::paper(Design::Cd, org);
+                        cfg.dram_org = small_dram();
+                        cfg.replacement = policy;
+                        cfg.warmup_ops = ops;
+                        assert_pipeline_matches_oracle(&cfg, &benches[..cores], true);
+                    }
+                }
+            }
+        }
+        // The paper's hierarchy, and a trace-driven core.
+        let fixture = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/libquantum_2800.dcat"
+        );
+        let trace = dca_cpu::register_trace_file(fixture).expect("register fixture");
+        for org in [OrgKind::DirectMapped, OrgKind::paper_set_assoc()] {
+            let mut cfg = SystemConfig::paper(Design::Cd, org);
+            cfg.warmup_ops = 3 * B + 7;
+            assert_pipeline_matches_oracle(&cfg, &benches, false);
+            assert_pipeline_matches_oracle(&cfg, &[trace, Benchmark::Mcf], false);
+            cfg.dram_org = small_dram();
+            assert_pipeline_matches_oracle(&cfg, &[trace, Benchmark::Lbm], true);
+        }
+    }
+
+    /// The message of the panic `f` raises, read from its payload as
+    /// `figures` reads a failed job's.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the warm-up must panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_else(|| "non-string panic payload".to_string())
+    }
+
+    /// This process's threads, where `/proc` lists them.
+    fn live_threads() -> Option<usize> {
+        std::fs::read_dir("/proc/self/task")
+            .ok()
+            .map(|tasks| tasks.count())
+    }
+
+    #[test]
+    #[ignore = "runs alone in a child process of warmup_stage_panics_surface_and_leave_no_thread"]
+    fn warmup_stage_panics_in_isolation() {
+        let before = live_threads();
+        // The helper's stage, through the public API: one frame of four
+        // sets, so core 3's blocks (from 2^28) carry DRAM-cache tags of
+        // 2^26 and more.
+        let mut cfg = SystemConfig::paper(Design::Cd, OrgKind::paper_set_assoc());
+        cfg.dram_org = Organization {
+            channels: 1,
+            ranks: 1,
+            banks_per_rank: 1,
+            rows_per_bank: 1,
+            row_bytes: 4096,
+        };
+        cfg.warmup_ops = 3 * WARMUP_BATCH_ROUNDS;
+        let message = panic_message(|| {
+            System::capture_warm(cfg, &[Benchmark::Gcc; 4]);
+        });
+        assert!(
+            message.contains("does not fit the 26-bit tag field"),
+            "{message}"
+        );
+        assert_eq!(live_threads(), before, "the helper outlived its panic");
+
+        // The caller's stage: no public input reaches an SRAM tag beyond
+        // 31 bits, so core 0's stream moves to block 2^40.
+        let mut cfg = SystemConfig::paper(Design::Cd, OrgKind::DirectMapped);
+        cfg.warmup_ops = 3 * WARMUP_BATCH_ROUNDS;
+        let mut hier = System::build_hier(&cfg, &[Benchmark::Gcc, Benchmark::Mcf]);
+        hier.gens[0] = OpStream::for_bench(Benchmark::Gcc, 1 << 40, 7);
+        let message = panic_message(|| System::warmup(&cfg, &mut hier));
+        assert!(message.contains("does not fit 31 bits"), "{message}");
+        assert_eq!(
+            live_threads(),
+            before,
+            "the helper outlived the caller's panic"
+        );
+    }
+
+    /// Each stage's panic reaches the caller with its own message, and
+    /// no thread survives it. The check runs in a child process of this
+    /// test binary, where no other test's threads come and go.
+    #[test]
+    fn warmup_stage_panics_surface_and_leave_no_thread() {
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args([
+                "--ignored",
+                "--exact",
+                "system::tests::warmup_stage_panics_in_isolation",
+                "--test-threads=1",
+            ])
+            .output()
+            .expect("run the isolated test");
+        let text = format!(
+            "{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(out.status.success() && text.contains("1 passed"), "{text}");
+    }
 
     fn tiny(design: Design, org: OrgKind) -> SystemReport {
         // Warm-up long enough to fill the shared 8 MB L2 (131 072 blocks)
