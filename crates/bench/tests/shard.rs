@@ -198,9 +198,8 @@ fn thread_counts_are_bit_identical_and_partials_resume() {
 fn killed_run_resumes_from_its_partials() {
     // Eight mixes at 65k instructions leave the run 0.57-0.81 s of work
     // after its first partial lands in release, and 0.79-1.00 s at
-    // opt-level 2 (2-core host), so the kill lands mid-run. At 50k the
-    // release margin fell to 0.39 s; at the file's 2k instructions it
-    // was 50-80 ms.
+    // opt-level 2 (2-core host), so the kill lands mid-run. 50k could
+    // leave as little as 0.39 s once the warm-up ran on two threads.
     let mixes = "1,2,3,4,5,6,7,8";
     let insts = "65000";
     let reference = scratch("kill-reference");

@@ -432,9 +432,10 @@ struct HierState {
 }
 
 /// Rounds per batch of the pipelined warm-up; a round is one op per
-/// core. 2,048 rounds make a few hundred hand-offs per warm-up at the
-/// figures' scale. 16,384 made fewer but grew the design sweep's peak
-/// RSS by 6 MB, and its event loop measured slower.
+/// core. At the figures' 200,000 rounds that is about a hundred
+/// hand-offs per warm-up. Batches of 512 to 8,192 rounds timed alike in
+/// `capture_warm`, and 8,192 did not speed up `figures`, so the batch
+/// stays small.
 const WARMUP_BATCH_ROUNDS: u64 = 2048;
 
 /// Batches circulating between the two warm-up stages, and so the
@@ -464,7 +465,6 @@ fn unpack(record: u64) -> (u64, bool) {
 /// One batch of the warm-up pipeline. It travels from the helper to
 /// the caller with its `ops` and back with its `tag_ops`, and is reused
 /// for a later batch.
-#[derive(Default)]
 struct WarmBatch {
     /// Packed ops (store flag), round by round in core order.
     ops: Vec<u64>,
@@ -497,12 +497,19 @@ fn draw_and_tag(
             }
         }
     };
+    // Each batch is allocated here at its full size, once: an op makes
+    // at most two tag operations (its miss and its dirty victim), so the
+    // caller's stage never grows a buffer and allocates nothing.
+    let batch_ops = rounds.min(WARMUP_BATCH_ROUNDS) as usize * gens.len();
     let mut fresh = WARMUP_BATCHES;
     let mut left = rounds;
     while left > 0 {
         let mut batch = if fresh > 0 {
             fresh -= 1;
-            WarmBatch::default()
+            WarmBatch {
+                ops: Vec::with_capacity(batch_ops),
+                tag_ops: Vec::with_capacity(2 * batch_ops),
+            }
         } else {
             let Ok(batch) = done_rx.recv() else { return };
             apply(tags, &batch);
@@ -511,7 +518,6 @@ fn draw_and_tag(
         let n = left.min(WARMUP_BATCH_ROUNDS);
         left -= n;
         batch.ops.clear();
-        batch.ops.reserve(n as usize * gens.len());
         for _ in 0..n {
             for gen in gens.iter_mut() {
                 let op = gen.next_op();
@@ -1257,7 +1263,6 @@ mod tests {
     use crate::config::Design;
     use dca_dram::Organization;
     use dca_dram_cache::ReplacementPolicy;
-    use dca_sim_core::ByteWriter;
 
     /// The warm-up as one loop over ops, as it ran before the two-stage
     /// pipeline: the oracle [`System::warmup`] must match byte for byte.
@@ -1299,33 +1304,10 @@ mod tests {
         }
     }
 
-    /// Every component's `encode` bytes, named.
-    fn component_bytes(hier: &HierState) -> Vec<(String, Vec<u8>)> {
-        let bytes = |encode: &dyn Fn(&mut ByteWriter)| {
-            let mut w = ByteWriter::new();
-            encode(&mut w);
-            w.into_vec()
-        };
-        let mut out: Vec<(String, Vec<u8>)> = Vec::new();
-        for (i, l1) in hier.l1.iter().enumerate() {
-            out.push((format!("l1[{i}]"), bytes(&|w| l1.encode(w))));
-        }
-        out.push(("l2".to_string(), bytes(&|w| hier.l2.encode(w))));
-        out.push(("tags".to_string(), bytes(&|w| hier.tags.encode(w))));
-        out.push((
-            "predictor".to_string(),
-            bytes(&|w| hier.predictor.encode(w)),
-        ));
-        for (i, gen) in hier.gens.iter().enumerate() {
-            out.push((format!("gens[{i}]"), bytes(&|w| gen.encode(w))));
-        }
-        out
-    }
-
     /// Warm one hierarchy with the pipeline and one with the oracle, and
-    /// require equal bytes from every component. `small_srams` swaps in
-    /// a 2 KB L1 and a 32 KB L2, so a short warm-up already evicts
-    /// dirty L2 victims.
+    /// require equal warm-state bytes, which hold every component's
+    /// `encode`. `small_srams` swaps in a 2 KB L1 and a 32 KB L2, so a
+    /// short warm-up already evicts dirty L2 victims.
     fn assert_pipeline_matches_oracle(
         cfg: &SystemConfig,
         benches: &[Benchmark],
@@ -1339,21 +1321,20 @@ mod tests {
             }
             hier
         };
+        let encode = |h: HierState| {
+            WarmState::new(cfg, benches, h.l1, h.l2, h.tags, h.predictor, h.gens).encode()
+        };
         let (mut piped, mut serial) = (build(), build());
         System::warmup(cfg, &mut piped);
         warmup_oracle(cfg, &mut serial);
-        let (got, want) = (component_bytes(&piped), component_bytes(&serial));
-        assert_eq!(got.len(), want.len());
-        for ((name, got), (_, want)) in got.iter().zip(&want) {
-            assert!(
-                got == want,
-                "{name} differs from the serial warm-up: {} cores, {:?}, {:?}, {} ops, small SRAMs {small_srams}",
-                benches.len(),
-                cfg.org_kind,
-                cfg.replacement,
-                cfg.warmup_ops
-            );
-        }
+        assert!(
+            encode(piped) == encode(serial),
+            "the pipeline differs from the serial warm-up: {} cores, {:?}, {:?}, {} ops, small SRAMs {small_srams}",
+            benches.len(),
+            cfg.org_kind,
+            cfg.replacement,
+            cfg.warmup_ops
+        );
     }
 
     /// A 16-frame stacked DRAM: 960 direct-mapped sets, or 64 sets of
@@ -1426,6 +1407,19 @@ mod tests {
             .map(|tasks| tasks.count())
     }
 
+    /// [`live_threads`] once it is down to `want`: a joined thread can
+    /// stay listed for a moment while the kernel finishes its exit.
+    /// Gives up after about a second.
+    fn threads_down_to(want: Option<usize>) -> Option<usize> {
+        for _ in 0..1000 {
+            if live_threads() == want {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        live_threads()
+    }
+
     #[test]
     #[ignore = "runs alone in a child process of warmup_stage_panics_surface_and_leave_no_thread"]
     fn warmup_stage_panics_in_isolation() {
@@ -1449,7 +1443,11 @@ mod tests {
             message.contains("does not fit the 26-bit tag field"),
             "{message}"
         );
-        assert_eq!(live_threads(), before, "the helper outlived its panic");
+        assert_eq!(
+            threads_down_to(before),
+            before,
+            "the helper outlived its panic"
+        );
 
         // The caller's stage: no public input reaches an SRAM tag beyond
         // 31 bits, so core 0's stream moves to block 2^40.
@@ -1460,7 +1458,7 @@ mod tests {
         let message = panic_message(|| System::warmup(&cfg, &mut hier));
         assert!(message.contains("does not fit 31 bits"), "{message}");
         assert_eq!(
-            live_threads(),
+            threads_down_to(before),
             before,
             "the helper outlived the caller's panic"
         );
