@@ -60,7 +60,7 @@
 //! never trains it (it is always the pristine paper table).
 
 use dca_cpu::{tracefile, Benchmark, OpStream, Pattern};
-use dca_dram_cache::{MapI, OrgKind, TagArray};
+use dca_dram_cache::{MapI, OrgKind, SparseTags, TagArray};
 use dca_mem_hier::SramCache;
 use dca_sim_core::{digest64, ByteWriter};
 
@@ -89,7 +89,8 @@ pub struct WarmState {
     fingerprint: u64,
     pub(crate) l1: Vec<SramCache>,
     pub(crate) l2: SramCache,
-    pub(crate) tags: TagArray,
+    /// The tag array without its zero words (see the module docs).
+    pub(crate) tags: SparseTags,
     pub(crate) predictor: MapI,
     pub(crate) gens: Vec<OpStream>,
 }
@@ -122,7 +123,7 @@ impl WarmState {
             fingerprint: Self::fingerprint_for(cfg, benches),
             l1,
             l2,
-            tags,
+            tags: tags.to_sparse(),
             predictor,
             gens,
         }
@@ -200,11 +201,6 @@ impl WarmState {
         mix(h, cfg.seed)
     }
 
-    /// Whether this checkpoint is the warm-up `(cfg, benches)` needs.
-    pub fn matches(&self, cfg: &SystemConfig, benches: &[Benchmark]) -> bool {
-        self.fingerprint == Self::fingerprint_for(cfg, benches)
-    }
-
     /// The canonical byte image (see module docs).
     pub fn encode(&self) -> Vec<u8> {
         let Self {
@@ -215,6 +211,7 @@ impl WarmState {
             predictor,
             gens,
         } = self;
+        let tags = tags.to_dense();
         // Dominated by the tag array (~6 B/entry); size the buffer once.
         let approx =
             64 + tags.sets() as usize * tags.ways() as usize * 6 + (l1.len() + 16) * 32 * 1024;

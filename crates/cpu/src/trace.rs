@@ -36,6 +36,10 @@ pub struct TraceOp {
 /// set from collapsing onto a small L2-resident hot set.
 const HISTORY: usize = 163_840;
 
+/// Largest working set, in blocks, whose region-relative positions fit
+/// the `u32` entries of the history ring.
+const MAX_WS_BLOCKS: u64 = 1 << 32;
+
 /// Alignment of concurrent streams, in blocks. 3840 blocks (240 KB) is a
 /// whole number of bank rotations in both cache geometries (64 frames of
 /// 60 blocks direct-mapped; 960 frames of 4 sets set-associative), so
@@ -55,8 +59,10 @@ pub struct TraceGen {
     seg_len: u64,
     /// Chase cursors (chase pattern).
     chains: Vec<u64>,
-    /// Far-reuse history: recent fresh blocks (region-relative).
-    history: Vec<u64>,
+    /// Far-reuse history: recent fresh blocks (region-relative, below
+    /// [`MAX_WS_BLOCKS`]). Reserved at full size by [`TraceGen::new`],
+    /// so filling it never reallocates.
+    history: Vec<u32>,
     /// Ring write cursor for `history` once full.
     hist_slot: usize,
     /// Round-robin pick counter.
@@ -76,9 +82,17 @@ impl TraceGen {
     /// therefore alias to the *same bank* at *different rows*, the exact
     /// row-conflict structure the permutation-based XOR remap \[9\] was
     /// designed to break (§VI-A "With Remapping").
+    ///
+    /// # Panics
+    /// Panics if the profile's working set exceeds 2^32 blocks, whose
+    /// positions would not fit the history ring.
     pub fn new(profile: Profile, base: u64, seed: u64) -> Self {
-        let mut rng = Prng::seed_from_u64(seed);
         let ws = profile.ws_blocks;
+        assert!(
+            ws <= MAX_WS_BLOCKS,
+            "working set of {ws} blocks exceeds 2^32 blocks, the reach of the u32 far-reuse history"
+        );
+        let mut rng = Prng::seed_from_u64(seed);
         let n_streams = match profile.pattern {
             Pattern::Stream { streams } => streams as usize,
             Pattern::Mixed { .. } => 2,
@@ -102,7 +116,7 @@ impl TraceGen {
             streams,
             seg_len,
             chains,
-            history: Vec::new(),
+            history: Vec::with_capacity(HISTORY),
             hist_slot: 0,
             pick: 0,
             count: 0,
@@ -139,7 +153,12 @@ impl TraceGen {
         w.put_u64(*seg_len);
         w.put_u64_slice(streams);
         w.put_u64_slice(chains);
-        w.put_u64_slice(history);
+        // Each entry widened to the `u64` it was before the ring narrowed,
+        // so the byte image is unchanged.
+        w.put_u64(history.len() as u64);
+        for &pos in history {
+            w.put_u64(u64::from(pos));
+        }
         w.put_u64(*hist_slot as u64);
         w.put_u64(*pick);
         w.put_u64(*count);
@@ -158,6 +177,8 @@ impl TraceGen {
 
     /// Remember a freshly visited block (region-relative) in the history.
     fn remember(&mut self, pos: u64) {
+        // Fits 32 bits: `new` bounds the working set by `MAX_WS_BLOCKS`.
+        let pos = pos as u32;
         if self.history.len() < HISTORY {
             self.history.push(pos);
         } else {
@@ -182,7 +203,7 @@ impl TraceGen {
         // reuse that makes DRAM caches pay off on SPEC.
         if !self.history.is_empty() && self.rng.gen_bool(self.profile.reuse_prob) {
             let idx = self.rng.gen_range(0..self.history.len());
-            let pos = self.history[idx];
+            let pos = u64::from(self.history[idx]);
             return TraceOp {
                 gap,
                 is_store,
@@ -428,6 +449,38 @@ mod tests {
         let mean = total as f64 / 20_000.0;
         let want = Benchmark::Gcc.profile().mean_gap as f64;
         assert!((mean - want).abs() < 0.2, "got {mean}, want ~{want}");
+    }
+
+    #[test]
+    fn a_working_set_of_2_pow_32_blocks_fits_the_history() {
+        // Far-reuse ops (pcs from 2048 within the benchmark's 4096)
+        // revisit exactly the blocks fresh ops visited, also above 2^31.
+        for bench in [Benchmark::Mcf, Benchmark::Lbm, Benchmark::Gcc] {
+            let mut profile = bench.profile();
+            profile.ws_blocks = MAX_WS_BLOCKS;
+            let mut g = TraceGen::new(profile, 0, 3);
+            let mut fresh = std::collections::BTreeSet::new();
+            for _ in 0..10_000 {
+                let op = g.next_op();
+                assert!(op.block < MAX_WS_BLOCKS, "{bench:?}");
+                if op.pc % 4096 < 2048 {
+                    fresh.insert(op.block);
+                } else {
+                    assert!(fresh.contains(&op.block), "{bench:?}: {:#x}", op.block);
+                }
+            }
+            assert!(fresh.last().is_some_and(|&b| b >= 1 << 31), "{bench:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "working set of 4294967297 blocks exceeds 2^32 blocks, the reach of the u32 far-reuse history"
+    )]
+    fn a_working_set_beyond_2_pow_32_blocks_panics() {
+        let mut profile = Benchmark::Mcf.profile();
+        profile.ws_blocks = MAX_WS_BLOCKS + 1;
+        TraceGen::new(profile, 0, 3);
     }
 
     #[test]

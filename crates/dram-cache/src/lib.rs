@@ -61,5 +61,5 @@ pub use geometry::{BlockPlace, CacheGeometry, OrgKind};
 pub use predictor::MapI;
 pub use request::{CacheReqKind, CacheRequest, RequestId};
 pub use tag_cache::{TagCache, TagCacheStats};
-pub use tags::{InsertOutcome, ReplacementPolicy, TagArray};
+pub use tags::{InsertOutcome, ReplacementPolicy, SparseTags, TagArray};
 pub use translate::{AccessRole, AccessSpec, FsmOutput, RequestFsm};

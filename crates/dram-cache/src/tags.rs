@@ -42,6 +42,15 @@
 //! Bounds: a tag must fit its 26 bits ([`TagArray::insert`] panics on
 //! a wider one, and [`TagArray::lookup`] misses it), and a set has at
 //! most [`MAX_WAYS`] = 16 ways, because a stack position has 4 bits.
+//!
+//! # Snapshots
+//!
+//! [`TagArray::to_sparse`] keeps only the non-zero words, beside a
+//! bitmap of where they sit ([`SparseTags`]), and
+//! [`SparseTags::to_dense`] rebuilds the array word for word. The
+//! figures' warm-ups write 4–9 % of a 256 MB cache's words, so a warm
+//! state holds about a tenth of the dense array's bytes; the snapshot
+//! of a full array is 1/32 larger than the array (the bitmap).
 
 use dca_sim_core::ByteWriter;
 
@@ -417,6 +426,38 @@ impl TagArray {
         self.words.iter().filter(|&&w| valid(w)).count() as u64
     }
 
+    /// A compact snapshot of the array: its shape, a bitmap of the
+    /// non-zero words and those words in order. An invalidated way keeps
+    /// its other bits, so "non-zero" is what the snapshot keeps, not
+    /// "valid".
+    pub fn to_sparse(&self) -> SparseTags {
+        let present: Vec<u64> = self
+            .words
+            .chunks(64)
+            .map(|chunk| {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0, |bits, (i, &w)| bits | u64::from(w != 0) << i)
+            })
+            .collect();
+        let kept = present.iter().map(|b| b.count_ones() as usize).sum();
+        // Sized exactly, so the snapshot holds no spare capacity.
+        let mut words = Vec::with_capacity(kept);
+        for (chunk, &bits) in self.words.chunks(64).zip(&present) {
+            if bits != 0 {
+                words.extend(chunk.iter().copied().filter(|&w| w != 0));
+            }
+        }
+        SparseTags {
+            present,
+            words,
+            sets: self.sets,
+            ways: self.ways,
+            policy: self.policy,
+        }
+    }
+
     /// Serialise the full state into `w` (part of the warm-state byte
     /// image). Layout: sets, ways, policy code, then one
     /// `(tag, valid|dirty flags, state)` record per way, set by set
@@ -439,6 +480,40 @@ impl TagArray {
                 w.put_u8(state_of(e));
             }
         }
+    }
+}
+
+/// A [`TagArray`] with its zero words left out: what a warm state keeps
+/// (see the module docs). Made by [`TagArray::to_sparse`], turned back
+/// into the array by [`SparseTags::to_dense`].
+#[derive(Clone, Debug)]
+pub struct SparseTags {
+    /// Bit `i % 64` of `present[i / 64]` is set when word `i` of the
+    /// dense array is non-zero.
+    present: Vec<u64>,
+    /// The non-zero words, in array order.
+    words: Vec<u32>,
+    sets: u64,
+    ways: u16,
+    policy: ReplacementPolicy,
+}
+
+impl SparseTags {
+    /// The dense array this snapshot was taken of, word for word. Only
+    /// the pages holding a non-zero word are written; the rest stay as
+    /// the allocator zeroed them.
+    pub fn to_dense(&self) -> TagArray {
+        let mut tags = TagArray::with_policy(self.sets, self.ways, self.policy);
+        let mut kept = self.words.iter();
+        for (chunk, &bits) in tags.words.chunks_mut(64).zip(&self.present) {
+            let mut bits = bits;
+            while bits != 0 {
+                chunk[bits.trailing_zeros() as usize] =
+                    *kept.next().expect("a kept word for every bitmap bit");
+                bits &= bits - 1;
+            }
+        }
+        tags
     }
 }
 
@@ -640,6 +715,39 @@ mod tests {
                 Some((1, false)),
                 "{policy:?}: oldest goes first"
             );
+        }
+    }
+
+    fn encoded(tags: &TagArray) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        tags.encode(&mut w);
+        w.into_vec()
+    }
+
+    /// The two extremes of a snapshot: an empty array keeps no word,
+    /// and a full one keeps every word, which makes it exactly 1/32
+    /// larger than the array (the bitmap). Both rebuild their array.
+    #[test]
+    fn snapshots_of_empty_and_full_arrays() {
+        for policy in ReplacementPolicy::ALL {
+            let empty = TagArray::with_policy(64, 4, policy);
+            let snap = empty.to_sparse();
+            assert!(snap.words.is_empty(), "{policy:?}");
+            assert_eq!(encoded(&snap.to_dense()), encoded(&empty), "{policy:?}");
+
+            let mut full = TagArray::with_policy(64, 4, policy);
+            for set in 0..64 {
+                for tag in 0..4 {
+                    full.insert(set, tag, tag % 2 == 1);
+                }
+            }
+            let snap = full.to_sparse();
+            assert_eq!(snap.words.len(), full.words.len(), "{policy:?}");
+            assert_eq!(snap.words.capacity(), snap.words.len(), "{policy:?}");
+            let dense_bytes = full.words.len() * 4;
+            let snap_bytes = snap.present.len() * 8 + snap.words.len() * 4;
+            assert_eq!(snap_bytes, dense_bytes + dense_bytes / 32, "{policy:?}");
+            assert_eq!(encoded(&snap.to_dense()), encoded(&full), "{policy:?}");
         }
     }
 

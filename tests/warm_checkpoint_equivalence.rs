@@ -3,11 +3,13 @@
 //! ([`System::from_warm`]) or by value ([`System::from_warm_owned`]) —
 //! has to produce a byte-identical report to a cold run of the same
 //! configuration, for every controller design, both organisations,
-//! every main-memory backend and trace-driven mixes.
+//! every main-memory backend, every replacement policy and trace-driven
+//! mixes.
 
 use dca::{Design, System, SystemConfig, SystemReport, WarmState};
 use dca_cpu::{mix, Benchmark};
-use dca_dram_cache::OrgKind;
+use dca_dram::Organization;
+use dca_dram_cache::{OrgKind, ReplacementPolicy};
 
 fn cfg(design: Design, org: OrgKind) -> SystemConfig {
     // Small but non-trivial: long enough that every request kind flows.
@@ -61,6 +63,33 @@ fn restored_runs_match_cold_runs_for_all_designs_and_orgs() {
             let what = format!("{} {}", design.label(), org.label());
             assert_restores_match_cold(cfg(design, org), &benches, &warm, &what);
         }
+    }
+}
+
+#[test]
+fn restored_runs_match_cold_runs_under_every_replacement_policy() {
+    // On the paper geometry no set fills at this scale, so the tests
+    // above restore only fresh replacement state. A stacked DRAM of 512
+    // row frames (2,048 sets of 15 ways) makes warm-up evict, so each
+    // restored state carries aged RRPVs or LRU stack positions.
+    let benches = mix(3).benches;
+    let mut digests: Vec<(ReplacementPolicy, u64)> = Vec::new();
+    for policy in ReplacementPolicy::ALL {
+        let mut c = cfg(Design::Dca, OrgKind::paper_set_assoc());
+        c.dram_org = Organization {
+            rows_per_bank: 8,
+            ..Organization::paper()
+        };
+        c.replacement = policy;
+        let warm = System::capture_warm(c, &benches);
+        let what = format!("DCA SA {}", policy.label());
+        let cold = assert_restores_match_cold(c, &benches, &warm, &what);
+        // Distinct reports show the policies chose different victims,
+        // so this geometry does put the sets under pressure.
+        for &(other, digest) in &digests {
+            assert_ne!(cold.digest(), digest, "{policy:?} ran like {other:?}");
+        }
+        digests.push((policy, cold.digest()));
     }
 }
 
