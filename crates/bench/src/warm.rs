@@ -20,11 +20,12 @@
 //! ## Residency
 //!
 //! Warm states live only in this process: nothing writes them to disk
-//! or reads them back. A warm state for the default organisation is
-//! tens of MB, and nothing releases one once it is built, so the cap is
-//! the only bound: at most `DCA_WARM_CAP` states stay resident, evicted
-//! in insertion order. A run still holding an evicted state keeps its
-//! `Arc`; the next request for it warms anew.
+//! or reads them back. A warm state allocates 5.5–6.3 MB at the
+//! benchmark's scales and up to 8.4 MB at paper scale (its tag array is
+//! a sparse snapshot; see `dca::warm`), and nothing releases one once it
+//! is built, so the cap is the only bound: at most `DCA_WARM_CAP` states
+//! stay resident, evicted in insertion order. A run still holding an
+//! evicted state keeps its `Arc`; the next request for it warms anew.
 //!
 //! ## Knobs
 //!
@@ -74,7 +75,8 @@ impl Default for WarmCache {
 /// the mixes in the same order) cycles through one organisation's keys:
 /// at paper scale 30 mixes + 11 alone-IPC single-bench states = 41.
 /// Against a smaller FIFO that cyclic scan yields zero reuse on the
-/// second and later designs, so the cap covers it, with headroom.
+/// second and later designs, so the cap covers it, with headroom. A
+/// full cache of paper-scale states holds about 400 MB (48 × 8.4 MB).
 const DEFAULT_CAP: usize = 48;
 
 /// The cap a `DCA_WARM_CAP` value asks for, or the warning to print

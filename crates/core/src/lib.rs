@@ -78,19 +78,22 @@
 //! share a single warm-up:
 //!
 //! * [`System::capture_warm`] runs build + warm-up and returns a
-//!   [`WarmState`] — the warmed L1s/L2/tag-array plus the mid-stream
-//!   workload generators (RNG cursors included) and the MAP-I table
-//!   (carried for completeness; warm-up does not currently train it),
-//!   keyed by a
-//!   fingerprint of exactly the inputs warm-up depends on (benchmarks,
-//!   cache/DRAM geometry, `warmup_ops`, seed — see the [`warm`] module
-//!   docs for the scheme and the state's canonical byte image).
+//!   [`WarmState`]: the warmed L1s and L2, a compact snapshot of the tag
+//!   array (its non-zero words, about a tenth of the dense array), the
+//!   mid-stream workload generators (RNG cursors included) and the
+//!   MAP-I table (carried for completeness; warm-up does not currently
+//!   train it), keyed by a fingerprint of exactly the inputs warm-up
+//!   depends on (benchmarks, cache/DRAM geometry, `warmup_ops`, seed —
+//!   see the [`warm`] module docs for the scheme, the in-memory form
+//!   and the state's canonical byte image).
 //! * [`System::from_warm`] builds a runnable system directly from a
-//!   `WarmState`, skipping warm-up; the run is bit-for-bit identical to
-//!   a cold [`System::new`] (asserted by
+//!   `WarmState`, skipping warm-up: it rebuilds the dense tag array
+//!   first, then copies the rest. The run is bit-for-bit identical to a
+//!   cold [`System::new`] (asserted by
 //!   `tests/warm_checkpoint_equivalence.rs` on every CI run).
 //! * [`System::from_warm_owned`] does the same for the last user of a
-//!   warm state, taking its components instead of copying them.
+//!   warm state, taking its components instead of copying them and
+//!   dropping the tag snapshot.
 //!
 //! Both [`System::new`] and [`System::capture_warm`] warm up through one
 //! two-stage pipeline over batches of ops. A helper thread draws each

@@ -607,8 +607,8 @@ impl System {
     /// The dense tag array is rebuilt from the state's tag snapshot
     /// before anything else is copied. Rebuilt after the copies, it could
     /// not reuse the block an earlier run's array had freed (the copies
-    /// took pieces of it): the design sweep's high-water mark read
-    /// 45.5 MB that way, against 30.7 MB.
+    /// took pieces of it), and a replay of the design sweep peaked at
+    /// 45.5 MB instead of 30.7 MB.
     ///
     /// # Panics
     /// Panics if `warm` was captured for a different warm-up — i.e. its

@@ -42,16 +42,31 @@
 //! — a stale fingerprint silently reusing wrong state is the one bug
 //! this scheme must never allow, so when in doubt, include the field.
 //!
-//! ## Byte image
+//! ## In memory
 //!
 //! A warm state lives only in the memory of the process that captured
-//! it; nothing writes it to disk or reads it back. [`WarmState::encode`]
-//! is its canonical byte image: an 8-byte magic (`"DCAWARM\0"`), a
-//! `u32` format version, the `u64` fingerprint, the component payloads
-//! (per-core [`SramCache`] L1s, the L2, the [`TagArray`], the [`MapI`]
-//! table, and one tagged [`OpStream`] cursor per core) via each
-//! component's own `encode`, and a trailing `u64` digest over
-//! everything before it. perfbench's warm-up replay rebuilds these
+//! it; nothing writes it to disk or reads it back. It keeps the tag
+//! array as a [`SparseTags`] snapshot, the non-zero words beside a
+//! bitmap of where they sit: the figures' warm-ups write 4–9 % of the
+//! paper cache's words, so the snapshot takes 1.1–2.0 MB where the
+//! dense array takes 15.7 MB (direct-mapped) or 16.8 MB
+//! (set-associative). The generators' far-reuse histories hold `u32`
+//! positions. A whole state allocates 5.5–6.3 MB at the benchmark's
+//! scales and 7.8–8.4 MB at paper scale (a million warm-up ops per
+//! core), against 19.6–27 MB with a dense array and `u64` histories.
+//! Every restore rebuilds the dense array
+//! ([`System::from_warm`](crate::System::from_warm)).
+//!
+//! ## Byte image
+//!
+//! [`WarmState::encode`] is the canonical byte image. The compact form
+//! changes none of its bytes: `encode` writes the rebuilt dense array,
+//! and each history entry as a `u64`. The image is an 8-byte magic
+//! (`"DCAWARM\0"`), a `u32` format version, the `u64` fingerprint, the
+//! component payloads (per-core [`SramCache`] L1s, the L2, the
+//! [`TagArray`], the [`MapI`] table, and one tagged [`OpStream`] cursor
+//! per core) via each component's own `encode`, and a trailing `u64`
+//! digest over everything before it. perfbench's warm-up replay rebuilds these
 //! bytes on its own and compares them against `encode`, and
 //! `tests/digest_goldens.rs` pins their digest, so a change to the
 //! layout or to what warm-up computes shows up in both.
@@ -105,9 +120,9 @@ fn mix(h: u64, v: u64) -> u64 {
 }
 
 impl WarmState {
-    /// Bundle captured components into a keyed checkpoint. Called by
-    /// `System::capture_warm`; the components must be in their exact
-    /// post-warm-up state.
+    /// Bundle captured components into a keyed checkpoint, keeping
+    /// `tags` as a snapshot. Called by `System::capture_warm`; the
+    /// components must be in their exact post-warm-up state.
     pub(crate) fn new(
         cfg: &SystemConfig,
         benches: &[Benchmark],

@@ -435,18 +435,24 @@ impl TagArray {
             .words
             .chunks(64)
             .map(|chunk| {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .fold(0, |bits, (i, &w)| bits | u64::from(w != 0) << i)
+                let mut bits = 0;
+                for (i, &w) in chunk.iter().enumerate() {
+                    if w != 0 {
+                        bits |= 1 << i;
+                    }
+                }
+                bits
             })
             .collect();
         let kept = present.iter().map(|b| b.count_ones() as usize).sum();
-        // Sized exactly, so the snapshot holds no spare capacity.
+        // Sized exactly, so the snapshot holds no spare capacity; filled
+        // from the bitmap, which reads only the kept words again.
         let mut words = Vec::with_capacity(kept);
         for (chunk, &bits) in self.words.chunks(64).zip(&present) {
-            if bits != 0 {
-                words.extend(chunk.iter().copied().filter(|&w| w != 0));
+            let mut bits = bits;
+            while bits != 0 {
+                words.push(chunk[bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
             }
         }
         SparseTags {
