@@ -12,13 +12,13 @@
 //! ## One runner
 //!
 //! The simulated figures are decomposed into deterministically named
-//! jobs (see `dca_bench::shard`) and run by `shard::run_jobs` on
+//! jobs (see `dca_bench::shard`) and run by `shard::run_jobs` on up to
 //! `--jobs N` threads (default: the available cores). A thread takes a
 //! whole group of simulations that share one functional warm-up (every
 //! design of a mix and organisation), builds the warm state once and
 //! runs the group from it; the run ends with the counts, `N warm-ups
-//! built, M reused`. Each job writes a JSON partial under
-//! `results/partials/` as soon as its last simulation finishes;
+//! built, M reused`. Each job writes a text partial,
+//! `results/partials/<job>.txt`, as soon as its last simulation finishes;
 //! partials that still validate are reused, and partials no job of the
 //! current plan names are pruned. The figure files are byte-identical
 //! whatever the thread count and however many partials were reused,
@@ -91,7 +91,7 @@ fn usage() -> String {
          \x20 --all          regenerate everything (default with no figure flags)\n\
          \x20 --jobs N       run the simulations on N threads (default: available cores)\n\
          \n\
-         Each simulation job writes results/partials/<job>.json when it finishes;\n\
+         Each simulation job writes results/partials/<job>.txt when it finishes;\n\
          a re-run reuses those, so an interrupted run resumes. To re-run one job,\n\
          delete its partial and re-run the figure.\n\
          \n\

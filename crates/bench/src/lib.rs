@@ -30,11 +30,11 @@
 //! `figures` decomposes the requested figures into deterministically
 //! named jobs ([`shard::figure_plan`] → [`shard::plan_jobs`]) and hands
 //! the list to one runner, [`shard::run_jobs`], in one process. The
-//! runner reuses every JSON partial under `results/partials/` that
+//! runner reuses every text partial under `results/partials/` that
 //! still validates, groups the rest's simulations by the warm state
-//! they restore from, runs the groups on `--jobs N` threads (default:
-//! the available cores), and writes each job's partial atomically as
-//! soon as its last simulation finishes. So a run that was interrupted,
+//! they restore from, runs the groups on up to `--jobs N` threads
+//! (default: the available cores), and writes each job's partial
+//! atomically as soon as its last simulation finishes. So a run that was interrupted,
 //! or that lost a job to a panic, resumes by running the same command
 //! again. See [`shard`] for the job model, the partial schema and the
 //! runner. [`RunSpec::run_benches`] shares warm-ups through the
@@ -50,9 +50,6 @@
 //!
 //! Ctrl-C ends the process; the shell reports 130. Finished partials
 //! are already on disk, so re-running the same command resumes.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use dca::{Design, System, SystemConfig, SystemReport};
 use dca_cpu::{mix, Benchmark};
@@ -201,17 +198,11 @@ impl RunSpec {
         cfg
     }
 
-    /// Run one Table I mix under this spec, sharing the functional
+    /// Run a benchmark list (1–4 cores; a Table I mix is
+    /// `&mix(id).benches`) under this spec, sharing the functional
     /// warm-up with every other design/remap variant of the same
-    /// `(mix, org, warmup, seed)` tuple through the global [`WarmCache`]
-    /// (bit-for-bit identical to a cold run).
-    pub fn run_mix(&self, mix_id: u32) -> SystemReport {
-        let m = mix(mix_id);
-        self.run_benches(&m.benches)
-    }
-
-    /// Run an explicit benchmark list (1–4 cores), warm-cached like
-    /// [`RunSpec::run_mix`].
+    /// `(benches, org, warmup, seed)` tuple through the global
+    /// [`WarmCache`] (bit-for-bit identical to a cold run).
     pub fn run_benches(&self, benches: &[Benchmark]) -> SystemReport {
         let cfg = self.config();
         let warm = WarmCache::global().get_or_build(&cfg, benches);
@@ -279,88 +270,6 @@ fn positive_env(name: &str) -> Result<Option<u64>, String> {
                 .ok_or_else(|| format!("{name}={v:?} must be a positive integer"))
         })
         .transpose()
-}
-
-/// Run `f` over `items` on at most `threads` std threads, preserving
-/// input order in the result.
-///
-/// A panic inside `f` is re-raised on the calling thread with its
-/// **original payload** (via `std::panic::resume_unwind`), after all
-/// other workers have drained — not wrapped in a confusing join/lock
-/// error. `assert!` messages and `panic!` strings from worker closures
-/// therefore surface to the caller exactly as they would single-
-/// threaded.
-///
-/// Items are handed out one at a time, in input order: each worker
-/// claims the next unclaimed index through one `fetch_add` counter and
-/// keeps its `(index, result)` pairs privately, merged once at join. An
-/// item is thus the unit of balance. [`shard::run_jobs`] passes whole
-/// warm groups, largest first, so the costliest groups start first and
-/// the short ones fill in behind them.
-pub fn run_parallel<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
-        return items.into_iter().map(f).collect();
-    }
-    // The mutexes are never contended — the counter hands each item to
-    // exactly one worker; they only make the take() Sync.
-    let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(slot) = items.get(i) else { break };
-                        let item = slot
-                            .lock()
-                            .unwrap()
-                            .take()
-                            .expect("item claimed exactly once");
-                        local.push((i, f(item)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        // Join every worker before re-raising, so a panic in one
-        // closure cannot leave siblings running detached; the first
-        // panic payload (in worker order) is the one propagated.
-        let mut panic_payload = None;
-        for h in handles {
-            match h.join() {
-                Ok(local) => {
-                    for (i, r) in local {
-                        slots[i] = Some(r);
-                    }
-                }
-                Err(payload) => {
-                    if panic_payload.is_none() {
-                        panic_payload = Some(payload);
-                    }
-                }
-            }
-        }
-        if let Some(payload) = panic_payload {
-            std::panic::resume_unwind(payload);
-        }
-    });
-    slots
-        .into_iter()
-        .map(|r| r.expect("every index produced"))
-        .collect()
 }
 
 /// The raw, serialisable measurement one mix contributes to a figure:
@@ -465,70 +374,6 @@ impl DesignSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn run_parallel_preserves_order() {
-        let out = run_parallel((0..32).collect::<Vec<i32>>(), 4, |x| x * 2);
-        assert_eq!(out, (0..32).map(|x| x * 2).collect::<Vec<i32>>());
-    }
-
-    #[test]
-    fn run_parallel_handles_edge_sizes() {
-        assert_eq!(run_parallel(Vec::<u32>::new(), 4, |x| x), Vec::<u32>::new());
-        assert_eq!(run_parallel(vec![7], 4, |x| x + 1), vec![8]);
-        // Sizes that don't divide evenly among the threads, across a
-        // span bigger than any plausible thread count.
-        for n in [2usize, 3, 5, 17, 63, 64, 65, 257] {
-            for threads in [1, 2, 3, 8] {
-                let input: Vec<usize> = (0..n).collect();
-                let out = run_parallel(input, threads, |x| x * x);
-                assert_eq!(
-                    out,
-                    (0..n).map(|x| x * x).collect::<Vec<usize>>(),
-                    "n={n} threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn run_parallel_balances_uneven_work() {
-        // One pathologically slow item must not serialise the rest:
-        // a correctness-only check, but it exercises the item-claim
-        // path under real contention.
-        let out = run_parallel((0..100u64).collect(), 4, |x| {
-            if x == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            }
-            x + 1
-        });
-        assert_eq!(out, (1..=100).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "simulated worker failure on item 13")]
-    fn run_parallel_propagates_the_original_panic_payload() {
-        // The payload must surface verbatim on the caller — not as a
-        // "worker panicked" join error or a poisoned-lock unwrap.
-        run_parallel((0..64u64).collect(), 4, |x| {
-            if x == 13 {
-                panic!("simulated worker failure on item {x}");
-            }
-            x
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "simulated worker failure")]
-    fn run_parallel_propagates_panics_from_multiple_workers() {
-        // Several failing items: still a clean, original-payload panic.
-        run_parallel((0..64u64).collect(), 4, |x| {
-            if x % 2 == 0 {
-                panic!("simulated worker failure on item {x}");
-            }
-            x
-        });
-    }
 
     #[test]
     fn scale_defaults_are_sane() {

@@ -1,4 +1,4 @@
-//! Figure runs as jobs: the job model, JSON partials, and the one
+//! Figure runs as jobs: the job model, text partials, and the one
 //! runner behind `figures`.
 //!
 //! ## Model
@@ -28,25 +28,24 @@
 //!
 //! ## Partials
 //!
-//! The runner writes one machine-readable JSON **partial** per job to
-//! `results/partials/<job>.json` (staged + atomically renamed, so a
-//! killed run never leaves a torn file that parses). Schema
-//! (version [`PARTIAL_SCHEMA`]):
+//! The runner writes one text **partial** per job to
+//! `results/partials/<job>.txt` (staged + atomically renamed, so a
+//! killed run never leaves a torn file behind). One record per line,
+//! fields separated by single spaces (version [`PARTIAL_SCHEMA`]):
 //!
-//! ```json
-//! {"schema": 1, "job": "ev_...", "kind": "eval",
-//!  "points": [{"mix": 1,
-//!              "ipc_bits": [u64, ...], "miss_ns_bits": u64,
-//!              "apt_bits": u64, "row_hit_bits": u64,
-//!              "ipc": [f, ...], "miss_ns": f, "apt": f, "row_hit": f}]}
-//! {"schema": 1, "job": "al_...", "kind": "alone",
-//!  "alone": [{"bench": "gcc", "ipc_bits": u64, "ipc": f}]}
+//! ```text
+//! dca-partial 2 <job id>
+//! <mix> <miss_ns> <apt> <row_hit> <ipc>...    one line per mix (eval job)
+//! <bench> <ipc>                               one line per benchmark (alone job)
+//! end
 //! ```
 //!
-//! Every float is carried twice: `*_bits` is the authoritative IEEE-754
-//! bit pattern (`f64::to_bits`, exact round-trip — the reason a figure
-//! rendered from reused partials is *bit-identical* to a fresh one),
-//! the plain field is a lossy human-readable mirror for debugging.
+//! Every float is written as the 16 hex digits of its IEEE-754 bit
+//! pattern (`f64::to_bits`), an exact round trip: the reason a figure
+//! rendered from reused partials is *bit-identical* to a fresh one.
+//! [`decode_partial`] checks the header, the field count and the hex
+//! form of every line, the exact mix or benchmark coverage in order,
+//! and the final `end` line, so a truncated file is rejected.
 //!
 //! ## The runner
 //!
@@ -70,14 +69,15 @@
 //!    policy), so all those variants of a mix share one group. Groups
 //!    run largest first, by cores × (simulations + 1), the one being the
 //!    warm-up, ties in order of first appearance.
-//! 4. **Run.** [`run_parallel`] hands each thread one whole group. The
-//!    thread builds the group's warm state with
-//!    [`System::capture_warm`], runs each simulation from it, and moves
-//!    it into the last one ([`System::from_warm_owned`]) instead of
-//!    copying it. So no thread waits on another's warm-up, and at most
-//!    one warm state per thread is resident. A job's partial is written
-//!    the moment its last report lands. Ctrl-C simply ends the process:
-//!    a re-run of the same command reuses every partial already written.
+//! 4. **Run.** At most `threads` scoped threads, and no more than there
+//!    are groups, claim whole groups, largest first, through one atomic
+//!    counter. A thread builds the group's warm state with
+//!    [`System::capture_warm`], restores every simulation of the group
+//!    from it with [`System::from_warm`], and drops it when the group
+//!    ends. So no thread waits on another's warm-up, and at most one
+//!    warm state per thread is resident. A job's partial is written the
+//!    moment its last report lands. Ctrl-C simply ends the process: a
+//!    re-run of the same command reuses every partial already written.
 //! 5. **Isolate panics.** A panic while listing a job's simulations,
 //!    building a warm state or running a simulation fails only the jobs
 //!    it touches. They are reported in [`RunOutcome::failed`] while
@@ -91,6 +91,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use dca::{Design, System, SystemReport, WarmState};
@@ -98,10 +99,13 @@ use dca_cpu::{mix, Benchmark};
 use dca_dram_cache::{OrgKind, ReplacementPolicy};
 use dca_sim_core::digest64;
 
-use crate::{run_parallel, summarize, DesignSummary, MainMemKind, MixPoint, RunSpec, Scale};
+use crate::{summarize, DesignSummary, MainMemKind, MixPoint, RunSpec, Scale};
 
 /// Version tag every partial carries; a mismatch invalidates the file.
-pub const PARTIAL_SCHEMA: u64 = 1;
+pub const PARTIAL_SCHEMA: u64 = 2;
+
+/// First word of a partial's header line.
+const PARTIAL_MAGIC: &str = "dca-partial";
 
 /// Default mixes (and alone benchmarks) per job. Small enough that a
 /// figure at the default 8-mix scale yields several jobs per unit for
@@ -600,113 +604,120 @@ fn job_result(payload: &JobPayload, reports: impl IntoIterator<Item = SystemRepo
     }
 }
 
-fn f64_fields(name: &str, v: f64) -> String {
-    format!("\"{name}_bits\": {}, \"{name}\": {v:.6}", v.to_bits())
-}
-
-/// Render a job's partial as JSON (see the module docs for the schema).
+/// Render a job's partial (see the module docs for the format).
 pub fn encode_partial(job_id: &str, result: &JobResult) -> String {
-    let mut out = format!("{{\n  \"schema\": {PARTIAL_SCHEMA},\n  \"job\": \"{job_id}\",\n");
+    let mut out = format!("{PARTIAL_MAGIC} {PARTIAL_SCHEMA} {job_id}\n");
     match result {
         JobResult::Eval(points) => {
-            out.push_str("  \"kind\": \"eval\",\n  \"points\": [");
-            for (i, p) in points.iter().enumerate() {
-                let bits: Vec<String> =
-                    p.core_ipc.iter().map(|v| v.to_bits().to_string()).collect();
-                let readable: Vec<String> = p.core_ipc.iter().map(|v| format!("{v:.6}")).collect();
-                let sep = if i + 1 < points.len() { "," } else { "" };
-                out.push_str(&format!(
-                    "\n    {{\"mix\": {}, \"ipc_bits\": [{}], \"ipc\": [{}], {}, {}, {}}}{}",
-                    p.mix,
-                    bits.join(", "),
-                    readable.join(", "),
-                    f64_fields("miss_ns", p.miss_latency_ns),
-                    f64_fields("apt", p.apt),
-                    f64_fields("row_hit", p.row_hit),
-                    sep
-                ));
+            for p in points {
+                out += &p.mix.to_string();
+                for v in [p.miss_latency_ns, p.apt, p.row_hit]
+                    .iter()
+                    .chain(&p.core_ipc)
+                {
+                    out += &format!(" {:016x}", v.to_bits());
+                }
+                out.push('\n');
             }
-            out.push_str("\n  ]\n}\n");
         }
         JobResult::Alone(rows) => {
-            out.push_str("  \"kind\": \"alone\",\n  \"alone\": [");
-            for (i, (bench, ipc)) in rows.iter().enumerate() {
-                let sep = if i + 1 < rows.len() { "," } else { "" };
-                out.push_str(&format!(
-                    "\n    {{\"bench\": \"{}\", {}}}{}",
-                    bench.name(),
-                    f64_fields("ipc", *ipc),
-                    sep
-                ));
+            for (bench, ipc) in rows {
+                out += &format!("{} {:016x}\n", bench.name(), ipc.to_bits());
             }
-            out.push_str("\n  ]\n}\n");
         }
     }
+    out.push_str("end\n");
     out
 }
 
-/// Parse and validate a partial against the job it must describe:
-/// schema version, job id, result kind, and exact mix/bench coverage
+/// Parse and validate a partial against the job it must describe: the
+/// header's version and job id, every line's field count and hex
+/// fields, exact mix/bench coverage in order and the final `end` line
 /// all have to line up, or the partial is rejected (the runner then
-/// re-runs the job — a stale or foreign file can never leak into a
-/// figure). Which build wrote it is the runner's [`BUILD_STAMP`] check.
+/// re-runs the job — a stale, foreign or truncated file can never leak
+/// into a figure). Which build wrote it is the runner's [`BUILD_STAMP`]
+/// check.
 pub fn decode_partial(text: &str, job: &Job) -> Result<JobResult, String> {
-    let v = json::parse(text)?;
-    if v.get_u64("schema") != Some(PARTIAL_SCHEMA) {
-        return Err(format!("partial schema is not {PARTIAL_SCHEMA}"));
+    let lines: Vec<Vec<&str>> = text
+        .lines()
+        .map(|l| l.split_whitespace().collect())
+        .collect();
+    let [header, body @ .., end] = &lines[..] else {
+        return Err("partial has no header and `end` line".to_string());
+    };
+    match header[..] {
+        [PARTIAL_MAGIC, version, _] if version != PARTIAL_SCHEMA.to_string() => {
+            return Err(format!("partial schema is not {PARTIAL_SCHEMA}"));
+        }
+        [PARTIAL_MAGIC, _, id] if id != job.id => {
+            return Err("partial names a different job".to_string());
+        }
+        [PARTIAL_MAGIC, _, _] => {}
+        _ => {
+            return Err(format!(
+                "partial has no `{PARTIAL_MAGIC} <version> <job>` header"
+            ))
+        }
     }
-    if v.get_str("job") != Some(&job.id) {
-        return Err("partial names a different job".to_string());
+    if end[..] != ["end"] {
+        return Err("partial ends before its `end` line".to_string());
     }
-    match (&job.payload, v.get_str("kind")) {
-        (JobPayload::Eval { mixes, .. }, Some("eval")) => {
-            let points = v
-                .get("points")
-                .and_then(json::Value::as_arr)
-                .ok_or("partial has no points array")?;
-            let mut out = Vec::with_capacity(points.len());
-            for p in points {
-                let ipc_bits = p
-                    .get("ipc_bits")
-                    .and_then(json::Value::as_arr)
-                    .ok_or("point has no ipc_bits")?;
-                out.push(MixPoint {
-                    mix: p.get_u64("mix").ok_or("point has no mix")? as u32,
-                    core_ipc: ipc_bits
-                        .iter()
-                        .map(|b| b.as_u64().map(f64::from_bits).ok_or("bad ipc bits"))
-                        .collect::<Result<_, _>>()?,
-                    miss_latency_ns: p.get_f64_bits("miss_ns_bits").ok_or("bad miss_ns bits")?,
-                    apt: p.get_f64_bits("apt_bits").ok_or("bad apt bits")?,
-                    row_hit: p.get_f64_bits("row_hit_bits").ok_or("bad row_hit bits")?,
-                });
-            }
-            let got: Vec<u32> = out.iter().map(|p| p.mix).collect();
+    match &job.payload {
+        JobPayload::Eval { mixes, .. } => {
+            let points = body
+                .iter()
+                .map(|fields| {
+                    // The mix, three metrics and the IPCs of its four cores.
+                    let [mix, miss_ns, apt, row_hit, ipc0, ipc1, ipc2, ipc3] = fields[..] else {
+                        return Err(format!("mix line has {} fields, not 8", fields.len()));
+                    };
+                    Ok(MixPoint {
+                        mix: mix.parse().map_err(|_| format!("bad mix id {mix:?}"))?,
+                        core_ipc: [ipc0, ipc1, ipc2, ipc3]
+                            .into_iter()
+                            .map(hex_f64)
+                            .collect::<Result<_, _>>()?,
+                        miss_latency_ns: hex_f64(miss_ns)?,
+                        apt: hex_f64(apt)?,
+                        row_hit: hex_f64(row_hit)?,
+                    })
+                })
+                .collect::<Result<Vec<MixPoint>, String>>()?;
+            let got: Vec<u32> = points.iter().map(|p| p.mix).collect();
             if &got != mixes {
                 return Err(format!("partial covers mixes {got:?}, job wants {mixes:?}"));
             }
-            Ok(JobResult::Eval(out))
+            Ok(JobResult::Eval(points))
         }
-        (JobPayload::Alone { benches, .. }, Some("alone")) => {
-            let rows = v
-                .get("alone")
-                .and_then(json::Value::as_arr)
-                .ok_or("partial has no alone array")?;
-            let mut out = Vec::with_capacity(rows.len());
-            for r in rows {
-                let name = r.get_str("bench").ok_or("alone row has no bench")?;
-                let bench = Benchmark::from_name(name)
-                    .ok_or_else(|| format!("unknown benchmark {name:?} in partial"))?;
-                out.push((bench, r.get_f64_bits("ipc_bits").ok_or("bad ipc bits")?));
-            }
-            let got: Vec<Benchmark> = out.iter().map(|(b, _)| *b).collect();
+        JobPayload::Alone { benches, .. } => {
+            let rows = body
+                .iter()
+                .map(|fields| {
+                    let [name, ipc] = fields[..] else {
+                        return Err(format!("alone line has {} fields, not 2", fields.len()));
+                    };
+                    let bench = Benchmark::from_name(name)
+                        .ok_or_else(|| format!("unknown benchmark {name:?} in partial"))?;
+                    Ok((bench, hex_f64(ipc)?))
+                })
+                .collect::<Result<Vec<(Benchmark, f64)>, String>>()?;
+            let got: Vec<Benchmark> = rows.iter().map(|(b, _)| *b).collect();
             if &got != benches {
                 return Err("partial covers different benchmarks than the job".to_string());
             }
-            Ok(JobResult::Alone(out))
+            Ok(JobResult::Alone(rows))
         }
-        (_, kind) => Err(format!("partial kind {kind:?} does not match the job")),
     }
+}
+
+/// The f64 whose bit pattern `field` spells in exactly 16 hex digits.
+fn hex_f64(field: &str) -> Result<f64, String> {
+    if field.len() != 16 || !field.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return Err(format!("{field:?} is not 16 hex digits"));
+    }
+    u64::from_str_radix(field, 16)
+        .map(f64::from_bits)
+        .map_err(|e| e.to_string())
 }
 
 /// Path of `job`'s partial, relative to the harness working directory.
@@ -716,7 +727,7 @@ pub fn partial_path(job_id: &str) -> PathBuf {
 
 /// Path of `job`'s partial under the partials directory `dir`.
 fn partial_in(dir: &Path, job_id: &str) -> PathBuf {
-    dir.join(format!("{job_id}.json"))
+    dir.join(format!("{job_id}.txt"))
 }
 
 /// Write `text` to `path` through a staged temporary and a rename, so
@@ -811,7 +822,7 @@ impl PartialStore {
 // The runner
 // ---------------------------------------------------------------------
 
-/// Harness partials under `dir` (`ev_`/`al_` files ending in `.json`),
+/// Harness partials under `dir` (`ev_`/`al_` files ending in `.txt`),
 /// as `(job id, path)`.
 fn harness_partials(dir: &Path) -> Vec<(String, PathBuf)> {
     let Ok(entries) = std::fs::read_dir(dir) else {
@@ -824,7 +835,7 @@ fn harness_partials(dir: &Path) -> Vec<(String, PathBuf)> {
             let id = path
                 .file_name()?
                 .to_str()?
-                .strip_suffix(".json")?
+                .strip_suffix(".txt")?
                 .to_string();
             (id.starts_with("ev_") || id.starts_with("al_")).then_some((id, path))
         })
@@ -1074,30 +1085,33 @@ pub fn run_jobs(jobs: &[Job], threads: usize, dir: &Path) -> RunOutcome {
             write_partial(dir, &job.id, &text);
         }
     };
-    // Each group yields its size if its warm state was built.
-    let built = run_parallel(groups, threads, |group| {
-        let first = &group[0];
-        let warm = match guarded(|| System::capture_warm(first.spec.config(), &first.benches)) {
-            Ok(warm) => warm,
-            Err(message) => {
-                for sim in &group {
-                    land(sim, Err(message.clone()));
+    // Each thread claims the next unclaimed group until none is left.
+    let next = AtomicUsize::new(0);
+    let warm_built = AtomicUsize::new(0);
+    let warm_reused = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..threads.max(1).min(groups.len()) {
+            scope.spawn(|| {
+                while let Some(group) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let first = &group[0];
+                    let warm =
+                        guarded(|| System::capture_warm(first.spec.config(), &first.benches));
+                    if warm.is_ok() {
+                        warm_built.fetch_add(1, Ordering::Relaxed);
+                        warm_reused.fetch_add(group.len() - 1, Ordering::Relaxed);
+                    }
+                    for sim in group {
+                        let run = |warm: &WarmState| {
+                            guarded(|| {
+                                System::from_warm(sim.spec.config(), &sim.benches, warm).run()
+                            })
+                        };
+                        land(sim, warm.as_ref().map_err(String::clone).and_then(run));
+                    }
                 }
-                return None;
-            }
-        };
-        let (last, rest) = group.split_last().expect("a group has a simulation");
-        for sim in rest {
-            let report =
-                guarded(|| System::from_warm(sim.spec.config(), &sim.benches, &warm).run());
-            land(sim, report);
+            });
         }
-        let report =
-            guarded(|| System::from_warm_owned(last.spec.config(), &last.benches, warm).run());
-        land(last, report);
-        Some(group.len())
     });
-    let built: Vec<usize> = built.into_iter().flatten().collect();
 
     let entries = entries
         .into_inner()
@@ -1113,242 +1127,8 @@ pub fn run_jobs(jobs: &[Job], threads: usize, dir: &Path) -> RunOutcome {
         run,
         reused,
         failed,
-        warm_built: built.len(),
-        warm_reused: built.iter().map(|n| n - 1).sum(),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON (the workspace is offline — no serde)
-// ---------------------------------------------------------------------
-
-/// A tiny recursive-descent JSON reader, just enough for the partial
-/// schema. Numbers are kept as raw text so 64-bit bit patterns round-
-/// trip exactly (no intermediate f64).
-pub mod json {
-    /// A parsed JSON value.
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Value {
-        /// `null`
-        Null,
-        /// `true` / `false`
-        Bool(bool),
-        /// Any number, kept as its source text.
-        Num(String),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object, in source order.
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        /// Member `key` of an object.
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        /// String content, if this is a string.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// Array elements, if this is an array.
-        pub fn as_arr(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(v) => Some(v),
-                _ => None,
-            }
-        }
-
-        /// The number parsed as `u64`.
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Num(s) => s.parse().ok(),
-                _ => None,
-            }
-        }
-
-        /// `get(key)` as a string.
-        pub fn get_str(&self, key: &str) -> Option<&str> {
-            self.get(key).and_then(Value::as_str)
-        }
-
-        /// `get(key)` as a `u64`.
-        pub fn get_u64(&self, key: &str) -> Option<u64> {
-            self.get(key).and_then(Value::as_u64)
-        }
-
-        /// `get(key)` as `f64::from_bits` of a `u64` member.
-        pub fn get_f64_bits(&self, key: &str) -> Option<f64> {
-            self.get_u64(key).map(f64::from_bits)
-        }
-    }
-
-    /// Parse one JSON document (trailing garbage is an error).
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing bytes at offset {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at offset {pos:?}", c as char))
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => {
-                *pos += 1;
-                let mut fields = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let Value::Str(key) = string(b, pos)? else {
-                        unreachable!()
-                    };
-                    expect(b, pos, b':')?;
-                    fields.push((key, value(b, pos)?));
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Value::Obj(fields));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at offset {pos}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                loop {
-                    items.push(value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Value::Arr(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at offset {pos}")),
-                    }
-                }
-            }
-            Some(b'"') => string(b, pos),
-            Some(b't') if b[*pos..].starts_with(b"true") => {
-                *pos += 4;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') if b[*pos..].starts_with(b"false") => {
-                *pos += 5;
-                Ok(Value::Bool(false))
-            }
-            Some(b'n') if b[*pos..].starts_with(b"null") => {
-                *pos += 4;
-                Ok(Value::Null)
-            }
-            Some(c) if c.is_ascii_digit() || *c == b'-' => {
-                let start = *pos;
-                *pos += 1;
-                while *pos < b.len()
-                    && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-                {
-                    *pos += 1;
-                }
-                Ok(Value::Num(
-                    std::str::from_utf8(&b[start..*pos])
-                        .map_err(|_| "bad number".to_string())?
-                        .to_string(),
-                ))
-            }
-            _ => Err(format!("unexpected byte at offset {pos}")),
-        }
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected '\"' at offset {pos}"));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        while let Some(&c) = b.get(*pos) {
-            *pos += 1;
-            match c {
-                b'"' => return Ok(Value::Str(out)),
-                b'\\' => {
-                    let esc = b.get(*pos).copied().ok_or("truncated escape")?;
-                    *pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = b.get(*pos..*pos + 4).ok_or("truncated \\u escape")?;
-                            *pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                        }
-                        _ => return Err(format!("unknown escape \\{}", esc as char)),
-                    }
-                }
-                _ => {
-                    // Re-scan the UTF-8 sequence starting at c.
-                    let start = *pos - 1;
-                    let mut end = *pos;
-                    while end < b.len() && b[end] & 0xC0 == 0x80 {
-                        end += 1;
-                    }
-                    let s = std::str::from_utf8(&b[start..end]).map_err(|_| "bad utf-8")?;
-                    let ch = s.chars().next().ok_or("bad utf-8")?;
-                    out.push(ch);
-                    *pos = start + ch.len_utf8();
-                }
-            }
-        }
-        Err("unterminated string".to_string())
+        warm_built: warm_built.into_inner(),
+        warm_reused: warm_reused.into_inner(),
     }
 }
 
@@ -1433,14 +1213,6 @@ mod tests {
         assert!(alone
             .iter()
             .all(|g| !sa_eval.contains(g) && !dm_eval.contains(g)));
-    }
-
-    #[test]
-    fn json_escape_round_trips_through_parser() {
-        // Every escape the parser knows, plus a raw multi-byte char.
-        let doc = r#"{"k": "a\"b\\c\nd\te\r\u0001\/ü"}"#;
-        let v = json::parse(doc).expect("escaped string parses");
-        assert_eq!(v.get_str("k"), Some("a\"b\\c\nd\te\r\u{1}/ü"));
     }
 
     #[test]
@@ -1539,10 +1311,7 @@ mod tests {
 
     #[test]
     fn partial_json_round_trips_exact_bits() {
-        let job = Job::new(JobPayload::Eval {
-            spec: RunSpec::at_scale(Design::Dca, OrgKind::DirectMapped, &tiny_scale()),
-            mixes: vec![1, 2],
-        });
+        let job = eval_job(vec![1, 2]);
         let points = vec![
             MixPoint {
                 mix: 1,
@@ -1566,60 +1335,144 @@ mod tests {
 
     #[test]
     fn alone_partial_round_trips() {
-        let job = Job::new(JobPayload::Alone {
+        let job = alone_job(vec![Benchmark::Gcc, Benchmark::GemsFDTD]);
+        let rows = vec![(Benchmark::Gcc, 0.7312345), (Benchmark::GemsFDTD, 1.25)];
+        let text = encode_partial(&job.id, &JobResult::Alone(rows.clone()));
+        assert_eq!(decode_partial(&text, &job), Ok(JobResult::Alone(rows)));
+    }
+
+    #[test]
+    fn partials_are_validated_against_the_job() {
+        let [(eval, eval_text), (alone, alone_text)] = sample_partials();
+        // Wrong job, and the other kind.
+        assert!(decode_partial(&eval_text, &eval_job(vec![1, 3])).is_err());
+        assert!(decode_partial(&eval_text, &alone).is_err());
+        assert!(decode_partial(&alone_text, &eval).is_err());
+        // Wrong coverage: a mix missing, mixes or benchmarks out of order.
+        let p = |mix| point(mix, &[1.0, 1.0, 0.5, 1.0]);
+        for points in [vec![p(1)], vec![p(2), p(1)]] {
+            let text = encode_partial(&eval.id, &JobResult::Eval(points));
+            assert!(decode_partial(&text, &eval).is_err(), "{text}");
+        }
+        let swapped = vec![(Benchmark::GemsFDTD, 1.0), (Benchmark::Gcc, 1.0)];
+        let text = encode_partial(&alone.id, &JobResult::Alone(swapped));
+        assert!(decode_partial(&text, &alone).is_err(), "{text}");
+        // Garbage, no text, and a wrong or the previous schema version.
+        for (job, text) in [(&eval, eval_text), (&alone, alone_text)] {
+            assert!(decode_partial("{not a partial", job).is_err());
+            assert!(decode_partial("", job).is_err());
+            for version in ["99", "1"] {
+                let bad = text.replacen("dca-partial 2 ", &format!("dca-partial {version} "), 1);
+                assert!(decode_partial(&bad, job).is_err(), "{bad}");
+            }
+        }
+    }
+
+    fn eval_job(mixes: Vec<u32>) -> Job {
+        let spec = RunSpec::at_scale(Design::Dca, OrgKind::DirectMapped, &tiny_scale());
+        Job::new(JobPayload::Eval { spec, mixes })
+    }
+
+    fn alone_job(benches: Vec<Benchmark>) -> Job {
+        Job::new(JobPayload::Alone {
             org: OrgKind::paper_set_assoc(),
             insts: 3_000,
             warmup: 6_000,
             seed: DEFAULT_SEED,
             main_mem: MainMemKind::Flat,
-            benches: vec![Benchmark::Gcc, Benchmark::GemsFDTD],
-        });
-        let rows = vec![(Benchmark::Gcc, 0.7312345), (Benchmark::GemsFDTD, 1.25)];
-        let text = encode_partial(&job.id, &JobResult::Alone(rows.clone()));
-        assert_eq!(
-            decode_partial(&text, &job).expect("valid"),
-            JobResult::Alone(rows)
+            benches,
+        })
+    }
+
+    /// A point of `mix` with IPCs `v` (four cores) and metrics `v[..3]`.
+    fn point(mix: u32, v: &[f64]) -> MixPoint {
+        MixPoint {
+            mix,
+            core_ipc: v.to_vec(),
+            miss_latency_ns: v[0],
+            apt: v[1],
+            row_hit: v[2],
+        }
+    }
+
+    /// A valid eval partial over mixes 1 and 2 and a valid alone partial
+    /// over two benchmarks, each with its job.
+    fn sample_partials() -> [(Job, String); 2] {
+        let (eval, alone) = (
+            eval_job(vec![1, 2]),
+            alone_job(vec![Benchmark::Gcc, Benchmark::GemsFDTD]),
         );
+        let points = vec![point(1, &[150.0, 3.5, 0.75, 0.25]), point(2, &[0.5; 4])];
+        let rows = vec![(Benchmark::Gcc, 0.75), (Benchmark::GemsFDTD, 1.25)];
+        let eval_text = encode_partial(&eval.id, &JobResult::Eval(points));
+        let alone_text = encode_partial(&alone.id, &JobResult::Alone(rows));
+        [(eval, eval_text), (alone, alone_text)]
     }
 
     #[test]
-    fn partials_are_validated_against_the_job() {
-        let scale = tiny_scale();
-        let job = Job::new(JobPayload::Eval {
-            spec: RunSpec::at_scale(Design::Cd, OrgKind::DirectMapped, &scale),
-            mixes: vec![1, 2],
-        });
-        let other = Job::new(JobPayload::Eval {
-            spec: RunSpec::at_scale(Design::Rod, OrgKind::DirectMapped, &scale),
-            mixes: vec![1, 2],
-        });
-        let point = MixPoint {
-            mix: 1,
-            core_ipc: vec![1.0; 4],
-            miss_latency_ns: 1.0,
-            apt: 1.0,
-            row_hit: 0.5,
+    fn every_prefix_before_the_end_line_is_rejected() {
+        for (job, text) in sample_partials() {
+            assert!(decode_partial(&text, &job).is_ok(), "{text}");
+            // Up to and including a torn `en`: the file stops before its
+            // `end` line is whole.
+            let end = text.rfind("end\n").expect("an end line");
+            for cut in 0..end + 3 {
+                assert!(decode_partial(&text[..cut], &job).is_err(), "{cut} bytes");
+            }
+            // Nor may anything follow `end`.
+            assert!(decode_partial(&format!("{text}end\n"), &job).is_err());
+        }
+    }
+
+    #[test]
+    fn short_long_and_non_hex_fields_are_rejected() {
+        for (job, text) in sample_partials() {
+            let line = text.lines().nth(1).expect("a first record");
+            let field = line.split(' ').nth(1).expect("a hex field");
+            let digits = &field[1..];
+            for edit in [
+                digits.to_string(),
+                format!("{field}0"),
+                format!("+{digits}"),
+                format!("{digits}g"),
+                format!("{field} {field}"),
+                String::new(),
+            ] {
+                let bad = text.replacen(line, &line.replacen(field, &edit, 1), 1);
+                assert!(decode_partial(&bad, &job).is_err(), "{bad}");
+            }
+        }
+    }
+
+    #[test]
+    fn special_floats_round_trip_bit_for_bit() {
+        let specials = [
+            -0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 4.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(0x7ff8_0000_dead_beef),
+            f64::from_bits(0xfff0_0000_0000_0001),
+        ];
+        let bits = |vs: &[f64]| vs.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        let eval = eval_job(vec![1]);
+        for v in specials.windows(4) {
+            let text = encode_partial(&eval.id, &JobResult::Eval(vec![point(1, v)]));
+            let Ok(JobResult::Eval(back)) = decode_partial(&text, &eval) else {
+                panic!("{text}");
+            };
+            let p = &back[0];
+            assert_eq!(bits(&p.core_ipc), bits(v), "{text}");
+            assert_eq!(bits(&[p.miss_latency_ns, p.apt, p.row_hit]), bits(&v[..3]));
+        }
+        let alone = alone_job(vec![Benchmark::Gcc; specials.len()]);
+        let rows = specials.iter().map(|&v| (Benchmark::Gcc, v)).collect();
+        let text = encode_partial(&alone.id, &JobResult::Alone(rows));
+        let Ok(JobResult::Alone(back)) = decode_partial(&text, &alone) else {
+            panic!("{text}");
         };
-        let text = encode_partial(&job.id, &JobResult::Eval(vec![point.clone()]));
-        // Wrong job.
-        assert!(decode_partial(&text, &other).is_err());
-        // Wrong mix coverage (job wants 1 and 2, partial has only 1).
-        assert!(decode_partial(&text, &job).is_err());
-        // Garbage.
-        assert!(decode_partial("{not json", &job).is_err());
-        // Wrong schema version.
-        let bad = text.replacen("\"schema\": 1", "\"schema\": 99", 1);
-        assert!(decode_partial(&bad, &job).is_err());
-    }
-
-    #[test]
-    fn json_parser_handles_the_basics() {
-        let v = json::parse(r#"{"a": [1, -2.5e3], "b": "x\n\"y\" é", "c": true}"#).unwrap();
-        assert_eq!(v.get_u64("a"), None);
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0].as_u64(), Some(1));
-        assert_eq!(v.get_str("b"), Some("x\n\"y\" é"));
-        assert_eq!(v.get("c"), Some(&json::Value::Bool(true)));
-        assert!(json::parse("{\"a\": 1} trailing").is_err());
-        assert!(json::parse("[1, ").is_err());
+        let back: Vec<f64> = back.iter().map(|&(_, v)| v).collect();
+        assert_eq!(bits(&back), bits(&specials));
     }
 }

@@ -9,10 +9,10 @@
 //! for different keys warm in parallel.
 //!
 //! The figure runner, [`shard::run_jobs`](crate::shard::run_jobs), does
-//! not use this cache: it hands each thread a whole group of
-//! simulations sharing one warm state, which the thread builds, reuses
-//! and finally moves into the group's last run. The cache serves the
-//! in-process callers of `run_benches` and `run_mix`, and the
+//! not use this cache: each of its threads takes a whole group of
+//! simulations sharing one warm state, which the thread builds, restores
+//! every simulation of the group from, and drops when the group ends.
+//! The cache serves the in-process callers of `run_benches`, and the
 //! integration tests' simulation memo (`tests/common/mod.rs`): tests
 //! and [`shard::execute_job`](crate::shard::execute_job), the serial
 //! reference for one job's result that perfbench's trace mode replays.

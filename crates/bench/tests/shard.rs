@@ -1,7 +1,7 @@
 //! End-to-end tests of the figure runner: the `figures` binary is
 //! driven as a real subprocess against scratch working directories, and
-//! its output with no flag, `--jobs 1` and `--jobs 2` is compared byte
-//! for byte. Covers partial reuse (resume, a corrupt partial, a second
+//! its output with no flag, `--jobs 1`, `--jobs 2` and `--jobs 8` is
+//! compared byte for byte. Covers partial reuse (resume, a corrupt partial, a second
 //! figure sharing jobs), a killed run that resumes, partials from
 //! another build, orphan pruning, and, through `shard::run_jobs`
 //! directly, partials equal to each job's serial result and panics
@@ -90,25 +90,13 @@ fn jobs_of(fig: &str) -> Vec<Job> {
     plan_jobs(std::slice::from_ref(&plan), DEFAULT_CHUNK)
 }
 
-/// The runner's guarantee: the thread count never changes a byte of
-/// the figure files or builds a warm state twice, a re-run against the
-/// partials on disk runs nothing, a corrupt partial is re-run, and a
-/// second figure in the same directory runs only the jobs the first
-/// did not write.
-#[test]
-fn thread_counts_are_bit_identical_and_partials_resume() {
-    let runs: [(&str, &[&str]); 3] = [
-        ("default", &[]),
-        ("jobs1", &["--jobs", "1"]),
-        ("jobs2", &["--jobs", "2"]),
-    ];
-    let dirs: Vec<PathBuf> = runs.iter().map(|(tag, _)| scratch(tag)).collect();
-    let jobs = jobs_of("fig14");
-    // fig14 is one organisation and one policy: every design of a mix
-    // shares the mix's warm state, and each alone run has its own.
+/// The warm states `jobs` restore from, and how many of their
+/// simulations reuse one: the `figures` line `N warm-ups built, M
+/// reused` for a run of exactly these jobs.
+fn warm_counts(jobs: &[&Job]) -> String {
     let mut keys = BTreeSet::new();
     let mut requests = 0;
-    for job in &jobs {
+    for job in jobs {
         match &job.payload {
             JobPayload::Eval { mixes, .. } => {
                 requests += mixes.len();
@@ -120,11 +108,32 @@ fn thread_counts_are_bit_identical_and_partials_resume() {
             }
         }
     }
-    let built_once = format!(
+    format!(
         "{} warm-ups built, {} reused",
         keys.len(),
         requests - keys.len()
-    );
+    )
+}
+
+/// The runner's guarantee: the thread count never changes a byte of
+/// the figure files or builds a warm state twice, a re-run against the
+/// partials on disk runs nothing, a torn partial is re-run, and a
+/// second figure in the same directory runs only the jobs the first
+/// did not write. fig12's fresh jobs after fig14 share two warm states,
+/// so there `--jobs 8` has more threads than warm groups.
+#[test]
+fn thread_counts_are_bit_identical_and_partials_resume() {
+    let runs: [(&str, &[&str]); 4] = [
+        ("default", &[]),
+        ("jobs1", &["--jobs", "1"]),
+        ("jobs2", &["--jobs", "2"]),
+        ("jobs8", &["--jobs", "8"]),
+    ];
+    let dirs: Vec<PathBuf> = runs.iter().map(|(tag, _)| scratch(tag)).collect();
+    let jobs = jobs_of("fig14");
+    // fig14 is one organisation and one policy: every design of a mix
+    // shares the mix's warm state, and each alone run has its own.
+    let built_once = warm_counts(&jobs.iter().collect::<Vec<_>>());
     for (dir, (_, flags)) in dirs.iter().zip(&runs) {
         let out = run_ok(figures_cmd(dir).arg("--fig14").args(*flags));
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -154,9 +163,10 @@ fn thread_counts_are_bit_identical_and_partials_resume() {
     );
     assert_eq!(reference, read_outputs(dir, "fig14"));
 
-    // A corrupted partial is detected, re-run, and heals.
+    // A torn partial (its first half) is detected, re-run, and heals.
     let victim = dir.join(partial_path(&jobs[jobs.len() - 1].id));
-    std::fs::write(&victim, b"{\"schema\": 1, \"job\": \"torn").expect("corrupt partial");
+    let whole = std::fs::read(&victim).expect("the last job's partial");
+    std::fs::write(&victim, &whole[..whole.len() / 2]).expect("tear the partial");
     let out = run_ok(figures_cmd(dir).args(["--fig14", "--jobs", "2"]));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
@@ -170,15 +180,25 @@ fn thread_counts_are_bit_identical_and_partials_resume() {
     // are byte-identical whatever the thread count.
     let fig14: BTreeSet<String> = jobs.iter().map(|j| j.id.clone()).collect();
     let fig12_jobs = jobs_of("fig12");
-    let reused = fig12_jobs.iter().filter(|j| fig14.contains(&j.id)).count();
-    let fresh = fig12_jobs.len() - reused;
+    let fresh_jobs: Vec<&Job> = fig12_jobs
+        .iter()
+        .filter(|j| !fig14.contains(&j.id))
+        .collect();
+    let fresh = fresh_jobs.len();
+    let reused = fig12_jobs.len() - fresh;
     assert_eq!((fresh, reused), (4, 6), "fig12's plan drifted");
+    let fresh_warm = warm_counts(&fresh_jobs);
+    assert!(fresh_warm.starts_with("2 warm-ups built"), "{fresh_warm}");
     for (dir, (_, flags)) in dirs.iter().zip(&runs) {
         let out = run_ok(figures_cmd(dir).arg("--fig12").args(*flags));
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
             stderr.contains(&format!("{fresh} jobs run, {reused} reused")),
             "fig12 with {flags:?} must run {fresh} jobs and reuse {reused}:\n{stderr}"
+        );
+        assert!(
+            stderr.contains(&fresh_warm),
+            "fig12 with {flags:?} must build each warm state once ({fresh_warm}):\n{stderr}"
         );
         assert_eq!(
             read_outputs(&dirs[0], "fig12"),
@@ -224,7 +244,7 @@ fn killed_run_resumes_from_its_partials() {
         std::fs::read_dir(dir).map_or(0, |entries| {
             entries
                 .flatten()
-                .filter(|e| e.file_name().to_string_lossy().ends_with(".json"))
+                .filter(|e| e.file_name().to_string_lossy().ends_with(".txt"))
                 .count()
         })
     };
@@ -368,8 +388,8 @@ fn orphan_partials_are_pruned_and_foreign_files_kept() {
         .map(|j| j.id)
         .find(|id| !fig14.contains(id))
         .expect("a fig12-only job id");
-    let orphan = partials.join(format!("{foreign_job}.json"));
-    std::fs::write(&orphan, b"{}").expect("plant orphan");
+    let orphan = partials.join(format!("{foreign_job}.txt"));
+    std::fs::write(&orphan, b"end\n").expect("plant orphan");
     // Not a job partial at all → must survive untouched.
     let notes = partials.join("notes.txt");
     std::fs::write(&notes, b"keep me").expect("plant notes");
@@ -404,7 +424,7 @@ fn runner_partials_match_serial_execution() {
         assert!(outcome.failed.is_empty(), "{:?}", outcome.failed);
         assert_eq!((outcome.run, outcome.reused), (jobs.len(), 0));
         for (job, want) in jobs.iter().zip(&reference) {
-            let text = std::fs::read_to_string(dir.join(format!("{}.json", job.id)))
+            let text = std::fs::read_to_string(dir.join(format!("{}.txt", job.id)))
                 .unwrap_or_else(|e| panic!("{} must have a partial: {e}", job.id));
             assert_eq!(
                 decode_partial(&text, job).as_ref(),
@@ -455,7 +475,7 @@ fn a_panicking_job_is_isolated() {
     let warmup = message(&bad_warmup.id);
     assert!(warmup.contains("fill the 60 data slots"), "{warmup}");
     for job in &jobs {
-        let path = dir.join(format!("{}.json", job.id));
+        let path = dir.join(format!("{}.txt", job.id));
         if job.id == bad.id || job.id == bad_warmup.id {
             assert!(!path.exists(), "{} failed and has no partial", job.id);
             continue;

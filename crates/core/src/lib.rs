@@ -90,10 +90,8 @@
 //!   `WarmState`, skipping warm-up: it rebuilds the dense tag array
 //!   first, then copies the rest. The run is bit-for-bit identical to a
 //!   cold [`System::new`] (asserted by
-//!   `tests/warm_checkpoint_equivalence.rs` on every CI run).
-//! * [`System::from_warm_owned`] does the same for the last user of a
-//!   warm state, taking its components instead of copying them and
-//!   dropping the tag snapshot.
+//!   `tests/warm_checkpoint_equivalence.rs` on every CI run). It is the
+//!   only way to restore one.
 //!
 //! Both [`System::new`] and [`System::capture_warm`] warm up through one
 //! two-stage pipeline over batches of ops. A helper thread draws each
@@ -111,9 +109,10 @@
 //!
 //! A warm state lives only in the memory of the process that captured
 //! it. The `dca-bench` figure runner builds each warm state once per
-//! group of runs sharing it and moves it into the group's last run;
-//! `dca-bench`'s process-wide, in-memory `WarmCache` shares warm-ups
-//! between in-process callers of `RunSpec::run_benches`.
+//! group of runs sharing it, restores every run of the group from it
+//! and drops it when the group ends; `dca-bench`'s process-wide,
+//! in-memory `WarmCache` shares warm-ups between in-process callers of
+//! `RunSpec::run_benches`.
 //!
 //! ```
 //! use dca::{Design, SystemConfig, System};

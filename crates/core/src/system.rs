@@ -624,48 +624,11 @@ impl System {
             predictor: warm.predictor.clone(),
             gens: warm.gens.clone(),
         };
-        Self::restore(cfg, benches, warm.fingerprint(), hier)
-    }
-
-    /// [`System::from_warm`] for the last user of a warm state: the
-    /// system takes `warm`'s components instead of copying them, and the
-    /// tag snapshot is dropped once the dense array is rebuilt. Same
-    /// checks, same run.
-    ///
-    /// # Panics
-    /// Exactly where [`System::from_warm`] panics.
-    pub fn from_warm_owned(cfg: SystemConfig, benches: &[Benchmark], warm: WarmState) -> Self {
-        let tags = warm.tags.to_dense();
-        let fingerprint = warm.fingerprint();
-        let WarmState {
-            l1,
-            l2,
-            predictor,
-            gens,
-            ..
-        } = warm;
-        let hier = HierState {
-            l1,
-            l2,
-            tags,
-            predictor,
-            gens,
-        };
-        Self::restore(cfg, benches, fingerprint, hier)
-    }
-
-    /// The checks [`System::from_warm`] documents, on a hierarchy
-    /// restored from a warm state keyed `fingerprint`, then assembly.
-    fn restore(
-        cfg: SystemConfig,
-        benches: &[Benchmark],
-        fingerprint: u64,
-        hier: HierState,
-    ) -> Self {
         let need = WarmState::fingerprint_for(&cfg, benches);
+        let captured = warm.fingerprint();
         assert!(
-            fingerprint == need,
-            "warm-state fingerprint mismatch: captured {fingerprint:#018x}, need {need:#018x}"
+            captured == need,
+            "warm-state fingerprint mismatch: captured {captured:#018x}, need {need:#018x}"
         );
         let geom = CacheGeometry::new(cfg.org_kind, cfg.dram_org, cfg.mapping);
         assert_eq!(hier.l1.len(), benches.len(), "warm-state core count");

@@ -95,10 +95,8 @@ const MAGIC: &[u8; 8] = b"DCAWARM\0";
 /// the system: per-core L1s, the shared L2, the DRAM-cache tag array,
 /// the MAP-I predictor and the per-core workload generators (with their
 /// RNG cursors). Captured by
-/// [`System::capture_warm`](crate::System::capture_warm), consumed by
-/// [`System::from_warm`](crate::System::from_warm) (a copy) or
-/// [`System::from_warm_owned`](crate::System::from_warm_owned) (by
-/// value).
+/// [`System::capture_warm`](crate::System::capture_warm) and restored,
+/// as a copy, by [`System::from_warm`](crate::System::from_warm).
 #[derive(Clone, Debug)]
 pub struct WarmState {
     fingerprint: u64,

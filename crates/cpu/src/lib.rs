@@ -49,6 +49,6 @@ pub use stream::OpStream;
 pub use trace::{TraceGen, TraceOp};
 pub use tracefile::{
     decode_trace, dump_synthetic, encode_trace, register_trace_bytes, register_trace_file,
-    write_trace, TraceEncoding, TraceError, TraceId, TraceReader, TraceRecord,
+    TraceEncoding, TraceError, TraceId, TraceReader, TraceRecord,
 };
 pub use workload::{mix, mix_names, register_mix, Mix, CUSTOM_MIX_BASE, TABLE1_MIXES};

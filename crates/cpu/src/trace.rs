@@ -47,7 +47,7 @@ const MAX_WS_BLOCKS: u64 = 1 << 32;
 pub const STREAM_ALIGN: u64 = 3840;
 
 /// Deterministic generator of one benchmark's op stream.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct TraceGen {
     profile: Profile,
     rng: Prng,
@@ -60,8 +60,8 @@ pub struct TraceGen {
     /// Chase cursors (chase pattern).
     chains: Vec<u64>,
     /// Far-reuse history: recent fresh blocks (region-relative, below
-    /// [`MAX_WS_BLOCKS`]). Reserved at full size by [`TraceGen::new`],
-    /// so filling it never reallocates.
+    /// [`MAX_WS_BLOCKS`]). Reserved at full size by [`TraceGen::new`]
+    /// and by `clone`, so filling it never reallocates.
     history: Vec<u32>,
     /// Ring write cursor for `history` once full.
     hist_slot: usize,
@@ -69,6 +69,41 @@ pub struct TraceGen {
     pick: u64,
     /// Ops generated.
     count: u64,
+}
+
+/// A copy that reserves the full history ring, as [`TraceGen::new`]
+/// does. A derived `Clone` would copy only the ring's length, so a
+/// generator restored from a warm state would regrow its ring during
+/// the run.
+impl Clone for TraceGen {
+    fn clone(&self) -> Self {
+        let Self {
+            profile,
+            rng,
+            base,
+            streams,
+            seg_len,
+            chains,
+            history,
+            hist_slot,
+            pick,
+            count,
+        } = self;
+        let mut ring = Vec::with_capacity(HISTORY);
+        ring.extend_from_slice(history);
+        TraceGen {
+            profile: *profile,
+            rng: rng.clone(),
+            base: *base,
+            streams: streams.clone(),
+            seg_len: *seg_len,
+            chains: chains.clone(),
+            history: ring,
+            hist_slot: *hist_slot,
+            pick: *pick,
+            count: *count,
+        }
+    }
 }
 
 impl TraceGen {
@@ -187,6 +222,30 @@ impl TraceGen {
         }
     }
 
+    /// The next op of the stream the round-robin counter picks. The
+    /// cursor advances within the stream's segment and wraps at its end,
+    /// so the streams stay in lockstep alignment. Draws nothing from the
+    /// RNG.
+    fn stream_op(&mut self, gap: u32, is_store: bool, bench_pc_base: u32) -> TraceOp {
+        let s = (self.pick % self.streams.len() as u64) as usize;
+        let pos = self.streams[s];
+        let seg_start = s as u64 * self.seg_len;
+        let next = pos + 1;
+        self.streams[s] = if next >= seg_start + self.seg_len || next >= self.profile.ws_blocks {
+            seg_start
+        } else {
+            next
+        };
+        TraceOp {
+            gap,
+            is_store,
+            block: self.base + pos,
+            pc: bench_pc_base + s as u32 * 16 + is_store as u32,
+            dependent: false,
+            chain: 0,
+        }
+    }
+
     /// Produce the next op.
     pub fn next_op(&mut self) -> TraceOp {
         self.count += 1;
@@ -215,27 +274,7 @@ impl TraceGen {
         }
 
         let op = match self.profile.pattern {
-            Pattern::Stream { .. } => {
-                let s = (self.pick % self.streams.len() as u64) as usize;
-                let pos = self.streams[s];
-                // Advance within this stream's segment, wrapping at its
-                // end — streams stay in lockstep alignment.
-                let seg_start = s as u64 * self.seg_len;
-                let next = pos + 1;
-                self.streams[s] = if next >= seg_start + self.seg_len || next >= ws {
-                    seg_start
-                } else {
-                    next
-                };
-                TraceOp {
-                    gap,
-                    is_store,
-                    block: self.base + pos,
-                    pc: bench_pc_base + s as u32 * 16 + is_store as u32,
-                    dependent: false,
-                    chain: 0,
-                }
-            }
+            Pattern::Stream { .. } => self.stream_op(gap, is_store, bench_pc_base),
             Pattern::Chase { .. } => {
                 let c = (self.pick % self.chains.len() as u64) as usize;
                 let cur = self.chains[c];
@@ -265,23 +304,7 @@ impl TraceGen {
             }
             Pattern::Mixed { stream_prob } => {
                 if self.rng.gen_bool(stream_prob) {
-                    let s = (self.pick % self.streams.len() as u64) as usize;
-                    let pos = self.streams[s];
-                    let seg_start = s as u64 * self.seg_len;
-                    let next = pos + 1;
-                    self.streams[s] = if next >= seg_start + self.seg_len || next >= ws {
-                        seg_start
-                    } else {
-                        next
-                    };
-                    TraceOp {
-                        gap,
-                        is_store,
-                        block: self.base + pos,
-                        pc: bench_pc_base + s as u32 * 16 + is_store as u32,
-                        dependent: false,
-                        chain: 0,
-                    }
+                    self.stream_op(gap, is_store, bench_pc_base)
                 } else {
                     let pos = self.rng.gen_range(0..ws);
                     TraceOp {
@@ -481,6 +504,36 @@ mod tests {
         let mut profile = Benchmark::Mcf.profile();
         profile.ws_blocks = MAX_WS_BLOCKS + 1;
         TraceGen::new(profile, 0, 3);
+    }
+
+    #[test]
+    fn a_clone_reserves_the_full_history_and_continues_the_stream() {
+        // One benchmark per pattern: stream, chase and mixed.
+        for bench in [Benchmark::Libquantum, Benchmark::Mcf, Benchmark::Gcc] {
+            let mut original = gen_for(bench, 5);
+            for _ in 0..5_000 {
+                original.next_op();
+            }
+            let len = original.history.len();
+            assert!(len > 0 && len < HISTORY, "{bench:?}: {len} entries");
+            let mut copy = original.clone();
+            assert_eq!(copy.history.capacity(), HISTORY, "{bench:?}");
+            let bytes = |g: &TraceGen| {
+                let mut w = ByteWriter::new();
+                g.encode(&mut w);
+                w.into_vec()
+            };
+            assert_eq!(bytes(&original), bytes(&copy), "{bench:?}");
+            for i in 0..10_000 {
+                let (a, b) = (original.next_op(), copy.next_op());
+                assert_eq!(
+                    (a.gap, a.is_store, a.block, a.pc, a.dependent, a.chain),
+                    (b.gap, b.is_store, b.block, b.pc, b.dependent, b.chain),
+                    "{bench:?}: op {i} after the clone"
+                );
+            }
+            assert_eq!(bytes(&original), bytes(&copy), "{bench:?}");
+        }
     }
 
     #[test]

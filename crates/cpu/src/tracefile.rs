@@ -284,16 +284,6 @@ pub fn decode_trace(bytes: &[u8]) -> Result<Vec<TraceRecord>, TraceError> {
     Ok(records)
 }
 
-/// Write records to `path` in the on-disk format.
-pub fn write_trace(
-    path: impl AsRef<Path>,
-    records: &[TraceRecord],
-    encoding: TraceEncoding,
-) -> Result<(), TraceError> {
-    std::fs::write(path, encode_trace(records, encoding))?;
-    Ok(())
-}
-
 /// Run `bench`'s synthetic generator for `ops` operations and collect
 /// the stream as trace records (the `tracegen-dump` utility's engine,
 /// also used by the round-trip self-tests).

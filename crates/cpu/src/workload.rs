@@ -2,8 +2,8 @@
 //! runtime-registered custom mixes (the entry point for trace-file
 //! workloads: register traces with
 //! [`crate::tracefile::register_trace_file`], bundle the handles into a
-//! mix with [`register_mix`], and every harness path that runs a mix
-//! id through `RunSpec::run_mix` runs it unchanged).
+//! mix with [`register_mix`], and every harness path that resolves a
+//! mix id through [`mix`] runs it unchanged).
 
 use std::sync::{Mutex, OnceLock};
 

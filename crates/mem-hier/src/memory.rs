@@ -31,7 +31,10 @@
 
 use std::collections::VecDeque;
 
-use dca_dram::{AccessKind, BurstLen, DramAccess, DramChannel, Organization, TimingParams};
+use dca_dram::{
+    AccessKind, AddressMapper, BurstLen, DramAccess, DramChannel, MappingScheme, Organization,
+    TimingParams,
+};
 use dca_sched::{AccessQueue, FrFcfs, QueueEntry, ReadClass, MAX_BANKS, MAX_CAPACITY};
 use dca_sim_core::{Counter, Duration, FastHashMap, SimTime};
 
@@ -149,16 +152,6 @@ impl MainMemStats {
             self.row_hits as f64 / total as f64
         }
     }
-
-    /// Mean queue wait per issued access, in nanoseconds (0 for flat).
-    pub fn mean_queue_wait_ns(&self) -> f64 {
-        let total = self.reads + self.writes;
-        if total == 0 {
-            0.0
-        } else {
-            self.queue_wait_ps as f64 / total as f64 / 1000.0
-        }
-    }
 }
 
 /// The seed main-memory model: fixed latency + bus serialisation.
@@ -208,6 +201,8 @@ pub struct MemArrival {
 #[derive(Debug)]
 pub struct CycleMemory {
     timing: TimingParams,
+    /// [`CYCLE_ORG`]'s row frames → (channel, bank, row).
+    mapper: AddressMapper,
     channels: Vec<DramChannel>,
     queues: Vec<AccessQueue>,
     spill: Vec<VecDeque<QueueEntry>>,
@@ -226,6 +221,7 @@ impl CycleMemory {
         let channels = CYCLE_ORG.channels;
         CycleMemory {
             timing,
+            mapper: AddressMapper::new(&CYCLE_ORG, MappingScheme::Direct),
             channels: (0..channels)
                 .map(|_| DramChannel::new(timing, &CYCLE_ORG))
                 .collect(),
@@ -245,16 +241,13 @@ impl CycleMemory {
 
     /// Map a 64-byte block address onto (channel, bank, row) in
     /// row:bank:channel:column order (RoBaChCo, the paper's order minus
-    /// the rank level the preset does not use).
+    /// the rank level the preset does not use): the block's row frame,
+    /// wrapped onto the device, through the direct [`AddressMapper`].
     fn locate(&self, block: u64) -> (usize, u32, u32) {
-        let org = CYCLE_ORG;
-        let blocks_per_row = (org.row_bytes / 64).max(1) as u64;
-        let frame = block / blocks_per_row;
-        let ch = (frame % org.channels as u64) as usize;
-        let above = frame / org.channels as u64;
-        let bank = (above % org.banks_per_channel() as u64) as u32;
-        let row = ((above / org.banks_per_channel() as u64) % org.rows_per_bank as u64) as u32;
-        (ch, bank, row)
+        let blocks_per_row = (CYCLE_ORG.row_bytes / 64).max(1) as u64;
+        let frame = block / blocks_per_row % self.mapper.frames();
+        let loc = self.mapper.locate(frame);
+        (loc.channel as usize, loc.bank, loc.row)
     }
 
     fn enqueue(&mut self, kind: AccessKind, block: u64, token: Option<u64>, now: SimTime) {

@@ -48,16 +48,6 @@ impl LatencyStat {
         self.mean.merge(&other.mean);
         self.hist.merge(&other.hist);
     }
-
-    /// Latency *improvement* of this stat relative to `baseline`, as the
-    /// ratio `baseline_mean / self_mean` (>1 means faster than baseline).
-    /// This is the Figs 12–13 metric.
-    pub fn improvement_over(&self, baseline: &LatencyStat) -> f64 {
-        if self.mean_ns() <= 0.0 {
-            return 1.0;
-        }
-        baseline.mean_ns() / self.mean_ns()
-    }
 }
 
 #[cfg(test)]
@@ -76,16 +66,6 @@ mod tests {
         l.record(t(0), t(400));
         assert_eq!(l.count(), 3);
         assert!((l.mean_ns() - 200.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn improvement_ratio() {
-        let mut fast = LatencyStat::new();
-        let mut slow = LatencyStat::new();
-        fast.record_duration(Duration::from_ns(100));
-        slow.record_duration(Duration::from_ns(150));
-        assert!((fast.improvement_over(&slow) - 1.5).abs() < 1e-12);
-        assert!(slow.improvement_over(&fast) < 1.0);
     }
 
     #[test]

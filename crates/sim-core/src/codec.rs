@@ -93,11 +93,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Write a `bool` as one strict `0`/`1` byte.
-    pub fn put_bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-
     /// Write an `f64` as its IEEE-754 bit pattern (exact round trip).
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
@@ -221,8 +216,8 @@ mod tests {
         w.put_u16(0xBEEF);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(0x0123_4567_89AB_CDEF);
-        w.put_bool(true);
-        w.put_bool(false);
+        w.put_u8(1);
+        w.put_u8(0);
         w.put_f64(-1.5e300);
         w.put_bytes(b"DCAW");
         let buf = w.into_vec();

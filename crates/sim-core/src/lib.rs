@@ -108,7 +108,7 @@ pub mod time;
 
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use events::{BaselineEventQueue, EventQueue};
-pub use hash::{digest64, FastBuildHasher, FastHashMap, FastHasher};
+pub use hash::{digest64, FastHashMap};
 pub use rng::SeedSplitter;
 pub use slab::{Slab, SlabKey};
 pub use stats::{Counter, Histogram, RunningMean};

@@ -259,5 +259,4 @@ fn cycle_backend_reports_device_behaviour() {
     assert!(s.row_hit_rate() >= 0.0 && s.row_hit_rate() <= 1.0);
     assert!(s.busy_ps > 0, "bursts occupy the data bus");
     assert!(s.peak_queue > 0, "bursty misses must queue");
-    assert!(s.mean_queue_wait_ns() >= 0.0);
 }

@@ -1,7 +1,7 @@
 //! End-to-end coverage of the trace-file workload front-end: the
 //! checked-in fixture must round-trip bit-for-bit and reproduce from
 //! its generator recipe, a trace-driven mix must run through the real
-//! harness path (`RunSpec::run_mix` + warm-cache reuse) with results
+//! harness path (`RunSpec::run_benches` + warm-cache reuse) with results
 //! identical to a cold run, and malformed inputs must surface as typed
 //! errors, never panics.
 
@@ -67,10 +67,10 @@ fn trace_mix_runs_through_run_mix_with_warm_reuse() {
     assert!(mix(m.id).benches[0].is_trace());
     let spec = harness_spec();
 
-    // The real harness path: run_mix resolves the registered mix and
-    // shares the functional warm-up through the global WarmCache.
-    // Warm-cached and cold runs must be indistinguishable.
-    let warm = spec.run_mix(m.id);
+    // The real harness path: run_benches shares the functional warm-up
+    // of the registered mix through the global WarmCache. Warm-cached
+    // and cold runs must be indistinguishable.
+    let warm = spec.run_benches(&mix(m.id).benches);
     let cold = System::new(spec.config(), &mix(m.id).benches).run();
     assert_eq!(
         format!("{warm:?}"),
@@ -81,7 +81,7 @@ fn trace_mix_runs_through_run_mix_with_warm_reuse() {
     assert_eq!(warm.cores[0].bench, trace.name());
 
     // Repeating the run hits the cache and stays deterministic.
-    let again = spec.run_mix(m.id);
+    let again = spec.run_benches(&mix(m.id).benches);
     assert_eq!(format!("{warm:?}"), format!("{again:?}"));
 }
 

@@ -1,7 +1,6 @@
 //! Warm-state checkpointing must be invisible in the results: a run
-//! restored from a [`dca::WarmState`] — by reference
-//! ([`System::from_warm`]) or by value ([`System::from_warm_owned`]) —
-//! has to produce a byte-identical report to a cold run of the same
+//! restored from a [`dca::WarmState`] ([`System::from_warm`]) has to
+//! produce a byte-identical report to a cold run of the same
 //! configuration, for every controller design, both organisations,
 //! every main-memory backend, every replacement policy and trace-driven
 //! mixes.
@@ -23,32 +22,23 @@ fn report_bytes(r: &SystemReport) -> String {
     format!("{r:?}")
 }
 
-/// Run `c` cold, restored from `warm` by reference and restored by
-/// value (the figure runner's last user of a warm state takes it by
-/// value; every other restore copies it), and require all three reports
-/// to be identical, by Debug bytes and by [`SystemReport::digest`].
+/// Run `c` cold and restored from `warm`, and require both reports to
+/// be identical, by Debug bytes and by [`SystemReport::digest`].
 /// Returns the cold report.
-fn assert_restores_match_cold(
+fn assert_restore_matches_cold(
     c: SystemConfig,
     benches: &[Benchmark],
     warm: &WarmState,
     what: &str,
 ) -> SystemReport {
     let cold = System::new(c, benches).run();
-    for (how, restored) in [
-        ("by reference", System::from_warm(c, benches, warm).run()),
-        (
-            "by value",
-            System::from_warm_owned(c, benches, warm.clone()).run(),
-        ),
-    ] {
-        assert_eq!(
-            report_bytes(&cold),
-            report_bytes(&restored),
-            "{what} restored {how} diverged from cold"
-        );
-        assert_eq!(cold.digest(), restored.digest(), "{what} restored {how}");
-    }
+    let restored = System::from_warm(c, benches, warm).run();
+    assert_eq!(
+        report_bytes(&cold),
+        report_bytes(&restored),
+        "{what} restored diverged from cold"
+    );
+    assert_eq!(cold.digest(), restored.digest(), "{what} restored");
     cold
 }
 
@@ -61,7 +51,7 @@ fn restored_runs_match_cold_runs_for_all_designs_and_orgs() {
         let warm = System::capture_warm(cfg(Design::Cd, org), &benches);
         for design in Design::ALL {
             let what = format!("{} {}", design.label(), org.label());
-            assert_restores_match_cold(cfg(design, org), &benches, &warm, &what);
+            assert_restore_matches_cold(cfg(design, org), &benches, &warm, &what);
         }
     }
 }
@@ -83,7 +73,7 @@ fn restored_runs_match_cold_runs_under_every_replacement_policy() {
         c.replacement = policy;
         let warm = System::capture_warm(c, &benches);
         let what = format!("DCA SA {}", policy.label());
-        let cold = assert_restores_match_cold(c, &benches, &warm, &what);
+        let cold = assert_restore_matches_cold(c, &benches, &warm, &what);
         // Distinct reports show the policies chose different victims,
         // so this geometry does put the sets under pressure.
         for &(other, digest) in &digests {
@@ -111,7 +101,7 @@ fn cycle_main_memory_restored_runs_match_cold_runs() {
                 let mut c = cfg(design, org);
                 c.main_mem = main_mem;
                 let what = format!("{} {} {backend}", design.label(), org.label());
-                let cold = assert_restores_match_cold(c, &benches, &warm, &what);
+                let cold = assert_restore_matches_cold(c, &benches, &warm, &what);
                 assert_eq!(cold.main_mem.backend, "cycle");
             }
         }
