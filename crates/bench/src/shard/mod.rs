@@ -35,8 +35,8 @@
 //!
 //! ```text
 //! dca-partial 2 <job id>
-//! <mix> <miss_ns> <apt> <row_hit> <ipc>...    one line per mix (eval job)
-//! <bench> <ipc>                               one line per benchmark (alone job)
+//! <mix> <miss_ns> <apt> <row_hit> <ipc0> <ipc1> <ipc2> <ipc3>    per mix (eval job)
+//! <bench> <ipc>                                                  per benchmark (alone job)
 //! end
 //! ```
 //!
